@@ -600,7 +600,8 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.field._key(), self.index))
+        # Equal to hash(index), since an element compares equal to its index.
+        return hash(self.index)
 
     def __int__(self) -> int:
         return self.index

@@ -24,7 +24,10 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field: Field, rows: Iterable[Iterable[ElementLike]], ncols: int | None = None):
-        grid = tuple(tuple(field.to_index(x) for x in row) for row in rows)
+        # Rows go through a list so each tuple is allocated at its final size;
+        # tuple(<generator>) resizes, and CPython's per-size tuple free lists
+        # then keep growing over many matrices.
+        grid = tuple([tuple([field.to_index(x) for x in row]) for row in rows])
         if grid:
             ncols = len(grid[0])
             if any(len(r) != ncols for r in grid):

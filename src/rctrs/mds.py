@@ -11,19 +11,27 @@ Two independent routes decide whether a code is MDS:
   column; every case reduces to a product of point differences times a
   low-degree correction polynomial evaluated at the twist points.
 
-Column subsets are always scanned in colexicographic order, so a failing
-witness is deterministic.  Witness column indices are 0-based with the
-twist column at position n-1 and, when extended, the coefficient column
-at position n.
+mds_by_minors scans column subsets in colexicographic order.  The closed
+forms scan category by category, each in colexicographic order: subsets
+of evaluation columns only, then (when extended) k-1 evaluations plus
+the coefficient column, then k-1 evaluations plus the twist column, then
+k-2 evaluations plus both; a category that cannot fail is skipped.
+Either way a failing witness is deterministic.  Witness column indices
+are 0-based with the twist column at position n-1 and, when extended,
+the coefficient column at position n.
 
-Minimum distance is found by full codeword enumeration when q^k fits the
-budget, and otherwise falls back to the Singleton bound through the
-minor check.  Exceeding the budget on a non-MDS code is reported as an
-explicit result, not an error.
+Minimum distance is exact when q^k fits the budget.  The first k-1 rows
+are enumerated projectively, and each resulting prefix covers all q
+codewords it forms with the last row in one pass over the columns (see
+_enumerate_min_weight); the result still counts the q^k - 1 nonzero
+codewords covered.  Past the budget it falls back to the Singleton bound
+through the minor check.  Exceeding the budget on a non-MDS code is
+reported as an explicit result, not an error.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Union
@@ -136,16 +144,6 @@ def psi(field: Field, x, window: Sequence, eta):
         diff_prod = mul(diff_prod, field.sub(xi, a))
         total = field.add(total, a)
     return field.element(mul(diff_prod, field.add(1, mul(eta_i, total))))
-
-
-def omega(field: Field, x, window: Sequence):
-    """Plain point-difference product prod(x - a)."""
-    xi = field.to_index(x)
-    mul = field.mul
-    out = 1
-    for a in window:
-        out = mul(out, field.sub(xi, field.to_index(a)))
-    return field.element(out)
 
 
 def _require_closed_form(spec: CodeSpec, hook: str) -> None:
@@ -400,35 +398,48 @@ def check_mds(spec: CodeSpec, method: str = METHOD_BOTH, gen: GeneratorMatrix | 
 
 
 def _enumerate_min_weight(m: Matrix) -> int:
-    """Minimum weight over all nonzero codewords, by full enumeration."""
+    """Minimum weight over all nonzero codewords, exact.
+
+    Weight does not change when a codeword or a column is scaled by a
+    nonzero constant.  So each column j where the last row r has r_j != 0
+    is scaled by -1/r_j, after which a + s*r vanishes there exactly when
+    a_j = s.  The first k-1 rows are enumerated projectively (first
+    nonzero coefficient 1); for each prefix a, the best s zeroes the most
+    frequent value a takes on those columns, and the columns with r_j = 0
+    vanish when a_j does.  The multiples of r cover the zero prefix.
+    A matrix with no rows has no nonzero codeword and gives ncols + 1.
+    """
     f = m.field
     q = f.q
     k = m.nrows
-    ncols = m.ncols
+    if not k:
+        return m.ncols + 1
     add = f.add
     mul = f.mul
-    scaled = [
-        [[mul(s, x) for x in row] for s in range(q)]
-        for row in m.rows
+    last = m.rows[-1]
+    fixed = [j for j, x in enumerate(last) if not x]
+    moving = [(j, f.neg(f.inv(x))) for j, x in enumerate(last) if x]
+    if not moving:
+        return 0
+    nfixed = len(fixed)
+    head = [
+        [row[j] for j in fixed] + [mul(s, row[j]) for j, s in moving]
+        for row in m.rows[:-1]
     ]
-    best = ncols + 1
-
-    def descend(level: int, acc: list[int], nonzero: bool) -> None:
-        nonlocal best
-        if level == k:
-            if nonzero:
-                w = ncols - acc.count(0)
-                if w < best:
-                    best = w
-            return
-        tables = scaled[level]
-        descend(level + 1, acc, nonzero)
-        for s in range(1, q):
-            row = tables[s]
-            descend(level + 1, [add(a, x) for a, x in zip(acc, row)], True)
-
-    descend(0, [0] * ncols, False)
-    return best
+    multiples = [[[mul(s, x) for x in row] for s in range(1, q)] for row in head]
+    most_zeros = nfixed  # the zeros of r itself
+    # Depth-first over (level, partial prefix); a prefix is complete at k-1.
+    stack = [(lead + 1, head[lead]) for lead in range(k - 1)]
+    while stack:
+        level, acc = stack.pop()
+        if level == k - 1:
+            zeros = acc[:nfixed].count(0) + max(Counter(acc[nfixed:]).values())
+            if zeros > most_zeros:
+                most_zeros = zeros
+            continue
+        stack.append((level + 1, acc))
+        stack.extend((level + 1, [add(a, x) for a, x in zip(acc, row)]) for row in multiples[level])
+    return m.ncols - most_zeros
 
 
 def min_distance(
@@ -436,7 +447,10 @@ def min_distance(
     budget: int = DEFAULT_DISTANCE_BUDGET,
     mds_verdict: MdsVerdict | None = None,
 ) -> DistanceResult:
-    """Exact distance by enumeration within budget, else the minors route."""
+    """Exact distance by enumeration within budget, else the minors route.
+
+    An enumerated result counts the q^k - 1 nonzero codewords it covers.
+    """
     m = _unwrap(g)
     total = m.field.q**m.nrows
     if total <= budget:

@@ -266,6 +266,19 @@ def test_element_operators():
     assert a + 9 == 1  # int operands are indices
 
 
+def test_element_hash_agrees_with_int_equality():
+    f = field_create(13)
+    e = f.element(3)
+    assert e == 3 and hash(e) == hash(3)
+    assert e in {3}
+    assert {e: 1}[3] == 1
+    assert {3: "x"}[e] == "x"
+    other = field_create(7).element(3)
+    assert e != other and other != e
+    assert len({e, other}) == 2
+    assert len({e, f.element(3)}) == 1
+
+
 def test_elements_iteration():
     f = field_create(2, 3)
     elems = list(f.elements())

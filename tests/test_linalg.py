@@ -1,7 +1,9 @@
 """Exact linear algebra over finite fields."""
 
+import gc
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -76,6 +78,25 @@ def test_empty_matrix_needs_explicit_width():
     m = Matrix(F7, [], ncols=4)
     assert (m.nrows, m.ncols) == (0, 4)
     assert rank(m) == 0
+
+
+def test_matrix_rows_do_not_pile_up_in_tuple_free_lists():
+    # A row built by tuple(<generator>) is allocated small and resized, so
+    # once freed it lands in CPython's tuple free list for its final size,
+    # which no later allocation drains; those lists grow over many matrices.
+    rng = random.Random(3)
+    grids = [[[rng.randrange(7) for _ in range(11 + i % 5)] for _ in range(3)] for i in range(3000)]
+    for grid in grids[:100]:
+        Matrix(F7, grid)
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        for grid in grids:
+            Matrix(F7, grid)
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown < 500
 
 
 # --- rank, determinant, rref, null space --------------------------------------

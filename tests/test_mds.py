@@ -183,6 +183,38 @@ def test_closed_form_witness_columns_are_singular():
         assert det(sub) == 0, (spec, verdict)
 
 
+def category_order(npts, k, extended):
+    """Column sets in the closed forms' scan order; twist at npts, coefficient at npts+1."""
+    twist, coeff = npts, npts + 1
+    yield from colex_subsets(npts, k)
+    if extended:
+        yield from (cols + (coeff,) for cols in colex_subsets(npts, k - 1))
+    yield from (cols + (twist,) for cols in colex_subsets(npts, k - 1))
+    if extended and k >= 2:
+        yield from (cols + (twist, coeff) for cols in colex_subsets(npts, k - 2))
+
+
+def test_closed_form_witness_is_first_singular_set_in_category_order():
+    rng = random.Random(5500)
+    differs = 0
+    for f in (F13, F9):
+        for _ in range(80):
+            spec = random_spec(f, rng, extended=rng.random() < 0.5)
+            fn = closed_form_for(spec)
+            if fn is None:
+                continue
+            g = generator_matrix(spec)
+            first = next(
+                (cols for cols in category_order(len(spec.alphas), spec.k, spec.extended)
+                 if det(Matrix(f, [[row[c] for c in cols] for row in g.rows])) == 0),
+                None,
+            )
+            got = fn(spec)
+            assert got.witness == first, (spec, got)
+            differs += got.witness != mds_by_minors(g).witness
+    assert differs  # the category order is not the global colex order
+
+
 # --- dispatch -------------------------------------------------------------------------
 
 
@@ -262,16 +294,58 @@ def brute_min_weight(f, g):
     return best
 
 
+# prime, m=2, m>=3 with odd p, and p=2 fields
+ENUM_FIELDS = ((5, 1), (7, 1), (3, 2), (2, 2), (3, 3), (2, 3), (2, 4))
+
+
+def enumeration_cases(rng):
+    """Seeded specs and raw matrices, with the corners each one reaches."""
+    for p, m in ENUM_FIELDS:
+        f = field_create(p, m)
+        kmax = max(k for k in range(1, 6) if f.q**k <= 800)
+        for k in range(1, kmax + 1):
+            for extended in (False, True):
+                n = k if rng.random() < 0.3 else rng.randrange(k, min(f.q, k + 5) + 1)
+                pool = list(range(f.q))
+                rng.shuffle(pool)
+                alphas = pool[: n - 1]
+                inside = len(alphas) >= 2 and rng.random() < 0.5
+                b, c = rng.sample(alphas, 2) if inside else (rng.randrange(f.q), rng.randrange(f.q))
+                spec = rctrs_spec(
+                    f, alphas, b, c, rng.randrange(f.q), rng.randrange(f.q),
+                    k=k, h=rng.randrange(k), extended=extended,
+                )
+                corners = {f"p={p},m={m}", f"k={k}"}
+                corners |= {"k=n"} if k == n else set()
+                corners |= {"extended"} if extended else set()
+                corners |= {"b,c among points"} if inside else set()
+                yield generator_matrix(spec).matrix, corners
+        for k in range(2, kmax + 1):
+            n = rng.randrange(k, k + 5)
+            rows = [[rng.randrange(f.q) for _ in range(n)] for _ in range(k)]
+            zero_last = [r[:] for r in rows[:-1]] + [[0] * n]
+            yield Matrix(f, zero_last), {"zero last row"}
+            repeated = [r[:] for r in rows]
+            repeated[rng.randrange(k - 1)] = repeated[-1][:]
+            yield Matrix(f, repeated), {"repeated row"}
+
+
 def test_enumeration_matches_brute_force():
-    f = field_create(5)
-    rng = random.Random(6000)
-    for _ in range(10):
-        spec = random_spec(f, rng, nmax=6, kmax=3)
-        g = generator_matrix(spec)
+    seen = set()
+    for g, corners in enumeration_cases(random.Random(6000)):
         result = min_distance(g, budget=10**6)
+        f, k = g.field, g.nrows
         assert result.method == "enumeration"
-        assert result.enumerated == f.q**spec.k - 1
-        assert result.value == brute_min_weight(f, g)
+        assert result.enumerated == f.q**k - 1
+        assert result.value == brute_min_weight(f, g), (f, g.rows)
+        if "zero last row" in corners or "repeated row" in corners:
+            assert result.value == 0
+        seen |= corners
+    wanted = {f"p={p},m={m}" for p, m in ENUM_FIELDS}
+    wanted |= {"k=1", "k=n", "extended", "b,c among points", "zero last row", "repeated row"}
+    assert wanted <= seen, wanted - seen
+    # no rows, no nonzero codeword: the value stays one past the length
+    assert min_distance(Matrix(F13, [], ncols=4)).value == 5
 
 
 def test_distance_minors_path_on_mds_code():
