@@ -125,14 +125,7 @@ def cmd_distance(args) -> int:
     spec = _read_spec(args.spec)
     gen = generator_matrix(spec)
     result = min_distance(gen, distance_budget(args.budget))
-    if result.value is None:
-        bound = gen.ncols - gen.nrows + 1
-        print(f"distance_method=budget-exceeded distance_upper_bound={bound}")
-    else:
-        line = f"distance={result.value} distance_method={result.method}"
-        if result.method == "enumeration":
-            line += f" codewords_enumerated={result.enumerated}"
-        print(line)
+    print(result.render(gen.ncols - gen.nrows + 1))
     return 0
 
 

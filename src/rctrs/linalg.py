@@ -1,13 +1,15 @@
 """Exact linear algebra over a finite field.
 
 Matrices are immutable row-major grids of element indices tied to a
-Field.  Rank, determinant and null space use plain Gaussian elimination
-with exact field inverses; nothing here ever rounds.
+Field.  Rank, determinant, RREF and null space all run one Gaussian
+elimination loop (_eliminate) with exact field inverses; nothing here
+ever rounds.
 
 Also hosts the polynomial-flavoured determinant identities used by the
 code analyzers: elementary symmetric polynomials via the standard
-one-pass recurrence, Vandermonde determinants in product form, and the
-closed form for a Vandermonde matrix with one power row deleted.
+one-pass recurrence, banded to the degrees asked for, Vandermonde
+determinants in product form, and the closed form for a Vandermonde
+matrix with one power row deleted.
 """
 
 from __future__ import annotations
@@ -72,102 +74,55 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Elimination engines on mutable row lists of indices.
+# The elimination loop, on mutable row lists of indices.
 
 
-def _rank_rows(field: Field, rows: list[list[int]]) -> int:
-    if not rows:
-        return 0
+def _eliminate(field: Field, rows: list[list[int]], full: bool = False) -> tuple[list[int], int]:
+    """Gaussian elimination in place; returns (pivot columns, signed pivot product).
+
+    Echelon mode clears each pivot column below the pivot; full mode
+    clears it above as well and scales each pivot row to 1, leaving the
+    reduced row echelon form.  Row updates start right of the pivot
+    column.  The pivot product carries the sign of the row swaps, so on
+    a square matrix of full rank it is the determinant.
+    """
     mul = field.mul
     sub = field.sub
-    inv = field.inv
     nrows = len(rows)
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        pinv = inv(prow[col])
-        for i in range(r + 1, nrows):
-            lead = rows[i][col]
-            if lead:
-                f = mul(lead, pinv)
-                ri = rows[i]
-                for j in range(col, ncols):
-                    if prow[j]:
-                        ri[j] = sub(ri[j], mul(f, prow[j]))
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def _det_rows(field: Field, rows: list[list[int]]) -> int:
-    n = len(rows)
-    mul = field.mul
-    sub = field.sub
-    inv = field.inv
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
     detval = 1
     negate = False
-    for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            negate = not negate
-        prow = rows[col]
-        pval = prow[col]
-        detval = mul(detval, pval)
-        pinv = inv(pval)
-        for i in range(col + 1, n):
-            lead = rows[i][col]
-            if lead:
-                f = mul(lead, pinv)
-                ri = rows[i]
-                for j in range(col + 1, n):
-                    if prow[j]:
-                        ri[j] = sub(ri[j], mul(f, prow[j]))
-    return field.neg(detval) if negate else detval
-
-
-def _rref_rows(field: Field, rows: list[list[int]]) -> list[int]:
-    """Reduce in place to reduced row echelon form; returns pivot columns."""
-    if not rows:
-        return []
-    mul = field.mul
-    sub = field.sub
-    inv = field.inv
-    nrows = len(rows)
-    ncols = len(rows[0])
-    pivots = []
     r = 0
     for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if piv is None:
+        for piv in range(r, nrows):
+            if rows[piv][col]:
+                break
+        else:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            negate = not negate
         prow = rows[r]
-        pinv = inv(prow[col])
-        if prow[col] != 1:
-            for j in range(col, ncols):
-                if prow[j]:
-                    prow[j] = mul(prow[j], pinv)
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                ri = rows[i]
-                for j in range(col, ncols):
+        pval = prow[col]
+        detval = mul(detval, pval)
+        pinv = field.inv(pval)
+        for i in range(0 if full else r + 1, nrows):
+            ri = rows[i]
+            lead = ri[col]
+            if lead and i != r:
+                f = mul(lead, pinv)
+                ri[col] = 0
+                for j in range(col + 1, ncols):
                     if prow[j]:
                         ri[j] = sub(ri[j], mul(f, prow[j]))
+        if full and pval != 1:
+            rows[r] = [mul(x, pinv) for x in prow]
         pivots.append(col)
         r += 1
         if r == nrows:
             break
-    return pivots
+    return pivots, field.neg(detval) if negate else detval
 
 
 def _mutable(m: Matrix) -> list[list[int]]:
@@ -175,18 +130,19 @@ def _mutable(m: Matrix) -> list[list[int]]:
 
 
 def rank(m: Matrix) -> int:
-    return _rank_rows(m.field, _mutable(m))
+    return len(_eliminate(m.field, _mutable(m))[0])
 
 
 def det(m: Matrix) -> FieldElement:
     if m.nrows != m.ncols:
         raise NotSquareError(f"determinant of a {m.nrows}x{m.ncols} matrix")
-    return FieldElement(m.field, _det_rows(m.field, _mutable(m)))
+    pivots, value = _eliminate(m.field, _mutable(m))
+    return FieldElement(m.field, value if len(pivots) == m.nrows else 0)
 
 
 def rref(m: Matrix) -> Matrix:
     rows = _mutable(m)
-    _rref_rows(m.field, rows)
+    _eliminate(m.field, rows, full=True)
     return Matrix(m.field, rows, ncols=m.ncols)
 
 
@@ -194,7 +150,7 @@ def null_space(m: Matrix) -> Matrix:
     """Basis of the right kernel, one vector per row; 0 rows if trivial."""
     f = m.field
     rows = _mutable(m)
-    pivots = _rref_rows(f, rows)
+    pivots, _ = _eliminate(f, rows, full=True)
     pivot_set = set(pivots)
     free = [c for c in range(m.ncols) if c not in pivot_set]
     basis = []
@@ -212,10 +168,9 @@ def row_space_equal(a: Matrix, b: Matrix) -> bool:
     if a.field != b.field or a.ncols != b.ncols:
         return False
 
-    def reduced(m: Matrix) -> list[tuple[int, ...]]:
+    def reduced(m: Matrix) -> list[list[int]]:
         rows = _mutable(m)
-        _rref_rows(m.field, rows)
-        return [tuple(r) for r in rows if any(r)]
+        return rows[: len(_eliminate(m.field, rows, full=True)[0])]
 
     return reduced(a) == reduced(b)
 
@@ -224,24 +179,38 @@ def row_space_equal(a: Matrix, b: Matrix) -> bool:
 # Symmetric functions and Vandermonde identities.
 
 
-def elementary_symmetric(field: Field, values: Sequence[ElementLike], r: int) -> FieldElement:
-    """Degree-r elementary symmetric polynomial of the values.
+def symmetric_tables(field: Field, points: Sequence[int], subsets: Iterable[Sequence[int]], lo: int, hi: int):
+    """For each subset of positions into points, all of one size, yield the
+    subset and [sigma_0, ..., sigma_hi] of its points, exact in degrees lo..hi.
 
-    One pass over the values updating the running table of all degrees
-    up to r, so the cost is len(values) * r field operations.
+    The standard one-pass recurrence sigma_j += x * sigma_(j-1), banded:
+    each point updates only the degrees that can still reach lo with the
+    points left, so the product of all points (lo = hi = size) or their
+    sum (lo = hi = 1) costs one multiplication per point.  Entries below
+    lo are left partial; sigma_0 is always 1.
     """
+    add = field.add
+    mul = field.mul
+    start = [1] + [0] * hi
+    steps = None
+    for cols in subsets:
+        if steps is None:
+            n = len(cols)
+            # (position in the subset, degree) pairs in update order
+            steps = [(p, j) for p in range(n) for j in range(min(hi, p + 1), max(0, lo - n + p), -1)]
+        table = start[:]
+        for p, j in steps:
+            y = mul(points[cols[p]], table[j - 1])
+            table[j] = add(table[j], y) if table[j] else y
+        yield cols, table
+
+
+def elementary_symmetric(field: Field, values: Sequence[ElementLike], r: int) -> FieldElement:
+    """Degree-r elementary symmetric polynomial of the values."""
     if r < 0:
         raise ValueError("degree must be nonnegative")
     vals = [field.to_index(v) for v in values]
-    if r > len(vals):
-        return FieldElement(field, 0)
-    add = field.add
-    mul = field.mul
-    table = [1] + [0] * r
-    for v in vals:
-        for j in range(r, 0, -1):
-            if table[j - 1]:
-                table[j] = add(table[j], mul(v, table[j - 1]))
+    _, table = next(symmetric_tables(field, vals, [range(len(vals))], r, r))
     return FieldElement(field, table[r])
 
 

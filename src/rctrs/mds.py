@@ -5,17 +5,20 @@ Two independent routes decide whether a code is MDS:
 * mds_by_minors checks every k-subset of columns for an invertible
   k-by-k minor.  It works on any generator matrix and is the oracle the
   closed forms are measured against.
-* the closed-form checkers replay the determinant factorizations for
-  twisted codes with t = 1.  Each k-subset of columns either consists of
+* one closed-form checker replays the determinant factorizations for
+  RCTRS codes with t = 1.  Each k-subset of columns either consists of
   evaluation columns only, or swaps in the twist and/or coefficient
-  column; every case reduces to a product of point differences times a
-  low-degree correction polynomial evaluated at the twist points.
+  column; every case reduces to a product of point differences times
+  1 - eta_r sigma_r of the points, r = k - h, or a hook-0 variant for
+  the coefficient column.  Its three entry points, mds_closed_form_h0,
+  _hk1 and _general, differ only in the hooks they accept and the
+  method label they report.
 
 mds_by_minors scans column subsets in colexicographic order.  The closed
-forms scan category by category, each in colexicographic order: subsets
-of evaluation columns only, then (when extended) k-1 evaluations plus
-the coefficient column, then k-1 evaluations plus the twist column, then
-k-2 evaluations plus both; a category that cannot fail is skipped.
+form scans category by category, each in colexicographic order: subsets
+of evaluation columns only, then (when extended, at hook 0) k-1
+evaluations plus the coefficient column, then k-1 evaluations plus the
+twist column, then (when extended) k-2 evaluations plus both.
 Either way a failing witness is deterministic.  Witness column indices
 are 0-based with the twist column at position n-1 and, when extended,
 the coefficient column at position n.
@@ -34,12 +37,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from .codes import CodeFamily, CodeSpec, GeneratorMatrix, generator_matrix
 from .errors import MethodDisagreementError, WrongHookTwistError
-from .gf import Field
-from .linalg import Matrix, _det_rows
+from .linalg import Matrix, _eliminate, symmetric_tables
 
 DEFAULT_DISTANCE_BUDGET = 1 << 24
 
@@ -48,8 +50,6 @@ METHOD_CLOSED_H0 = "closed_form_h0"
 METHOD_CLOSED_HK1 = "closed_form_hk1"
 METHOD_CLOSED_GENERAL = "closed_form_general"
 METHOD_BOTH = "both"
-
-MatrixLike = Union[Matrix, GeneratorMatrix]
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,15 @@ class DistanceResult:
     def budget_exceeded(self) -> bool:
         return self.value is None
 
+    def render(self, bound: int) -> str:
+        """The distance line of a report; bound is the Singleton bound n - k + 1."""
+        if self.value is None:
+            return f"distance_method=budget-exceeded distance_upper_bound={bound}"
+        line = f"distance={self.value} distance_method={self.method}"
+        if self.method == "enumeration":
+            line += f" codewords_enumerated={self.enumerated}"
+        return line
+
 
 @lru_cache(maxsize=None)
 def _colex_subsets(n: int, k: int) -> tuple[tuple[int, ...], ...]:
@@ -94,56 +103,20 @@ def colex_subsets(n: int, k: int):
     return iter(_colex_subsets(n, k))
 
 
-def _unwrap(g: MatrixLike) -> Matrix:
-    return g.matrix if isinstance(g, GeneratorMatrix) else g
-
-
-def mds_by_minors(g: MatrixLike) -> MdsVerdict:
+def mds_by_minors(g: Matrix) -> MdsVerdict:
     """Exhaustive minor check; witness is the first singular column set."""
-    m = _unwrap(g)
-    f = m.field
-    k = m.nrows
-    rows = m.rows
-    for cols in _colex_subsets(m.ncols, k):
-        sub = [[row[c] for c in cols] for row in rows]
-        if not _det_rows(f, sub):
+    f = g.field
+    k = g.nrows
+    columns = list(zip(*g.rows))
+    for cols in _colex_subsets(g.ncols, k):
+        # the minor's transpose, which has the same rank
+        if len(_eliminate(f, [list(columns[c]) for c in cols])[0]) < k:
             return MdsVerdict(False, cols, METHOD_MINORS)
     return MdsVerdict(True, None, METHOD_MINORS)
 
 
 # ---------------------------------------------------------------------------
-# Correction polynomials for the twisted minors (t = 1 throughout).
-
-
-def phi(field: Field, x, window: Sequence, eta, k: int):
-    """Hook-0 twist correction: prod(x - a) * (1 + (-1)^(k-1) eta x prod(a))."""
-    xi = field.to_index(x)
-    eta_i = field.to_index(eta)
-    pts = [field.to_index(a) for a in window]
-    mul = field.mul
-    diff_prod = 1
-    pt_prod = 1
-    for a in pts:
-        diff_prod = mul(diff_prod, field.sub(xi, a))
-        pt_prod = mul(pt_prod, a)
-    corr = mul(eta_i, mul(xi, pt_prod))
-    if k % 2 == 0:
-        corr = field.neg(corr)
-    return field.element(mul(diff_prod, field.add(1, corr)))
-
-
-def psi(field: Field, x, window: Sequence, eta):
-    """Hook-(k-1) twist correction: prod(x - a) * (1 + eta*(x + sum(a)))."""
-    xi = field.to_index(x)
-    eta_i = field.to_index(eta)
-    pts = [field.to_index(a) for a in window]
-    mul = field.mul
-    diff_prod = 1
-    total = xi
-    for a in pts:
-        diff_prod = mul(diff_prod, field.sub(xi, a))
-        total = field.add(total, a)
-    return field.element(mul(diff_prod, field.add(1, mul(eta_i, total))))
+# The t = 1 closed form.
 
 
 def _require_closed_form(spec: CodeSpec, hook: str) -> None:
@@ -155,195 +128,88 @@ def _require_closed_form(spec: CodeSpec, hook: str) -> None:
         raise WrongHookTwistError(f"hook-0 closed form used with h={spec.h}")
     if hook == "hk1" and spec.h != spec.k - 1:
         raise WrongHookTwistError(f"hook-(k-1) closed form used with h={spec.h}, k={spec.k}")
+    if hook == "general" and spec.extended and 0 < spec.h < spec.k - 1:
+        raise WrongHookTwistError("no closed form for extended codes with an interior hook")
+
+
+def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
+    """Scan the minors of a t = 1 RCTRS code through their factorizations.
+
+    With r = k - h and eta_r = (-1)^r eta, a minor on k columns that are
+    evaluations at the points V (b or c standing in for the twist column)
+    is a Vandermonde product times 1 - eta_r sigma_r(V).  Swapping in the
+    coefficient column leaves k-1 points and the correction
+    1 + eta_r sigma_(k-1)(V) sigma_1(V) at hook 0, or 1 at hook k-1.  The
+    twist column is f(b) - lambda f(c), so with evaluation points W such
+    a minor vanishes when prod(b - a) corr(W + b) == lambda prod(c - a)
+    corr(W + c), where sigma_d(W + x) = sigma_d(W) + x sigma_(d-1)(W).
+    Extended codes with an interior hook have no such form; callers rule
+    them out.
+    """
+    f = spec.field
+    al = spec.alphas
+    npts = len(al)
+    k, h = spec.k, spec.h
+    r = k - h
+    b, c, lam = spec.b, spec.c, spec.lam
+    add, sub, mul = f.add, f.sub, f.mul
+    eta_r = f.neg(spec.eta) if r % 2 else spec.eta
+    twist, coeff = npts, npts + 1
+
+    def twist_minor_vanishes(cols, corr_b: int, corr_c: int) -> bool:
+        vb = vc = 1
+        for i in cols:
+            vb = mul(vb, sub(b, al[i]))
+            vc = mul(vc, sub(c, al[i]))
+        return mul(vb, corr_b) == mul(lam, mul(vc, corr_c))
+
+    def coeff_corr(top: int, one: int) -> int:
+        """The coefficient-column correction from sigma_(k-1) and sigma_1."""
+        return 1 if h else add(1, mul(eta_r, mul(top, one)))
+
+    for cols, table in symmetric_tables(f, al, _colex_subsets(npts, k), r, r):
+        if mul(eta_r, table[r]) == 1:
+            return MdsVerdict(False, cols, method)
+
+    if spec.extended and not h:
+        # at k = 1 the table still needs sigma_1, which is 0
+        for cols, table in symmetric_tables(f, al, _colex_subsets(npts, k - 1), 1, max(k - 1, 1)):
+            if not coeff_corr(table[k - 1], table[1]):
+                return MdsVerdict(False, cols + (coeff,), method)
+
+    for cols, table in symmetric_tables(f, al, _colex_subsets(npts, k - 1), r - 1, r):
+        corr_b = sub(1, mul(eta_r, add(table[r], mul(b, table[r - 1]))))
+        corr_c = sub(1, mul(eta_r, add(table[r], mul(c, table[r - 1]))))
+        if twist_minor_vanishes(cols, corr_b, corr_c):
+            return MdsVerdict(False, cols + (twist,), method)
+
+    if spec.extended and k >= 2:
+        top = k - 1
+        for cols, table in symmetric_tables(f, al, _colex_subsets(npts, k - 2), 1, top):
+            corr_b = coeff_corr(add(table[top], mul(b, table[top - 1])), add(table[1], b))
+            corr_c = coeff_corr(add(table[top], mul(c, table[top - 1])), add(table[1], c))
+            if twist_minor_vanishes(cols, corr_b, corr_c):
+                return MdsVerdict(False, cols + (twist, coeff), method)
+
+    return MdsVerdict(True, None, method)
 
 
 def mds_closed_form_h0(spec: CodeSpec) -> MdsVerdict:
     """Closed-form MDS check for hook 0, twist 1, plain or extended."""
     _require_closed_form(spec, "h0")
-    f = spec.field
-    al = spec.alphas
-    npts = len(al)
-    k = spec.k
-    b, c, lam, eta = spec.b, spec.c, spec.lam, spec.eta
-    add = f.add
-    sub = f.sub
-    mul = f.mul
-    neg = f.neg
-    twist_col = npts
-    coeff_col = npts + 1
-    method = METHOD_CLOSED_H0
-
-    # sign (-1)^k folded into eta once per parity
-    eta_sign_k = neg(eta) if k % 2 else eta
-    eta_sign_km1 = neg(eta_sign_k)
-
-    # all-evaluation subsets: (-1)^k eta prod(a) must avoid 1
-    for cols in _colex_subsets(npts, k):
-        prod = 1
-        for i in cols:
-            prod = mul(prod, al[i])
-        if mul(eta_sign_k, prod) == 1:
-            return MdsVerdict(False, cols, method)
-
-    if spec.extended:
-        # k-1 evaluations plus the coefficient column
-        for cols in _colex_subsets(npts, k - 1):
-            prod = 1
-            total = 0
-            for j in cols:
-                prod = mul(prod, al[j])
-                total = add(total, al[j])
-            if mul(eta_sign_km1, mul(prod, total)) == 1:
-                return MdsVerdict(False, cols + (coeff_col,), method)
-
-    # k-1 evaluations plus the twist column
-    for cols in _colex_subsets(npts, k - 1):
-        prod = 1
-        for j in cols:
-            prod = mul(prod, al[j])
-        vb = 1
-        vc = 1
-        for j in cols:
-            vb = mul(vb, sub(b, al[j]))
-            vc = mul(vc, sub(c, al[j]))
-        phib = mul(vb, add(1, mul(eta_sign_km1, mul(b, prod))))
-        phic = mul(vc, add(1, mul(eta_sign_km1, mul(c, prod))))
-        if phib == mul(lam, phic):
-            return MdsVerdict(False, cols + (twist_col,), method)
-
-    if spec.extended and k >= 2:
-        # k-2 evaluations plus twist and coefficient columns; the
-        # correction picks up an extra factor x + sum(a)
-        for cols in _colex_subsets(npts, k - 2):
-            prod = 1
-            total = 0
-            vb = 1
-            vc = 1
-            for j in cols:
-                a = al[j]
-                prod = mul(prod, a)
-                total = add(total, a)
-                vb = mul(vb, sub(b, a))
-                vc = mul(vc, sub(c, a))
-            tb = mul(eta_sign_k, mul(b, mul(prod, add(b, total))))
-            tc = mul(eta_sign_k, mul(c, mul(prod, add(c, total))))
-            if mul(vb, add(1, tb)) == mul(lam, mul(vc, add(1, tc))):
-                return MdsVerdict(False, cols + (twist_col, coeff_col), method)
-
-    return MdsVerdict(True, None, method)
+    return _closed_form(spec, METHOD_CLOSED_H0)
 
 
 def mds_closed_form_hk1(spec: CodeSpec) -> MdsVerdict:
     """Closed-form MDS check for hook k-1, twist 1, plain or extended."""
     _require_closed_form(spec, "hk1")
-    f = spec.field
-    al = spec.alphas
-    npts = len(al)
-    k = spec.k
-    b, c, lam, eta = spec.b, spec.c, spec.lam, spec.eta
-    add = f.add
-    sub = f.sub
-    mul = f.mul
-    twist_col = npts
-    coeff_col = npts + 1
-    method = METHOD_CLOSED_HK1
-    minus_one = f.neg(1)
-
-    for cols in _colex_subsets(npts, k):
-        total = 0
-        for i in cols:
-            total = add(total, al[i])
-        if mul(eta, total) == minus_one:
-            return MdsVerdict(False, cols, method)
-
-    for cols in _colex_subsets(npts, k - 1):
-        total_b = b
-        total_c = c
-        vb = 1
-        vc = 1
-        for j in cols:
-            a = al[j]
-            total_b = add(total_b, a)
-            total_c = add(total_c, a)
-            vb = mul(vb, sub(b, a))
-            vc = mul(vc, sub(c, a))
-        psib = mul(vb, add(1, mul(eta, total_b)))
-        psic = mul(vc, add(1, mul(eta, total_c)))
-        if psib == mul(lam, psic):
-            return MdsVerdict(False, cols + (twist_col,), method)
-
-    if spec.extended and k >= 2:
-        for cols in _colex_subsets(npts, k - 2):
-            vb = 1
-            vc = 1
-            for j in cols:
-                vb = mul(vb, sub(b, al[j]))
-                vc = mul(vc, sub(c, al[j]))
-            if vb == mul(lam, vc):
-                return MdsVerdict(False, cols + (twist_col, coeff_col), method)
-
-    return MdsVerdict(True, None, method)
+    return _closed_form(spec, METHOD_CLOSED_HK1)
 
 
 def mds_closed_form_general(spec: CodeSpec) -> MdsVerdict:
-    """Closed-form MDS check for any hook, twist 1, plain codes only.
-
-    Must coincide with the specialized hook-0 and hook-(k-1) checkers on
-    their ranges.  Extended specs with 0 < h < k-1 have no closed form
-    and should use the minor oracle.
-    """
+    """Closed-form MDS check for any hook, twist 1; extended codes only at hook 0 or k-1."""
     _require_closed_form(spec, "general")
-    if spec.extended and 0 < spec.h < spec.k - 1:
-        raise WrongHookTwistError(
-            "no closed form for extended codes with an interior hook"
-        )
-    if spec.extended:
-        # delegate to the matching specialized extended checker
-        verdict = mds_closed_form_h0(spec) if spec.h == 0 else mds_closed_form_hk1(spec)
-        return MdsVerdict(verdict.is_mds, verdict.witness, METHOD_CLOSED_GENERAL)
-    f = spec.field
-    al = spec.alphas
-    npts = len(al)
-    k = spec.k
-    h = spec.h
-    r = k - h  # symmetric degree of the correction
-    b, c, lam, eta = spec.b, spec.c, spec.lam, spec.eta
-    add = f.add
-    sub = f.sub
-    mul = f.mul
-    neg = f.neg
-    twist_col = npts
-    method = METHOD_CLOSED_GENERAL
-
-    eta_sign_i = neg(eta) if r % 2 else eta
-    eta_sign_ii = neg(eta_sign_i)
-
-    def esym(vals: list[int], degree: int) -> int:
-        table = [1] + [0] * degree
-        for v in vals:
-            for j in range(degree, 0, -1):
-                if table[j - 1]:
-                    table[j] = add(table[j], mul(v, table[j - 1]))
-        return table[degree]
-
-    for cols in _colex_subsets(npts, k):
-        sigma = esym([al[i] for i in cols], r)
-        if mul(eta_sign_i, sigma) == 1:
-            return MdsVerdict(False, cols, method)
-
-    for cols in _colex_subsets(npts, k - 1):
-        window = [al[j] for j in cols]
-        vb = 1
-        vc = 1
-        for a in window:
-            vb = mul(vb, sub(b, a))
-            vc = mul(vc, sub(c, a))
-        fb = mul(vb, add(1, mul(eta_sign_ii, esym(window + [b], r))))
-        fc = mul(vc, add(1, mul(eta_sign_ii, esym(window + [c], r))))
-        if fb == mul(lam, fc):
-            return MdsVerdict(False, cols + (twist_col,), method)
-
-    return MdsVerdict(True, None, method)
+    return _closed_form(spec, METHOD_CLOSED_GENERAL)
 
 
 def closed_form_for(spec: CodeSpec):
@@ -398,7 +264,7 @@ def check_mds(spec: CodeSpec, method: str = METHOD_BOTH, gen: GeneratorMatrix | 
 
 
 def _enumerate_min_weight(m: Matrix) -> int:
-    """Minimum weight over all nonzero codewords, exact.
+    """Minimum weight over all nonzero codewords of a matrix with rows, exact.
 
     Weight does not change when a codeword or a column is scaled by a
     nonzero constant.  So each column j where the last row r has r_j != 0
@@ -407,13 +273,10 @@ def _enumerate_min_weight(m: Matrix) -> int:
     nonzero coefficient 1); for each prefix a, the best s zeroes the most
     frequent value a takes on those columns, and the columns with r_j = 0
     vanish when a_j does.  The multiples of r cover the zero prefix.
-    A matrix with no rows has no nonzero codeword and gives ncols + 1.
     """
     f = m.field
     q = f.q
     k = m.nrows
-    if not k:
-        return m.ncols + 1
     add = f.add
     mul = f.mul
     last = m.rows[-1]
@@ -443,20 +306,22 @@ def _enumerate_min_weight(m: Matrix) -> int:
 
 
 def min_distance(
-    g: MatrixLike,
+    g: Matrix,
     budget: int = DEFAULT_DISTANCE_BUDGET,
     mds_verdict: MdsVerdict | None = None,
 ) -> DistanceResult:
     """Exact distance by enumeration within budget, else the minors route.
 
     An enumerated result counts the q^k - 1 nonzero codewords it covers.
+    A matrix with no rows has no nonzero codeword and raises ValueError.
     """
-    m = _unwrap(g)
-    total = m.field.q**m.nrows
+    if not g.nrows:
+        raise ValueError("a code with no rows has no nonzero codeword, so no minimum distance")
+    total = g.field.q**g.nrows
     if total <= budget:
-        return DistanceResult(_enumerate_min_weight(m), "enumeration", total - 1)
+        return DistanceResult(_enumerate_min_weight(g), "enumeration", total - 1)
     if mds_verdict is None:
-        mds_verdict = mds_by_minors(m)
+        mds_verdict = mds_by_minors(g)
     if mds_verdict.is_mds:
-        return DistanceResult(m.ncols - m.nrows + 1, METHOD_MINORS)
+        return DistanceResult(g.ncols - g.nrows + 1, METHOD_MINORS)
     return DistanceResult(None, "budget-exceeded")

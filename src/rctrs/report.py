@@ -69,16 +69,7 @@ class AnalysisReport:
         if spec.family in (CodeFamily.TRS, CodeFamily.RCTRS):
             out.append(f"eta={spec.eta}")
         out.append(self.mds.render())
-        if self.distance.value is not None:
-            line = f"distance={self.distance.value} distance_method={self.distance.method}"
-            if self.distance.method == "enumeration":
-                line += f" codewords_enumerated={self.distance.enumerated}"
-            out.append(line)
-        else:
-            bound = self.length - self.dimension + 1
-            out.append(
-                f"distance_method=budget-exceeded distance_upper_bound={bound}"
-            )
+        out.append(self.distance.render(self.length - self.dimension + 1))
         out.append(self.schur.render())
         for p in self.provenance:
             out.append(f"guarantee={p}")

@@ -18,6 +18,9 @@ the preconditions fail):
 Hamming isometries (column permutations composed with nonzero column
 scalings) preserve distance, MDS-ness and the Schur-square dimension,
 which the test suite uses as an invariance oracle.
+
+Functions taking a Matrix also take a GeneratorMatrix, which exposes the
+same field, nrows, ncols and rows.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from typing import Optional, Sequence
 from .codes import GeneratorMatrix
 from .errors import LengthMismatchError, SizeMismatchError
 from .gf import ElementLike, Field, FieldElement
-from .linalg import Matrix, _rank_rows
-from .mds import MatrixLike, MdsVerdict, _unwrap
+from .linalg import Matrix, rank
+from .mds import MdsVerdict
 
 
 def schur_vec(
@@ -53,43 +56,39 @@ def schur_vec(
     )
 
 
-def schur_square_rows(g: MatrixLike) -> Matrix:
+def schur_square_rows(g: Matrix) -> Matrix:
     """All row products g_i * g_j with i <= j, as a matrix."""
-    m = _unwrap(g)
-    mul = m.field.mul
+    mul = g.field.mul
     rows = []
-    for i in range(m.nrows):
-        ri = m.rows[i]
-        for j in range(i, m.nrows):
-            rj = m.rows[j]
+    for i in range(g.nrows):
+        ri = g.rows[i]
+        for j in range(i, g.nrows):
+            rj = g.rows[j]
             rows.append([mul(a, b) for a, b in zip(ri, rj)])
-    return Matrix(m.field, rows, ncols=m.ncols)
+    return Matrix(g.field, rows, ncols=g.ncols)
 
 
-def schur_square_dim(g: MatrixLike) -> int:
+def schur_square_dim(g: Matrix) -> int:
     """Dimension of the Schur square of the row space."""
-    m = schur_square_rows(g)
-    return _rank_rows(m.field, [list(r) for r in m.rows])
+    return rank(schur_square_rows(g))
 
 
-def is_non_rs(g: MatrixLike, mds: MdsVerdict, dim: int | None = None) -> Optional[bool]:
+def is_non_rs(g: Matrix, mds: MdsVerdict, dim: int | None = None) -> Optional[bool]:
     """True when the Schur square certifies the code is not GRS."""
-    m = _unwrap(g)
-    if not mds.is_mds or 2 * m.nrows > m.ncols:
+    if not mds.is_mds or 2 * g.nrows > g.ncols:
         return None
     if dim is None:
-        dim = schur_square_dim(m)
-    return dim != 2 * m.nrows - 1
+        dim = schur_square_dim(g)
+    return dim != 2 * g.nrows - 1
 
 
-def ctrs_distinguisher(g: MatrixLike, mds: MdsVerdict, dim: int | None = None) -> Optional[bool]:
+def ctrs_distinguisher(g: Matrix, mds: MdsVerdict, dim: int | None = None) -> Optional[bool]:
     """True when the Schur square rules out any one-twist CTRS structure."""
-    m = _unwrap(g)
-    if not mds.is_mds or 2 * m.nrows > m.ncols - 1:
+    if not mds.is_mds or 2 * g.nrows > g.ncols - 1:
         return None
     if dim is None:
-        dim = schur_square_dim(m)
-    return dim == 2 * m.nrows + 1
+        dim = schur_square_dim(g)
+    return dim == 2 * g.nrows + 1
 
 
 @dataclass(frozen=True)
@@ -110,15 +109,14 @@ class SchurReport:
         )
 
 
-def schur_report(g: MatrixLike, mds: MdsVerdict) -> SchurReport:
-    m = _unwrap(g)
-    dim = schur_square_dim(m)
+def schur_report(g: Matrix, mds: MdsVerdict) -> SchurReport:
+    dim = schur_square_dim(g)
     return SchurReport(
         dim=dim,
-        dimension_k=m.nrows,
-        length=m.ncols,
-        non_rs=is_non_rs(m, mds, dim),
-        ctrs_incompatible=ctrs_distinguisher(m, mds, dim),
+        dimension_k=g.nrows,
+        length=g.ncols,
+        non_rs=is_non_rs(g, mds, dim),
+        ctrs_incompatible=ctrs_distinguisher(g, mds, dim),
     )
 
 
@@ -139,20 +137,20 @@ class Isometry:
             raise ValueError("column scalings must be nonzero")
 
 
-def apply_isometry(g: MatrixLike, iso: Isometry) -> MatrixLike:
+def apply_isometry(g: Matrix, iso: Isometry) -> Matrix:
     """Image of the generator matrix; rows keep their message meaning but
-    no longer follow the basis-evaluation layout of the original spec."""
-    m = _unwrap(g)
-    if len(iso.perm) != m.ncols:
+    no longer follow the basis-evaluation layout of the original spec.
+    A GeneratorMatrix comes back as a GeneratorMatrix with the same spec."""
+    if len(iso.perm) != g.ncols:
         raise SizeMismatchError(
-            f"isometry on {len(iso.perm)} coordinates applied to length {m.ncols}"
+            f"isometry on {len(iso.perm)} coordinates applied to length {g.ncols}"
         )
-    mul = m.field.mul
+    mul = g.field.mul
     rows = [
         [mul(s, row[p]) for p, s in zip(iso.perm, iso.scale)]
-        for row in m.rows
+        for row in g.rows
     ]
-    out = Matrix(m.field, rows, ncols=m.ncols)
+    out = Matrix(g.field, rows, ncols=g.ncols)
     if isinstance(g, GeneratorMatrix):
         return GeneratorMatrix(g.spec, out)
     return out

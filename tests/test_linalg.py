@@ -115,11 +115,33 @@ def test_det_requires_square():
         det(Matrix(F7, [[1, 2, 3], [4, 5, 6]]))
 
 
+def sparse_matrix(f, nrows, ncols, rng):
+    """Random matrix with a random share of zeros, sometimes with a repeated row."""
+    density = rng.random()
+    rows = [[rng.randrange(1, f.q) if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(nrows)]
+    if nrows > 1 and rng.random() < 0.2:
+        rows[-1] = rows[0][:]
+    return Matrix(f, rows)
+
+
 def test_det_matches_cofactor_expansion():
     rng = random.Random(23)
     for _ in range(60):
         m = random_matrix(F13, 4, 4, rng)
         assert det(m) == cofactor_det(F13, [list(r) for r in m.rows])
+    seen = set()
+    for f in (field_create(2, 3), field_create(3, 2)):
+        for _ in range(150):
+            n = rng.randrange(1, 6)
+            m = sparse_matrix(f, n, n, rng)
+            want = cofactor_det(f, [list(r) for r in m.rows])
+            assert det(m) == want, m.rows
+            if not want:
+                seen.add("singular")
+            elif not m.rows[0][0]:
+                seen.add("row swap")
+    assert seen == {"singular", "row swap"}
 
 
 def test_det_multiplicative():
@@ -148,18 +170,33 @@ def _dot(f, x, y):
     return acc
 
 
+def minor_rank(f, rows):
+    """Size of the largest square submatrix with a nonzero cofactor determinant."""
+    for size in range(min(len(rows), len(rows[0])), 0, -1):
+        for rs in itertools.combinations(rows, size):
+            for cs in itertools.combinations(range(len(rows[0])), size):
+                if cofactor_det(f, [[row[c] for c in cs] for row in rs]):
+                    return size
+    return 0
+
+
 def test_rank_transpose_and_nullity():
     rng = random.Random(31)
-    for _ in range(40):
-        nrows = rng.randrange(1, 6)
-        ncols = rng.randrange(1, 7)
-        m = random_matrix(F13, nrows, ncols, rng)
-        r = rank(m)
-        assert r == rank(m.transpose())
-        ns = null_space(m)
-        assert ns.nrows == ncols - r
-        for v in ns.rows:  # every basis vector is annihilated
-            assert all(_dot(F13, row, v) == 0 for row in m.rows)
+    deficient = 0
+    for f in (F13, field_create(2, 3), field_create(3, 2)):
+        for _ in range(40):
+            nrows = rng.randrange(1, 6)
+            ncols = rng.randrange(1, 7)
+            m = random_matrix(f, nrows, ncols, rng) if f is F13 else sparse_matrix(f, nrows, ncols, rng)
+            r = rank(m)
+            assert r == minor_rank(f, m.rows)
+            assert r == rank(m.transpose())
+            deficient += r < min(nrows, ncols)
+            ns = null_space(m)
+            assert ns.nrows == ncols - r
+            for v in ns.rows:  # every basis vector is annihilated
+                assert all(_dot(f, row, v) == 0 for row in m.rows)
+    assert deficient
 
 
 def test_rref_shape():

@@ -20,8 +20,6 @@ from rctrs.mds import (
     mds_closed_form_h0,
     mds_closed_form_hk1,
     min_distance,
-    phi,
-    psi,
 )
 
 F13 = field_create(13)
@@ -101,20 +99,36 @@ def test_minors_witness_is_singular():
 
 
 # --- correction polynomials -------------------------------------------------------
+# With lambda = 0 or a fixed ratio, the twist minor on points 1, 2 and the twist
+# column of a k = 3 code over GF(7) vanishes exactly when
+# corr(b) == lambda * corr(c), so each verdict pins a hand value of corr.
 
 
 def test_phi_hand_value():
+    # hook 0: phi(x) = prod(x - a) * (1 + (-1)^(k-1) eta x prod(a))
     f = field_create(7)
-    # prod(3-1, 3-2) = 2 and 1 + 3*2 = 7 = 0, so the product vanishes
-    assert phi(f, 3, [1, 2], 1, k=3) == 0
-    assert phi(f, 3, [1, 2], 0, k=3) == 2
+    # phi(3) = (3-1)(3-2) * (1 + 1*3*2) = 2 * 7 = 0 at eta = 1
+    spec = rctrs_spec(f, (1, 2), 3, 4, 0, 1, k=3)
+    for fn in (mds_closed_form_h0, mds_closed_form_general):
+        assert fn(spec).witness == (0, 1, 2)
+    # at eta = 0, phi(3) = 2 and phi(4) = 6: only lambda = 2/6 = 5 matches
+    for lam in range(7):
+        spec = rctrs_spec(f, (1, 2), 3, 4, lam, 0, k=3)
+        assert mds_closed_form_h0(spec).is_mds == (lam != 5)
 
 
 def test_psi_hand_value():
+    # hook k-1: psi(x) = prod(x - a) * (1 + eta*(x + sum(a)))
     f = field_create(7)
-    # prod(3-1, 3-2) * (1 + eta*(3 + 1 + 2)) with eta = 1: 2 * 7 = 0
-    assert psi(f, 3, [1, 2], 1) == 0
-    assert psi(f, 3, [1, 2], 2) == f.mul(2, f.add(1, f.mul(2, 6)))
+    # psi(3) = 2 * (1 + 1*(3 + 1 + 2)) = 2 * 7 = 0 at eta = 1
+    spec = rctrs_spec(f, (1, 2), 3, 4, 0, 1, k=3, h=2)
+    for fn in (mds_closed_form_hk1, mds_closed_form_general):
+        assert fn(spec).witness == (0, 1, 2)
+    # at eta = 2, psi(3) = 2 * (1 + 2*6) = 5 and psi(4) = 6 * (1 + 2*7) = 6:
+    # only lambda = 5/6 = 2 matches
+    for lam in range(7):
+        spec = rctrs_spec(f, (1, 2), 3, 4, lam, 2, k=3, h=2)
+        assert mds_closed_form_hk1(spec).is_mds == (lam != 2)
 
 
 # --- closed forms against the oracle -----------------------------------------------
@@ -194,24 +208,74 @@ def category_order(npts, k, extended):
         yield from (cols + (twist, coeff) for cols in colex_subsets(npts, k - 2))
 
 
+def corner_spec(f, rng):
+    """A random t = 1 RCTRS spec that may hit k = 1, b or c among the points,
+    b = c, lambda = 0 or eta = 0; returns it with the corners it hits."""
+    npts = rng.randrange(1, min(f.q, 8) + 1)
+    k = rng.randrange(1, min(5, npts + 1) + 1)
+    h = rng.choice((0, k - 1, rng.randrange(k)))
+    pool = rng.sample(range(f.q), f.q)
+    alphas = pool[:npts]
+    b, c = rng.choice(pool), rng.choice(pool)
+    if rng.random() < 0.15:
+        c = b
+    lam = 0 if rng.random() < 0.15 else rng.randrange(f.q)
+    eta = 0 if rng.random() < 0.15 else rng.randrange(f.q)
+    extended = rng.random() < 0.5
+    spec = rctrs_spec(f, alphas, b, c, lam, eta, k=k, h=h, extended=extended)
+    corners = {f"q={f.q}", "extended" if extended else "plain"}
+    corners |= {"k=1"} if k == 1 else set()
+    corners |= {"h=0"} if h == 0 else ({"h=k-1"} if h == k - 1 else {"interior hook"})
+    corners |= {"b or c among points"} if b in alphas or c in alphas else set()
+    corners |= {"b=c"} if b == c else set()
+    corners |= {"lambda=0"} if lam == 0 else set()
+    corners |= {"eta=0"} if eta == 0 else set()
+    return spec, corners
+
+
+CORNER_FIELDS = (F13, F9) + tuple(field_create(p, m) for p, m in ((7, 1), (2, 3), (2, 4), (5, 2), (3, 3), (11, 1)))
+
+
+# a witness by its columns past the points: twist at offset 0, coefficient at 1
+WITNESS_KINDS = {(): "evaluations only", (0,): "twist", (1,): "coefficient", (0, 1): "twist and coefficient"}
+
+
 def test_closed_form_witness_is_first_singular_set_in_category_order():
     rng = random.Random(5500)
     differs = 0
-    for f in (F13, F9):
-        for _ in range(80):
-            spec = random_spec(f, rng, extended=rng.random() < 0.5)
-            fn = closed_form_for(spec)
-            if fn is None:
-                continue
+    seen = set()
+    for f in CORNER_FIELDS:
+        for _ in range(50):
+            spec, corners = corner_spec(f, rng)
+            entries = {
+                "closed_form_h0": (mds_closed_form_h0, spec.h == 0),
+                "closed_form_hk1": (mds_closed_form_hk1, spec.h == spec.k - 1),
+                "closed_form_general": (mds_closed_form_general, not spec.extended or spec.h in (0, spec.k - 1)),
+            }
             g = generator_matrix(spec)
+            npts = len(spec.alphas)
             first = next(
-                (cols for cols in category_order(len(spec.alphas), spec.k, spec.extended)
+                (cols for cols in category_order(npts, spec.k, spec.extended)
                  if det(Matrix(f, [[row[c] for c in cols] for row in g.rows])) == 0),
                 None,
             )
-            got = fn(spec)
-            assert got.witness == first, (spec, got)
-            differs += got.witness != mds_by_minors(g).witness
+            for label, (fn, applies) in entries.items():
+                if not applies:
+                    with pytest.raises(WrongHookTwistError):
+                        fn(spec)
+                    continue
+                got = fn(spec)
+                assert (got.witness, got.method) == (first, label), (spec, got)
+            if first is not None:
+                corners.add("witness with " + WITNESS_KINDS[tuple(c - npts for c in first if c >= npts)])
+                differs += first != mds_by_minors(g).witness
+            seen |= corners
+    wanted = {f"q={f.q}" for f in CORNER_FIELDS} | {
+        "plain", "extended", "k=1", "h=0", "h=k-1", "interior hook", "b or c among points",
+        "b=c", "lambda=0", "eta=0", "witness with evaluations only", "witness with coefficient",
+        "witness with twist", "witness with twist and coefficient",
+    }
+    assert wanted <= seen, wanted - seen
     assert differs  # the category order is not the global colex order
 
 
@@ -344,8 +408,9 @@ def test_enumeration_matches_brute_force():
     wanted = {f"p={p},m={m}" for p, m in ENUM_FIELDS}
     wanted |= {"k=1", "k=n", "extended", "b,c among points", "zero last row", "repeated row"}
     assert wanted <= seen, wanted - seen
-    # no rows, no nonzero codeword: the value stays one past the length
-    assert min_distance(Matrix(F13, [], ncols=4)).value == 5
+    # no rows, no nonzero codeword, no minimum distance
+    with pytest.raises(ValueError):
+        min_distance(Matrix(F13, [], ncols=4))
 
 
 def test_distance_minors_path_on_mds_code():
