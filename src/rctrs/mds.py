@@ -4,7 +4,10 @@ Two independent routes decide whether a code is MDS:
 
 * mds_by_minors checks every k-subset of columns for an invertible
   k-by-k minor.  It works on any generator matrix and is the oracle the
-  closed forms are measured against.
+  closed forms are measured against.  G is reduced to RREF once; each
+  minor is then decided on the block of the non-pivot columns it takes,
+  whose determinant expands into memoized sub-minors, so a minor costs
+  a few multiplications and no field inverse.
 * one closed-form checker replays the determinant factorizations for
   RCTRS codes with t = 1.  Each k-subset of columns either consists of
   evaluation columns only, or swaps in the twist and/or coefficient
@@ -104,14 +107,59 @@ def colex_subsets(n: int, k: int):
 
 
 def mds_by_minors(g: Matrix) -> MdsVerdict:
-    """Exhaustive minor check; witness is the first singular column set."""
+    """Exhaustive minor check; witness is the first singular column set.
+
+    G is reduced once to RREF A with pivot set I.  The minor on a column
+    set S vanishes exactly when the block of A on the columns S minus I
+    and the rows whose pivot is not in S is singular.  That block's
+    determinant expands along its last column c into the blocks of the
+    column sets S - c + p, p the pivot of a row with a nonzero entry in
+    c.  A row of A is zero left of its pivot, so p < c and S - c + p
+    comes earlier in colex order: the scan has already stored its block,
+    nonzero, in a dict keyed by the column-set mask (its pivot bits give
+    the row mask, its other bits the column mask).  So a block costs at
+    most k multiplications and no inverse.  A rank-deficient G has every
+    minor zero, so its witness is the first subset.  A matrix with more
+    rows than columns raises ValueError.
+    """
     f = g.field
-    k = g.nrows
-    columns = list(zip(*g.rows))
-    for cols in _colex_subsets(g.ncols, k):
-        # the minor's transpose, which has the same rank
-        if len(_eliminate(f, [list(columns[c]) for c in cols])[0]) < k:
+    k, n = g.nrows, g.ncols
+    if k > n:
+        raise ValueError(f"a {k}x{n} matrix has no {k}-column minors")
+    rows = [list(r) for r in g.rows]
+    pivots, _ = _eliminate(f, rows, full=True)
+    if len(pivots) < k:
+        return MdsVerdict(False, tuple(range(k)), METHOD_MINORS)
+    add, sub, mul = f.add, f.sub, f.mul
+    columns = list(zip(*rows))
+    pivot_bits = [1 << c for c in pivots]
+    free_mask = (1 << n) - 1 - sum(pivot_bits)
+    # rows from last to first, with the pivot bit that marks a row as removed
+    row_order = [(i, pivot_bits[i]) for i in reversed(range(k))]
+    dets = {sum(pivot_bits): 1}
+    for cols in _colex_subsets(n, k):
+        mask = 0
+        for c in cols:
+            mask |= 1 << c
+        free = mask & free_mask
+        if not free:
+            continue  # S = I
+        last = free.bit_length() - 1
+        col = columns[last]
+        rest = mask ^ (1 << last)
+        total = 0
+        plus = True  # the last remaining row's cofactor sign
+        for i, bit in row_order:
+            if mask & bit:
+                continue
+            a = col[i]
+            if a:
+                term = mul(a, dets[rest | bit])
+                total = add(total, term) if plus else sub(total, term)
+            plus = not plus
+        if not total:
             return MdsVerdict(False, cols, METHOD_MINORS)
+        dets[mask] = total
     return MdsVerdict(True, None, METHOD_MINORS)
 
 
@@ -164,8 +212,8 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
         return mul(vb, corr_b) == mul(lam, mul(vc, corr_c))
 
     def coeff_corr(top: int, one: int) -> int:
-        """The coefficient-column correction from sigma_(k-1) and sigma_1."""
-        return 1 if h else add(1, mul(eta_r, mul(top, one)))
+        """The hook-0 coefficient-column correction from sigma_(k-1) and sigma_1."""
+        return add(1, mul(eta_r, mul(top, one)))
 
     for cols, table in symmetric_tables(f, al, _colex_subsets(npts, k), r, r):
         if mul(eta_r, table[r]) == 1:
@@ -184,12 +232,18 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
             return MdsVerdict(False, cols + (twist,), method)
 
     if spec.extended and k >= 2:
-        top = k - 1
-        for cols, table in symmetric_tables(f, al, _colex_subsets(npts, k - 2), 1, top):
-            corr_b = coeff_corr(add(table[top], mul(b, table[top - 1])), add(table[1], b))
-            corr_c = coeff_corr(add(table[top], mul(c, table[top - 1])), add(table[1], c))
-            if twist_minor_vanishes(cols, corr_b, corr_c):
-                return MdsVerdict(False, cols + (twist, coeff), method)
+        if h:
+            # at hook k-1 the coefficient-column correction is 1, so no sigma is needed
+            for cols in _colex_subsets(npts, k - 2):
+                if twist_minor_vanishes(cols, 1, 1):
+                    return MdsVerdict(False, cols + (twist, coeff), method)
+        else:
+            top = k - 1
+            for cols, table in symmetric_tables(f, al, _colex_subsets(npts, k - 2), 1, top):
+                corr_b = coeff_corr(add(table[top], mul(b, table[top - 1])), add(table[1], b))
+                corr_c = coeff_corr(add(table[top], mul(c, table[top - 1])), add(table[1], c))
+                if twist_minor_vanishes(cols, corr_b, corr_c):
+                    return MdsVerdict(False, cols + (twist, coeff), method)
 
     return MdsVerdict(True, None, method)
 

@@ -8,7 +8,7 @@ import pytest
 from rctrs.codes import CodeFamily, CodeSpec, generator_matrix
 from rctrs.errors import MethodDisagreementError, WrongHookTwistError
 from rctrs.gf import field_create
-from rctrs.linalg import Matrix, det
+from rctrs.linalg import Matrix, det, rref
 from rctrs.mds import (
     DEFAULT_DISTANCE_BUDGET,
     MdsVerdict,
@@ -337,6 +337,92 @@ def test_verdict_render():
         MdsVerdict(False, (0, 2, 3), "minors").render()
         == "mds=false witness=[0,2,3] method=minors"
     )
+
+
+# --- minor scan against the slow oracle -----------------------------------------------
+
+
+def brute_mds_by_minors(g):
+    """One determinant per k-subset of columns, in colex order."""
+    for cols in colex_subsets(g.ncols, g.nrows):
+        if det(Matrix(g.field, [[row[c] for c in cols] for row in g.rows])) == 0:
+            return MdsVerdict(False, cols, "minors")
+    return MdsVerdict(True, None, "minors")
+
+
+# GF(2), GF(4), GF(8), odd characteristic, and GF(1031^2), which has no tables
+MINOR_FIELDS = ((2, 1), (2, 2), (2, 3), (3, 1), (5, 1), (3, 2), (13, 1), (3, 3), (1031, 2))
+
+
+def minor_cases(rng):
+    """Seeded RCTRS specs and raw matrices, each with its field label."""
+    for p, m in MINOR_FIELDS:
+        f = field_create(p, m)
+        label = f"p={p},m={m}"
+        rounds = 8 if f.q > 1000 else 40
+        for _ in range(rounds):
+            npts = rng.randrange(1, min(f.q, 7) + 1)
+            k = rng.randrange(1, min(5, npts + 1) + 1)
+            pool = rng.sample(range(f.q), min(f.q, npts + 2))
+            try:
+                spec = CodeSpec(
+                    CodeFamily.RCTRS, f, npts + 1, k, tuple(pool[:npts]),
+                    h=rng.randrange(k), t=rng.choice((1, 1, 2)),
+                    b=rng.choice(pool), c=rng.choice(pool), lam=rng.randrange(f.q),
+                    eta=rng.randrange(f.q), extended=rng.random() < 0.5,
+                )
+                g = generator_matrix(spec).matrix
+            except ValueError:
+                continue
+            yield g, {label}
+        for _ in range(rounds * 2):
+            k = rng.randrange(1, 5)
+            n = rng.randrange(k, k + 5)
+            density = rng.choice((0.3, 0.7, 1.0))
+            rows = [[rng.randrange(f.q) if rng.random() < density else 0 for _ in range(n)] for _ in range(k)]
+            shape = rng.randrange(5)
+            if shape == 0 and k >= 2:
+                rows[rng.randrange(k)] = [0] * n
+            elif shape == 1 and k >= 2:
+                i, j = rng.sample(range(k), 2)
+                rows[i] = rows[j][:]
+            elif shape == 2 and n > k:
+                for row in rows:
+                    row[0] = 0
+            yield Matrix(f, rows), {label}
+
+
+def test_minor_scan_matches_brute_force():
+    seen = set()
+    for g, corners in minor_cases(random.Random(7000)):
+        verdict = mds_by_minors(g)
+        assert verdict == brute_mds_by_minors(g), (g.field, g.rows)
+        k = g.nrows
+        pivots = [next(j for j, x in enumerate(row) if x) for row in rref(g).rows if any(row)]
+        corners |= {"k=1"} if k == 1 else set()
+        corners |= {"k=N"} if k == g.ncols else set()
+        corners |= {"zero row"} if any(not any(row) for row in g.rows) else set()
+        corners |= {"repeated row"} if len(set(g.rows)) < k else set()
+        if len(pivots) < k:
+            corners.add("rank-deficient")
+            assert verdict.witness == tuple(range(k))
+        else:
+            corners |= {"pivots not the first k columns"} if pivots != list(range(k)) else set()
+            if not verdict.is_mds:
+                has_pivot = set(verdict.witness) & set(pivots)
+                corners.add("witness with pivot column" if has_pivot else "witness without pivot column")
+        seen |= corners
+    wanted = {f"p={p},m={m}" for p, m in MINOR_FIELDS} | {
+        "k=1", "k=N", "zero row", "repeated row", "rank-deficient",
+        "pivots not the first k columns", "witness with pivot column", "witness without pivot column",
+    }
+    assert wanted <= seen, wanted - seen
+
+
+def test_minor_scan_rejects_more_rows_than_columns():
+    # no 3-column subset of 2 columns: the scan would have nothing to test
+    with pytest.raises(ValueError):
+        mds_by_minors(Matrix(field_create(7), [[1, 0], [0, 1], [1, 1]]))
 
 
 # --- minimum distance --------------------------------------------------------------------
