@@ -213,6 +213,8 @@ def generator_matrix(spec: CodeSpec) -> GeneratorMatrix:
     else:
         basis = _monomial_basis(k)
 
+    pointed = spec.family in _POINTED
+    points = spec.alphas + (spec.b, spec.c) if pointed else spec.alphas
     add = f.add
     sub = f.sub
     mul = f.mul
@@ -220,21 +222,19 @@ def generator_matrix(spec: CodeSpec) -> GeneratorMatrix:
     for coeffs in basis:
         row = []
         # Horner once per point; degrees stay below k + t so this is cheap.
-        for a in spec.alphas:
+        for a in points:
             acc = 0
             for c in reversed(coeffs):
                 acc = add(mul(acc, a), c)
             row.append(acc)
+        if pointed:
+            fc = row.pop()
+            row[-1] = sub(row[-1], mul(spec.lam, fc))
         rows.append(row)
 
     if spec.family is CodeFamily.GRS:
         mults = spec.multipliers()
         rows = [[mul(vj, x) for vj, x in zip(mults, row)] for row in rows]
-    elif spec.family in _POINTED:
-        for coeffs, row in zip(basis, rows):
-            fb = eval_poly(f, coeffs, spec.b).index
-            fc = eval_poly(f, coeffs, spec.c).index
-            row.append(sub(fb, mul(spec.lam, fc)))
 
     if spec.extended:
         for coeffs, row in zip(basis, rows):

@@ -17,10 +17,13 @@ constant term varying fastest, so a (p, m) pair always names the same
 field.  Irreducibility is decided by trial division against every monic
 polynomial of degree at most m/2.
 
-For extension fields of moderate size the constructor locates the
-smallest-index generator of the multiplicative group and builds exp/log
-tables from it, which makes multiplication and inversion table lookups.
-Larger extensions fall back to direct polynomial arithmetic.
+Arithmetic takes one of three shapes.  Prime fields (m = 1) compute
+modulo p.  Extensions with m > 1 and q <= 2^20 build exp/log tables, so
+multiplication and inversion are table lookups.  Larger extensions
+multiply polynomials modulo f and invert by powering.  Both extension
+shapes add digit by digit on the index.  The primitive element is the
+smallest index g with g^((q-1)/r) != 1 for every prime r dividing q - 1;
+one search finds it for every shape, and the tables are built from it.
 """
 
 from __future__ import annotations
@@ -260,18 +263,16 @@ class Field:
         self._log = log
         self._gen = gen
         qm1 = q - 1
-        log_ = log
-        exp_ = exp
 
         def mul(a: int, b: int) -> int:
             if a == 0 or b == 0:
                 return 0
-            return exp_[log_[a] + log_[b]]
+            return exp[log[a] + log[b]]
 
         def inv(a: int) -> int:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return exp_[qm1 - log_[a]]
+            return exp[qm1 - log[a]]
 
         self.mul = mul
         self.inv = inv
@@ -279,15 +280,9 @@ class Field:
     def _find_generator(self) -> int:
         """Smallest-index element of multiplicative order q - 1."""
         qm1 = self.q - 1
-        if qm1 == 1:
-            return 1
-        factors = self.factors_of_group_order()
-        cofactors = [qm1 // r for r in factors]
-        mod = self.modulus
-        p = self.p
-        for idx in range(2, self.q):
-            cand = self._idx_to_poly(idx)
-            if all(_poly_powmod(cand, e, mod, p) != [1] for e in cofactors):
+        cofactors = [qm1 // r for r in self.factors_of_group_order()]
+        for idx in range(1, self.q):
+            if all(self.pow(idx, e) != 1 for e in cofactors):
                 return idx
         raise RuntimeError("no generator found")  # unreachable
 
@@ -430,14 +425,6 @@ class Field:
             return FieldElement(self, self.index_from_coeffs(x))
         return FieldElement(self, self.to_index(x))
 
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
     def elements(self) -> Iterator["FieldElement"]:
         for idx in range(self.q):
             yield FieldElement(self, idx)
@@ -445,27 +432,13 @@ class Field:
     def primitive_element(self) -> "FieldElement":
         """Smallest-index element whose multiplicative order is q - 1."""
         if self._gen is None:
-            if self.q == 2:
-                self._gen = 1
-            elif self.m == 1:
-                p = self.p
-                cofactors = [(p - 1) // r for r in self.factors_of_group_order()]
-                for g in range(2, p):
-                    if all(pow(g, e, p) != 1 for e in cofactors):
-                        self._gen = g
-                        break
-            else:
-                self._gen = self._find_generator()
+            self._gen = self._find_generator()
         return FieldElement(self, self._gen)
 
     def frobenius(self, x: ElementLike) -> "FieldElement":
         return FieldElement(self, self.pow(self.to_index(x), self.p))
 
     def subfield(self, degree: int) -> "SubfieldView":
-        if not isinstance(degree, int) or degree < 1 or self.m % degree != 0:
-            raise NotADivisorError(
-                f"subfield degree {degree!r} does not divide extension degree {self.m}"
-            )
         return SubfieldView(self, degree)
 
     # -- descriptors and dunders -----------------------------------------------
@@ -544,19 +517,6 @@ class FieldElement:
         self.field = field
         self.index = index
 
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coeffs_of(self.index)
-
-    def is_zero(self) -> bool:
-        return self.index == 0
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.index))
-
-    def multiplicative_order(self) -> int:
-        return self.field.order_of(self.index)
-
     def _coerce(self, other: ElementLike) -> int:
         return self.field.to_index(other)
 
@@ -621,9 +581,9 @@ class SubfieldView:
     __slots__ = ("field", "degree", "order", "_step")
 
     def __init__(self, field: Field, degree: int):
-        if field.m % degree != 0:
+        if not isinstance(degree, int) or degree < 1 or field.m % degree != 0:
             raise NotADivisorError(
-                f"subfield degree {degree} does not divide extension degree {field.m}"
+                f"subfield degree {degree!r} does not divide extension degree {field.m}"
             )
         self.field = field
         self.degree = degree
@@ -649,21 +609,7 @@ class SubfieldView:
     def element_indices(self) -> list[int]:
         if self.order == self.field.q:
             return list(range(self.field.q))
-        f = self.field
-        out = {0, 1}
-        g = f.to_index(self.primitive_element())
-        cur = g
-        while cur != 1:
-            out.add(cur)
-            cur = f.mul(cur, g)
-        assert len(out) == self.order
-        return sorted(out)
-
-    def elements(self) -> list[FieldElement]:
-        return [FieldElement(self.field, i) for i in self.element_indices()]
-
-    def subgroup_of_order(self, n: int) -> "MultiplicativeSubgroup":
-        return subgroup_of_order(self, n)
+        return sorted([0, *subgroup_of_order(self, self.order - 1).indices])
 
     def __repr__(self) -> str:
         return f"GF({self.field.p}^{self.degree}) in {self.field!r}"
@@ -686,10 +632,6 @@ class MultiplicativeSubgroup:
     @property
     def order(self) -> int:
         return len(self.indices)
-
-    @property
-    def elements(self) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(self.field, i) for i in self.indices)
 
     def __contains__(self, x: ElementLike) -> bool:
         return self.field.to_index(x) in set(self.indices)

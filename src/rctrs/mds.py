@@ -31,8 +31,9 @@ are enumerated projectively, and each resulting prefix covers all q
 codewords it forms with the last row in one pass over the columns (see
 _enumerate_min_weight); the result still counts the q^k - 1 nonzero
 codewords covered.  Past the budget it falls back to the Singleton bound
-through the minor check.  Exceeding the budget on a non-MDS code is
-reported as an explicit result, not an error.
+through the minor check, and a G of rank below k has distance 0.
+Exceeding the budget on a full-rank non-MDS code is reported as an
+explicit result, not an error.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Optional
 
 from .codes import CodeFamily, CodeSpec, GeneratorMatrix, generator_matrix
 from .errors import MethodDisagreementError, WrongHookTwistError
-from .linalg import Matrix, _eliminate, symmetric_tables
+from .linalg import Matrix, _eliminate, rank, symmetric_tables
 
 DEFAULT_DISTANCE_BUDGET = 1 << 24
 
@@ -367,15 +368,21 @@ def min_distance(
     """Exact distance by enumeration within budget, else the minors route.
 
     An enumerated result counts the q^k - 1 nonzero codewords it covers.
-    A matrix with no rows has no nonzero codeword and raises ValueError.
+    Past the budget, a G of rank below k (every k-minor is zero) has a
+    nonzero message that encodes to zero, so its distance is 0.  A matrix
+    with no rows has no nonzero codeword and raises ValueError.
     """
-    if not g.nrows:
+    k = g.nrows
+    if not k:
         raise ValueError("a code with no rows has no nonzero codeword, so no minimum distance")
-    total = g.field.q**g.nrows
+    total = g.field.q**k
     if total <= budget:
         return DistanceResult(_enumerate_min_weight(g), "enumeration", total - 1)
-    if mds_verdict is None:
-        mds_verdict = mds_by_minors(g)
-    if mds_verdict.is_mds:
-        return DistanceResult(g.ncols - g.nrows + 1, METHOD_MINORS)
-    return DistanceResult(None, "budget-exceeded")
+    if k <= g.ncols:
+        if mds_verdict is None:
+            mds_verdict = mds_by_minors(g)
+        if mds_verdict.is_mds:
+            return DistanceResult(g.ncols - k + 1, METHOD_MINORS)
+        if rank(g) == k:
+            return DistanceResult(None, "budget-exceeded")
+    return DistanceResult(0, METHOD_MINORS)

@@ -1,0 +1,32 @@
+"""The package has no runtime dependencies beyond the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_package_imports_only_stdlib_or_itself():
+    sources = sorted((ROOT / "src" / "rctrs").glob("*.py"))
+    assert sources
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}: {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []
+
+
+def test_pyproject_declares_no_dependencies():
+    lines = (ROOT / "pyproject.toml").read_text().splitlines()
+    assert "dependencies = []" in lines

@@ -7,6 +7,7 @@ import pytest
 from rctrs.errors import (
     DegreeMismatchError,
     FieldMismatchError,
+    NotADivisorError,
     NotPrimeError,
     OrderDoesNotDivideError,
     ParseError,
@@ -15,6 +16,7 @@ from rctrs.errors import (
 from rctrs.gf import (
     Field,
     FieldElement,
+    SubfieldView,
     field_create,
     is_prime,
     prime_factors,
@@ -66,6 +68,19 @@ def index_of_coeffs(p: int, coeffs: list[int]) -> int:
     for c in reversed(coeffs):
         out = out * p + c
     return out
+
+
+def poly_pow_index(f, idx: int, e: int) -> int:
+    """idx^e by square-and-multiply on coefficient lists, without f.pow."""
+    p, m, mod = f.p, f.m, list(f.modulus)
+    result = coeffs_of_index(p, m, 1)
+    base = coeffs_of_index(p, m, idx)
+    while e:
+        if e & 1:
+            result = poly_mul_mod(p, result, base, mod)
+        base = poly_mul_mod(p, base, base, mod)
+        e >>= 1
+    return index_of_coeffs(p, result)
 
 
 # --- primality and factoring ----------------------------------------------
@@ -299,7 +314,9 @@ def brute_order(f, a: int) -> int:
     return n
 
 
-@pytest.mark.parametrize("p,m", [(7, 1), (17, 1), (7, 2), (2, 6)])
+@pytest.mark.parametrize(
+    "p,m", [(2, 1), (3, 1), (7, 1), (17, 1), (7, 2), (2, 4), (3, 3), (2, 6)]
+)
 def test_primitive_element_is_smallest_generator(p, m):
     f = field_create(p, m)
     g = f.primitive_element().index
@@ -351,8 +368,20 @@ def test_subfield_primitive():
 def test_subfield_degree_must_divide():
     f = field_create(2, 6)
     f.subfield(3)
-    with pytest.raises(Exception):
-        f.subfield(4)
+    for bad in (4, 0, -2, 2.0, "2"):
+        with pytest.raises(NotADivisorError):
+            f.subfield(bad)
+        with pytest.raises(NotADivisorError):
+            SubfieldView(f, bad)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_subfield_listing_is_frobenius_fixed_points_gf_2_6(degree):
+    f = field_create(2, 6)
+    order = 2**degree
+    fixed = [a for a in range(f.q) if f.pow(a, order) == a]
+    assert len(fixed) == order
+    assert f.subfield(degree).element_indices() == fixed
 
 
 def test_full_degree_subfield_is_whole_field():
@@ -360,6 +389,75 @@ def test_full_degree_subfield_is_whole_field():
     view = f.subfield(2)
     assert view.order == f.q
     assert len(view.element_indices()) == f.q
+
+
+# --- fields above the table limit ---------------------------------------------
+
+# GF(2^21) and GF(3^13) have q > 2^20 and m >= 3, so they reach the digit-loop
+# add/sub/neg, polynomial mul, and the table-free pow/inv/order_of/contains.
+LARGE_FIELDS = [(2, 21), (3, 13)]
+
+
+@pytest.mark.parametrize("p,m", LARGE_FIELDS)
+def test_table_free_field_axioms_sampled(p, m):
+    f = field_create(p, m)
+    assert f._log is None
+    mod = list(f.modulus)
+    add, sub, neg, mul, inv = f.add, f.sub, f.neg, f.mul, f.inv
+    rng = random.Random(211 + p)
+    for _ in range(300):
+        a, b, c = (rng.randrange(f.q) for _ in range(3))
+        ca, cb = coeffs_of_index(p, m, a), coeffs_of_index(p, m, b)
+        assert add(a, b) == index_of_coeffs(p, [(x + y) % p for x, y in zip(ca, cb)])
+        assert sub(a, b) == index_of_coeffs(p, [(x - y) % p for x, y in zip(ca, cb)])
+        assert neg(a) == index_of_coeffs(p, [-x % p for x in ca])
+        assert mul(a, b) == index_of_coeffs(p, poly_mul_mod(p, ca, cb, mod))
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert add(a, neg(a)) == 0 and sub(a, b) == add(a, neg(b))
+    for _ in range(40):
+        a = rng.randrange(1, f.q)
+        e = rng.randrange(f.q)
+        assert f.pow(a, e) == poly_pow_index(f, a, e)
+        assert mul(a, inv(a)) == 1
+        assert f.pow(a, -1) == inv(a)
+    assert f.pow(0, 0) == 1 and f.pow(0, 3) == 0
+    with pytest.raises(ZeroDivisionError):
+        inv(0)
+
+
+@pytest.mark.parametrize("p,m", LARGE_FIELDS)
+def test_table_free_primitive_element_is_smallest_by_cofactors(p, m):
+    f = field_create(p, m)
+    cofactors = [(f.q - 1) // r for r in prime_factors(f.q - 1)]
+    g = f.primitive_element().index
+    assert all(poly_pow_index(f, g, e) != 1 for e in cofactors)
+    for a in range(1, g):
+        assert any(poly_pow_index(f, a, e) == 1 for e in cofactors)
+    assert f.order_of(g) == f.q - 1
+
+
+@pytest.mark.parametrize("p,m", LARGE_FIELDS)
+def test_table_free_order_and_subfields(p, m):
+    f = field_create(p, m)
+    rng = random.Random(307 + p)
+    assert f.order_of(1) == 1
+    for _ in range(10):
+        a = rng.randrange(1, f.q)
+        order = f.order_of(a)
+        assert (f.q - 1) % order == 0
+        assert poly_pow_index(f, a, order) == 1
+        assert all(poly_pow_index(f, a, order // r) != 1 for r in prime_factors(order))
+    for degree in (d for d in range(1, m) if m % d == 0):
+        view = f.subfield(degree)
+        members = view.element_indices()
+        assert len(members) == view.order
+        assert all(poly_pow_index(f, a, view.order) == a for a in members)
+        assert all(view.contains(a) for a in members)
+        for a in (rng.randrange(f.q) for _ in range(20)):
+            assert view.contains(a) == (poly_pow_index(f, a, view.order) == a)
+        assert f.order_of(view.primitive_element().index) == view.order - 1
 
 
 # --- multiplicative subgroups -------------------------------------------------

@@ -11,6 +11,7 @@ from rctrs.gf import field_create
 from rctrs.linalg import Matrix, det, rref
 from rctrs.mds import (
     DEFAULT_DISTANCE_BUDGET,
+    DistanceResult,
     MdsVerdict,
     check_mds,
     closed_form_for,
@@ -512,11 +513,28 @@ def test_distance_minors_path_on_mds_code():
 def test_distance_budget_exceeded_on_non_mds_code():
     f = field_create(23, 2)
     pts = tuple(range(1, 12))
-    m = Matrix(f, [pts, pts, [f.mul(x, x) for x in pts]])  # repeated row
+    squares = [f.mul(x, x) for x in pts]
+    cubes = [f.mul(x, y) for x, y in zip(pts, squares)]
+    # Full rank, but the zero first column makes every minor through it vanish.
+    m = Matrix(f, [[0, *pts], [0, *squares], [0, *cubes]])
+    assert not mds_by_minors(m).is_mds
     result = min_distance(m, budget=1000)
     assert result.value is None
     assert result.method == "budget-exceeded"
     assert result.budget_exceeded
+    # A repeated row has rank below k, so some nonzero message encodes to zero.
+    repeated = Matrix(f, [pts, pts, squares])
+    assert min_distance(repeated, budget=1000) == DistanceResult(0, "minors")
+
+
+def test_distance_of_rank_deficient_matrix_is_zero_within_and_past_budget():
+    f = field_create(7)
+    m = Matrix(f, [[1, 2], [3, 4], [5, 6]])  # more rows than columns
+    assert min_distance(m).value == 0
+    assert min_distance(m, budget=100) == DistanceResult(0, "minors")
+    dependent = Matrix(f, [[1, 2, 3, 4], [2, 4, 6, 1], [0, 1, 1, 5]])  # row 2 = 2 * row 1
+    assert min_distance(dependent).value == 0
+    assert min_distance(dependent, budget=100) == DistanceResult(0, "minors")
 
 
 def test_distance_uses_supplied_verdict():
