@@ -14,21 +14,35 @@ multiplicative identity.
 When no modulus is supplied the constructor picks the first irreducible
 monic polynomial of degree m, scanning coefficient vectors with the
 constant term varying fastest, so a (p, m) pair always names the same
-field.  Irreducibility is decided by trial division against every monic
-polynomial of degree at most m/2.
+field.  Irreducibility is decided by Rabin's test: x^(p^m) = x mod f,
+and x^(p^(m/r)) - x is prime to f for each prime r dividing m.
 
-Arithmetic takes one of three shapes.  Prime fields (m = 1) compute
-modulo p.  Extensions with m > 1 and q <= 2^20 build exp/log tables, so
-multiplication and inversion are table lookups.  Larger extensions
-multiply polynomials modulo f and invert by powering.  Both extension
-shapes add digit by digit on the index.  The primitive element is the
-smallest index g with g^((q-1)/r) != 1 for every prime r dividing q - 1;
-one search finds it for every shape, and the tables are built from it.
+Arithmetic depends on the shape of the field:
+
+* Prime fields (m = 1) compute modulo p.
+* Extensions with m > 1 and q <= 2^20 build exp/log tables, so
+  multiplication and inversion are table lookups.  The tables come from
+  one walk over the powers of the primitive element; each step
+  multiplies by it on a packed index, one digit per bit lane, with two
+  lookups of precomputed half-index products, one integer add and a
+  lane-wise reduction mod p (for p = 2, one XOR).
+* Larger extensions multiply polynomials modulo f and invert by powering.
+
+Addition has its own shapes.  For p = 2 and m > 1, with or without
+tables, add and sub are XOR on the index and neg is the identity.  Odd
+p with m >= 3 and tables add through a Zech logarithm table of q - 1
+entries (about 0.5 MB at GF(3^10)), with -1 = g^((q-1)/2).  Prime
+fields add modulo p, odd-p fields with m = 2 add both digits in one
+expression, and odd-p fields with m >= 3 and no tables add digit by
+digit on the index.  The primitive element is the smallest
+index g with g^((q-1)/r) != 1 for every prime r dividing q - 1; one
+search finds it for every shape, and the tables are built from it.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import xor
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -131,8 +145,9 @@ def _poly_powmod(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[i
     while e > 0:
         if e & 1:
             result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
         e >>= 1
+        if e:
+            base = _poly_mulmod(base, base, mod, p)
     return result
 
 
@@ -148,17 +163,42 @@ def _monic_polys(degree: int, p: int) -> Iterator[list[int]]:
         yield coeffs
 
 
+def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Greatest common divisor over GF(p), monic unless b is zero."""
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        a, b = b, _poly_mod(a, b, p)
+    return a
+
+
 def _is_irreducible(f: Sequence[int], p: int) -> bool:
+    """Rabin's test for a monic f of degree m over GF(p).
+
+    f is irreducible exactly when x^(p^m) = x mod f and, for each prime r
+    dividing m, x^(p^(m/r)) - x is prime to f.  The gcds come first, as
+    soon as their power is reached: they catch every factor of small
+    degree, so most reducible f stop early.
+    """
     m = len(f) - 1
     if m < 1:
         return False
     if m == 1:
         return True
-    for d in range(1, m // 2 + 1):
-        for g in _monic_polys(d, p):
-            if not _poly_mod(f, g, p):
+    if not f[0]:
+        return False  # x divides f
+    x = [0, 1]
+    checks = {m // r for r in prime_factors(m)}
+    power = x  # x^(p^i) mod f
+    for i in range(1, m + 1):
+        power = _poly_powmod(power, p, f, p)
+        if i in checks:
+            diff = power + [0] * (2 - len(power))
+            diff[1] = (diff[1] - 1) % p
+            if len(_poly_gcd(f, diff, p)) > 1:
                 return False
-    return True
+    return power == x
 
 
 def _default_modulus(p: int, m: int) -> tuple[int, ...]:
@@ -231,38 +271,28 @@ class Field:
             self.neg = lambda a: -a % p
             self.mul = lambda a, b: a * b % p
             self.inv = self._inv_prime
+            return
+        if p == 2:
+            self.add = self.sub = xor
+            self.neg = lambda a: a
         elif self.m == 2:
             self.add = lambda a, b: (a + b) % p + p * ((a // p + b // p) % p)
             self.sub = lambda a, b: (a - b) % p + p * ((a // p - b // p) % p)
             self.neg = lambda a: -a % p + p * (-(a // p) % p)
-            self.mul = self._mul_poly
-            self.inv = self._inv_poly
         else:
             self.add = self._add_digits
             self.sub = self._sub_digits
             self.neg = self._neg_digits
-            self.mul = self._mul_poly
-            self.inv = self._inv_poly
+        self.mul = self._mul_poly
+        self.inv = self._inv_poly
 
     def _build_tables(self) -> None:
-        q = self.q
+        p, m, qm1 = self.p, self.m, self.q - 1
         gen = self._find_generator()
-        exp = [0] * (2 * (q - 1) - 1)
-        log = [0] * q
-        cur = 1
-        gpoly = self._idx_to_poly(gen)
-        for i in range(q - 1):
-            exp[i] = cur
-            log[cur] = i
-            cur = self._poly_to_idx(
-                _poly_mulmod(self._idx_to_poly(cur), gpoly, self.modulus, self.p)
-            )
-        for i in range(q - 1, len(exp)):
-            exp[i] = exp[i - (q - 1)]
+        exp, log = self._walk_powers(gen)
         self._exp = exp
         self._log = log
         self._gen = gen
-        qm1 = q - 1
 
         def mul(a: int, b: int) -> int:
             if a == 0 or b == 0:
@@ -276,6 +306,93 @@ class Field:
 
         self.mul = mul
         self.inv = inv
+        if p == 2 or m == 2:
+            return
+        # Zech logarithms: a + b = g^la (1 + g^(lb - la)) with zech[d] =
+        # log(1 + g^d), None where g^d = -1.  Adding 1 to an index changes
+        # only its constant digit.  a - b adds -b = g^half b.
+        pm1 = p - 1
+        zech = [log[e - pm1 if e % p == pm1 else e + 1] for e in exp[:qm1]]
+        half = qm1 // 2  # -1 = g^half
+        zech[half] = None
+
+        def add(a: int, b: int) -> int:
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            z = zech[log[b] - la]  # a negative difference wraps: len(zech) = q - 1
+            return 0 if z is None else exp[la + z]
+
+        def sub(a: int, b: int) -> int:
+            if not b:
+                return a
+            if not a:
+                return exp[log[b] + half]
+            la = log[a]
+            d = log[b] + half - la
+            if d >= qm1:
+                d -= qm1
+            z = zech[d]
+            return 0 if z is None else exp[la + z]
+
+        self.add = add
+        self.sub = sub
+        self.neg = lambda a: exp[log[a] + half] if a else 0
+
+    def _walk_powers(self, gen: int) -> tuple[list[int], list[int]]:
+        """exp (two periods, less one entry) and log tables of gen's powers.
+
+        Multiplying by gen is GF(p)-linear on the digits.  The walk keeps
+        the power packed, each digit in its own w-bit lane, and looks up
+        the products of its low and high halves, precomputed once.  For
+        p = 2 they add by XOR and the packed form is the index.  For odd p
+        they add lane by lane, and a lane at or above p loses p: adding
+        2^(w-1) - p to every lane sets exactly those lanes' top bits.
+        """
+        p, m, q = self.p, self.m, self.q
+        w = 1 if p == 2 else p.bit_length() + 1
+        low = m // 2
+        shift = w * low
+        low_mask = (1 << shift) - 1
+        gpoly = self._idx_to_poly(gen)
+        step_lo = [0] * (1 << shift)
+        step_hi = [0] * (1 << (w * (m - low)))
+        index_lo = [0] * len(step_lo)
+        index_hi = [0] * len(step_hi)
+        for offset, digits, step, index in (
+            (0, low, step_lo, index_lo),
+            (low, m - low, step_hi, index_hi),
+        ):
+            for j in range(p**digits):
+                poly = self._idx_to_poly(j)
+                key = sum(c << (w * i) for i, c in enumerate(poly))
+                prod = _poly_mulmod([0] * offset + poly, gpoly, self.modulus, p)
+                step[key] = sum(c << (w * i) for i, c in enumerate(prod))
+                index[key] = j * p**offset
+        exp = [0] * (2 * q - 3)
+        log = [0] * q
+        cur = 1
+        if p == 2:
+            for i in range(q - 1):
+                exp[i] = cur
+                log[cur] = i
+                cur = step_lo[cur & low_mask] ^ step_hi[cur >> shift]
+        else:
+            top = w - 1
+            lanes = sum(1 << (w * i) for i in range(m))
+            bias = ((1 << top) - p) * lanes
+            tops = lanes << top
+            for i in range(q - 1):
+                lo, hi = cur & low_mask, cur >> shift
+                idx = index_lo[lo] + index_hi[hi]
+                exp[i] = idx
+                log[idx] = i
+                s = step_lo[lo] + step_hi[hi]
+                cur = s - (((s + bias) & tops) >> top) * p
+        exp[q - 1 :] = exp[: q - 2]
+        return exp, log
 
     def _find_generator(self) -> int:
         """Smallest-index element of multiplicative order q - 1."""

@@ -1,5 +1,6 @@
 """Finite field arithmetic, subfields and subgroups."""
 
+import operator
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from rctrs.errors import (
     ReducibleError,
 )
 from rctrs.gf import (
+    _is_irreducible,
     Field,
     FieldElement,
     SubfieldView,
@@ -127,39 +129,41 @@ def test_default_modulus_is_deterministic_and_known():
     assert field_create(3, 2).descriptor() == "3^2/1,0,1"
 
 
-def has_factor_of_degree_up_to(p: int, mod: list[int], limit: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..limit."""
-    def monics(d):
-        for idx in range(p**d):
-            yield coeffs_of_index(p, d, idx) + [1]
-
+def trial_division_irreducibles(p: int, max_degree: int) -> list[list[int]]:
+    """Monic irreducibles of degree 1..max_degree, by trial division by the smaller ones."""
     def divides(div, target):
         rem = list(target)
-        while len(rem) >= len(div) and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) < len(div):
-                break
-            shift = len(rem) - len(div)
-            factor = rem[-1] * pow(div[-1], -1, p) % p
-            for i, c in enumerate(div):
-                rem[shift + i] = (rem[shift + i] - factor * c) % p
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return not any(rem)
+        d = len(div) - 1
+        for top in range(len(rem) - 1, d - 1, -1):
+            lead = rem[top]
+            if lead:
+                for i in range(d):
+                    rem[top - d + i] = (rem[top - d + i] - lead * div[i]) % p
+        return not any(rem[:d])
 
-    for d in range(1, limit + 1):
-        for div in monics(d):
-            if divides(div, mod):
-                return True
-    return False
+    found = []
+    for degree in range(1, max_degree + 1):
+        for idx in range(p**degree):
+            f = coeffs_of_index(p, degree, idx) + [1]
+            if not any(divides(g, f) for g in found if 2 * (len(g) - 1) <= degree):
+                found.append(f)
+    return found
 
 
 @pytest.mark.parametrize("p,m", [(2, 4), (2, 6), (3, 3), (5, 2), (7, 4)])
 def test_default_modulus_is_irreducible(p, m):
     mod = list(field_create(p, m).modulus)
     assert len(mod) == m + 1 and mod[-1] == 1
-    assert not has_factor_of_degree_up_to(p, mod, m // 2)
+    assert mod in trial_division_irreducibles(p, m)
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 6), (3, 6), (5, 6), (7, 4)])
+def test_rabin_irreducibility_matches_trial_division(p, max_degree):
+    irreducible = {tuple(f) for f in trial_division_irreducibles(p, max_degree)}
+    for degree in range(1, max_degree + 1):
+        for idx in range(p**degree):
+            f = coeffs_of_index(p, degree, idx) + [1]
+            assert _is_irreducible(f, p) == (tuple(f) in irreducible), f
 
 
 def test_reducible_modulus_rejected():
@@ -389,6 +393,70 @@ def test_full_degree_subfield_is_whole_field():
     view = f.subfield(2)
     assert view.order == f.q
     assert len(view.element_indices()) == f.q
+
+
+# --- XOR and Zech addition, packed table build -------------------------------
+
+# p = 2 fields add by XOR, with tables or without (GF(2^21)); odd p with m >= 3
+# and tables add through Zech logarithms.
+FAST_ADD_FIELDS = [(2, 3), (2, 8), (2, 16), (2, 21), (3, 3), (5, 3), (7, 4), (3, 10)]
+
+
+@pytest.mark.parametrize("p,m", FAST_ADD_FIELDS)
+def test_fast_add_sub_neg_match_digit_loops(p, m):
+    f = field_create(p, m)
+    if p == 2:
+        assert f.add is operator.xor and f.sub is operator.xor
+    else:
+        assert f._log is not None and f.add != f._add_digits
+    rng = random.Random(f"fast-add:{p}^{m}")
+    pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(3000)]
+    for _ in range(200):
+        a = rng.randrange(f.q)
+        pairs += [(a, 0), (0, a), (a, a), (a, f._neg_digits(a)), (a, p - 1), (p - 1, a)]
+    seen = set()
+    for a, b in pairs:
+        assert f.add(a, b) == f._add_digits(a, b), (a, b)
+        assert f.sub(a, b) == f._sub_digits(a, b), (a, b)
+        assert f.neg(a) == f._neg_digits(a), a
+        seen |= {"zero operand"} if 0 in (a, b) else set()
+        seen |= {"b = -a"} if a and f._add_digits(a, b) == 0 else set()
+        seen |= {"a = b"} if a == b else set()
+        seen |= {"-1"} if p - 1 in (a, b) else set()
+    assert seen == {"zero operand", "b = -a", "a = b", "-1"}
+
+
+def walked_tables(f) -> tuple[list[int], list[int]]:
+    """exp/log by multiplying by the generator with poly_mul_mod at every step."""
+    p, m, mod = f.p, f.m, list(f.modulus)
+    gen = coeffs_of_index(p, m, f.primitive_element().index)
+    exp, log = [], [0] * f.q
+    cur = coeffs_of_index(p, m, 1)
+    for i in range(f.q - 1):
+        idx = index_of_coeffs(p, cur)
+        exp.append(idx)
+        log[idx] = i
+        cur = poly_mul_mod(p, cur, gen, mod)
+    return exp + exp[:-1], log
+
+
+# The benchmark's table fields but GF(2^16) (a second of walking), GF(4),
+# GF(9), GF(127^2) and GF(257^2) (the narrowest and widest lane margin,
+# 2^(w-1) - p, for large p), and two user-given moduli whose generator is not x.
+TABLE_FIELDS = [
+    "31^2", "7^4", "2^8", "3^10", "5^2", "7^2", "3^3", "2^4", "2^5", "5^6", "23^2", "29^2",
+    "2^2", "3^2", "127^2", "257^2", "2^4/1,1,1,1,1", "5^3/1,0,1,1",
+]
+
+
+@pytest.mark.parametrize("descriptor", TABLE_FIELDS)
+def test_packed_table_build_matches_polynomial_walk(descriptor):
+    f = Field.from_descriptor(descriptor)
+    exp, log = walked_tables(f)
+    assert f._exp == exp
+    assert f._log == log
+    if "/" in descriptor:
+        assert f.primitive_element().index != f.p  # the generator is not x
 
 
 # --- fields above the table limit ---------------------------------------------
