@@ -41,6 +41,7 @@ search finds it for every shape, and the tables are built from it.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import gcd
 from operator import xor
 from typing import Iterable, Iterator, Sequence, Union
@@ -312,7 +313,7 @@ class Field:
         # log(1 + g^d), None where g^d = -1.  Adding 1 to an index changes
         # only its constant digit.  a - b adds -b = g^half b.
         pm1 = p - 1
-        zech = [log[e - pm1 if e % p == pm1 else e + 1] for e in exp[:qm1]]
+        zech = [log[e - pm1 if e % p == pm1 else e + 1] for e in islice(exp, qm1)]
         half = qm1 // 2  # -1 = g^half
         zech[half] = None
 
@@ -359,8 +360,9 @@ class Field:
         gpoly = self._idx_to_poly(gen)
         step_lo = [0] * (1 << shift)
         step_hi = [0] * (1 << (w * (m - low)))
-        index_lo = [0] * len(step_lo)
-        index_hi = [0] * len(step_hi)
+        # odd p only: the index of a packed half, whose lanes are its digits
+        index_lo = [0] * len(step_lo) if p != 2 else None
+        index_hi = [0] * len(step_hi) if p != 2 else None
         for offset, digits, step, index in (
             (0, low, step_lo, index_lo),
             (low, m - low, step_hi, index_hi),
@@ -370,8 +372,9 @@ class Field:
                 key = sum(c << (w * i) for i, c in enumerate(poly))
                 prod = _poly_mulmod([0] * offset + poly, gpoly, self.modulus, p)
                 step[key] = sum(c << (w * i) for i, c in enumerate(prod))
-                index[key] = j * p**offset
-        exp = [0] * (2 * q - 3)
+                if index is not None:
+                    index[key] = j * p**offset
+        exp = [0] * (q - 1)
         log = [0] * q
         cur = 1
         if p == 2:
@@ -391,7 +394,7 @@ class Field:
                 log[idx] = i
                 s = step_lo[lo] + step_hi[hi]
                 cur = s - (((s + bias) & tops) >> top) * p
-        exp[q - 1 :] = exp[: q - 2]
+        exp.extend(islice(exp, q - 2))
         return exp, log
 
     def _find_generator(self) -> int:

@@ -127,8 +127,6 @@ def mds_by_minors(g: Matrix) -> MdsVerdict:
     k, n = g.nrows, g.ncols
     if k > n:
         raise ValueError(f"a {k}x{n} matrix has no {k}-column minors")
-    if not k:
-        return MdsVerdict(True, None, METHOD_MINORS)  # one minor, the empty one, equal to 1
     rows = [list(r) for r in g.rows]
     pivots, _ = _eliminate(f, rows, full=True)
     if len(pivots) < k:
@@ -140,32 +138,29 @@ def mds_by_minors(g: Matrix) -> MdsVerdict:
     # rows from last to first, with the pivot bit that marks a row as removed
     row_order = [(i, pivot_bits[i]) for i in reversed(range(k))]
     dets = {sum(pivot_bits): 1}
-    # k-bit masks in increasing order are the k-subsets in colex order;
-    # Gosper's hack steps to the next one.
-    mask, end = (1 << k) - 1, 1 << n
-    while mask < end:
+    for cols in _colex_subsets(n, k):
+        mask = 0
+        for c in cols:
+            mask |= 1 << c
         free = mask & free_mask
-        if free:  # else S = I
-            last = free.bit_length() - 1
-            col = columns[last]
-            rest = mask ^ (1 << last)
-            total = 0
-            plus = True  # the last remaining row's cofactor sign
-            for i, bit in row_order:
-                if mask & bit:
-                    continue
-                a = col[i]
-                if a:
-                    term = mul(a, dets[rest | bit])
-                    total = add(total, term) if plus else sub(total, term)
-                plus = not plus
-            if not total:
-                witness = tuple(c for c in range(n) if mask >> c & 1)
-                return MdsVerdict(False, witness, METHOD_MINORS)
-            dets[mask] = total
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | ((mask ^ ripple) >> 2) // low
+        if not free:
+            continue  # S = I
+        last = free.bit_length() - 1
+        col = columns[last]
+        rest = mask ^ (1 << last)
+        total = 0
+        plus = True  # the last remaining row's cofactor sign
+        for i, bit in row_order:
+            if mask & bit:
+                continue
+            a = col[i]
+            if a:
+                term = mul(a, dets[rest | bit])
+                total = add(total, term) if plus else sub(total, term)
+            plus = not plus
+        if not total:
+            return MdsVerdict(False, cols, METHOD_MINORS)
+        dets[mask] = total
     return MdsVerdict(True, None, METHOD_MINORS)
 
 

@@ -420,12 +420,6 @@ def test_minor_scan_matches_brute_force():
     assert wanted <= seen, wanted - seen
 
 
-def test_minor_scan_of_a_matrix_with_no_rows_is_mds():
-    # the one 0-subset's minor is the empty determinant, 1
-    verdict = mds_by_minors(Matrix(field_create(7), [], ncols=3))
-    assert verdict == MdsVerdict(True, None, "minors")
-
-
 def test_minor_scan_rejects_more_rows_than_columns():
     # no 3-column subset of 2 columns: the scan would have nothing to test
     with pytest.raises(ValueError):
