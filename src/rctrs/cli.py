@@ -23,8 +23,8 @@ from .golden import GOLDEN_KEYS, check_case, golden_cases
 from .linalg import matrix_from_text, matrix_to_text, rank
 from .mds import check_mds, min_distance
 from .report import analyze, distance_budget
-from .schur import schur_report
-from .specfile import codespec_from_text, codespec_to_text
+from .schur import schur_report, tri
+from .specfile import codespec_from_text, codespec_read, codespec_to_text
 from .construct import (
     SubgroupConstructionParams,
     build_subfield_chain_code,
@@ -39,14 +39,6 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
-
-
-def _tri(value) -> str:
-    return "undetermined" if value is None else ("true" if value else "false")
-
-
-def _read_spec(path: str):
-    return codespec_from_text(Path(path).read_text())
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -101,7 +93,7 @@ def cmd_construct_subgroup(args) -> int:
 
 
 def cmd_check_mds(args) -> int:
-    spec = _read_spec(args.spec)
+    spec = codespec_read(Path(args.spec))
     gen = generator_matrix(spec)
     verdict = check_mds(spec, method=args.method, gen=gen)
     print(verdict.render())
@@ -114,7 +106,7 @@ def cmd_check_mds(args) -> int:
 
 
 def cmd_schur_dim(args) -> int:
-    spec = _read_spec(args.spec)
+    spec = codespec_read(Path(args.spec))
     gen = generator_matrix(spec)
     verdict = check_mds(spec, gen=gen)
     print(schur_report(gen, verdict).render())
@@ -122,7 +114,7 @@ def cmd_schur_dim(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    spec = _read_spec(args.spec)
+    spec = codespec_read(Path(args.spec))
     gen = generator_matrix(spec)
     result = min_distance(gen, distance_budget(args.budget))
     print(result.render(gen.ncols - gen.nrows + 1))
@@ -130,15 +122,15 @@ def cmd_distance(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
-    spec = _read_spec(args.spec)
+    spec = codespec_read(Path(args.spec))
     gen = generator_matrix(spec)
     verdict = check_mds(spec, gen=gen)
     rep = schur_report(gen, verdict)
     print(f"schur_dim={rep.dim}")
     if args.target == "rs":
-        print(f"non_rs={_tri(rep.non_rs)}")
+        print(f"non_rs={tri(rep.non_rs)}")
     else:
-        print(f"ctrs_incompatible={_tri(rep.ctrs_incompatible)}")
+        print(f"ctrs_incompatible={tri(rep.ctrs_incompatible)}")
     return 0
 
 
@@ -165,7 +157,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_export(args) -> int:
-    spec = _read_spec(args.spec)
+    spec = codespec_read(Path(args.spec))
     if args.format == "matrix":
         text = matrix_to_text(generator_matrix(spec).matrix)
     else:
@@ -193,7 +185,7 @@ def cmd_import(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    spec = _read_spec(args.spec)
+    spec = codespec_read(Path(args.spec))
     report = analyze(spec, method=args.method, budget=args.budget)
     sys.stdout.write(report.render())
     return 0

@@ -272,9 +272,7 @@ def _prime_power(q: int) -> tuple[int, int]:
     raise ValueError(f"{q} is not a prime power")
 
 
-def corollary_witness_codes(
-    q: int, p_div: int, k: int | None = None
-) -> tuple[ConstructedCode, ConstructedCode]:
+def corollary_witness_codes(q: int, p_div: int) -> tuple[ConstructedCode, ConstructedCode]:
     """Plain and extended witnesses realizing the corollary lengths.
 
     Parameter choices are deterministic: the ambient field is GF(q^2),
@@ -292,8 +290,7 @@ def corollary_witness_codes(
     b, c = sub_elems[1], sub_elems[2]
     lam = next(x for x in sub_elems if x != 0 and x not in member)
     eta = ambient.primitive_element().index
-    if k is None:
-        k = min(4, n)
+    k = min(4, n)
     out = []
     for extended in (False, True):
         params = SubgroupConstructionParams(

@@ -28,21 +28,19 @@ Arithmetic depends on the shape of the field:
   lane-wise reduction mod p (for p = 2, one XOR).
 * Larger extensions multiply polynomials modulo f and invert by powering.
 
-Addition has its own shapes.  For p = 2 and m > 1, with or without
-tables, add and sub are XOR on the index and neg is the identity.  Odd
-p with m >= 3 and tables add through a Zech logarithm table of q - 1
-entries (about 0.5 MB at GF(3^10)), with -1 = g^((q-1)/2).  Prime
-fields add modulo p, odd-p fields with m = 2 add both digits in one
-expression, and odd-p fields with m >= 3 and no tables add digit by
-digit on the index.  The primitive element is the smallest
-index g with g^((q-1)/r) != 1 for every prime r dividing q - 1; one
-search finds it for every shape, and the tables are built from it.
+Addition has four shapes.  Prime fields add modulo p.  For p = 2 and
+m > 1, with or without tables, add and sub are XOR on the index and neg
+is the identity.  Odd p with tables add through a Zech logarithm table
+of q - 1 entries (about 0.5 MB at GF(3^10)), with -1 = g^((q-1)/2).
+Odd p without tables add digit by digit on the index.  The primitive
+element is the smallest index g with g^((q-1)/r) != 1 for every prime r
+dividing q - 1; one search finds it for every shape, and the tables are
+built from it.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from math import gcd
 from operator import xor
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -52,6 +50,7 @@ from .errors import (
     NotADivisorError,
     NotPrimeError,
     OrderDoesNotDivideError,
+    ParseError,
     ReducibleError,
 )
 
@@ -276,19 +275,16 @@ class Field:
         if p == 2:
             self.add = self.sub = xor
             self.neg = lambda a: a
-        elif self.m == 2:
-            self.add = lambda a, b: (a + b) % p + p * ((a // p + b // p) % p)
-            self.sub = lambda a, b: (a - b) % p + p * ((a // p - b // p) % p)
-            self.neg = lambda a: -a % p + p * (-(a // p) % p)
         else:
-            self.add = self._add_digits
-            self.sub = self._sub_digits
-            self.neg = self._neg_digits
+            digits = self._add_digits
+            self.add = digits
+            self.sub = lambda a, b: digits(a, b, -1)
+            self.neg = lambda a: digits(0, a, -1)
         self.mul = self._mul_poly
         self.inv = self._inv_poly
 
     def _build_tables(self) -> None:
-        p, m, qm1 = self.p, self.m, self.q - 1
+        p, qm1 = self.p, self.q - 1
         gen = self._find_generator()
         exp, log = self._walk_powers(gen)
         self._exp = exp
@@ -307,7 +303,7 @@ class Field:
 
         self.mul = mul
         self.inv = inv
-        if p == 2 or m == 2:
+        if p == 2:
             return
         # Zech logarithms: a + b = g^la (1 + g^(lb - la)) with zech[d] =
         # log(1 + g^d), None where g^d = -1.  Adding 1 to an index changes
@@ -357,7 +353,7 @@ class Field:
         low = m // 2
         shift = w * low
         low_mask = (1 << shift) - 1
-        gpoly = self._idx_to_poly(gen)
+        gpoly = _poly_trim(list(self.coeffs_of(gen)))
         step_lo = [0] * (1 << shift)
         step_hi = [0] * (1 << (w * (m - low)))
         # odd p only: the index of a packed half, whose lanes are its digits
@@ -368,9 +364,9 @@ class Field:
             (low, m - low, step_hi, index_hi),
         ):
             for j in range(p**digits):
-                poly = self._idx_to_poly(j)
+                poly = self.coeffs_of(j)[:digits]
                 key = sum(c << (w * i) for i, c in enumerate(poly))
-                prod = _poly_mulmod([0] * offset + poly, gpoly, self.modulus, p)
+                prod = _poly_mulmod((0,) * offset + poly, gpoly, self.modulus, p)
                 step[key] = sum(c << (w * i) for i, c in enumerate(prod))
                 if index is not None:
                     index[key] = j * p**offset
@@ -413,49 +409,15 @@ class Field:
 
     # -- digit / polynomial plumbing ------------------------------------------
 
-    def _idx_to_poly(self, idx: int) -> list[int]:
-        p = self.p
-        out = []
-        while idx:
-            out.append(idx % p)
-            idx //= p
-        return out
-
-    def _poly_to_idx(self, poly: Sequence[int]) -> int:
-        idx = 0
-        for c in reversed(poly):
-            idx = idx * self.p + c
-        return idx
-
-    def _add_digits(self, a: int, b: int) -> int:
+    def _add_digits(self, a: int, b: int, s: int = 1) -> int:
+        """a + s*b digit by digit on the index, for s = 1 or -1."""
         p = self.p
         out = 0
         mult = 1
         for _ in range(self.m):
-            out += (a % p + b % p) % p * mult
+            out += (a % p + s * (b % p)) % p * mult
             a //= p
             b //= p
-            mult *= p
-        return out
-
-    def _sub_digits(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            out += (a % p - b % p) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def _neg_digits(self, a: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            out += (-(a % p)) % p * mult
-            a //= p
             mult *= p
         return out
 
@@ -467,8 +429,8 @@ class Field:
     def _mul_poly(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._poly_to_idx(
-            _poly_mulmod(self._idx_to_poly(a), self._idx_to_poly(b), self.modulus, self.p)
+        return self.index_from_coeffs(
+            _poly_mulmod(self.coeffs_of(a), self.coeffs_of(b), self.modulus, self.p)
         )
 
     def _inv_poly(self, a: int) -> int:
@@ -493,14 +455,12 @@ class Field:
         if e < 0:
             a = self.inv(a)
             e = -e
-        return self._poly_to_idx(_poly_powmod(self._idx_to_poly(a), e, self.modulus, self.p))
+        return self.index_from_coeffs(_poly_powmod(self.coeffs_of(a), e, self.modulus, self.p))
 
     def order_of(self, a: int) -> int:
         """Multiplicative order of a nonzero element index."""
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative order")
-        if self._log is not None:
-            return (self.q - 1) // gcd(self._log[a], self.q - 1)
         order = self.q - 1
         for r in self.factors_of_group_order():
             while order % r == 0 and self.pow(a, order // r) == 1:
@@ -521,9 +481,10 @@ class Field:
             raise DegreeMismatchError(
                 f"coefficient vector longer than extension degree {self.m}"
             )
+        p = self.p
         idx = 0
-        for c in reversed([int(c) % self.p for c in coeffs]):
-            idx = idx * self.p + c
+        for c in reversed(coeffs):
+            idx = idx * p + int(c) % p
         return idx
 
     def to_index(self, x: ElementLike) -> int:
@@ -570,8 +531,6 @@ class Field:
 
     @classmethod
     def from_descriptor(cls, text: str) -> "Field":
-        from .errors import ParseError
-
         body = text.strip()
         mod_part = None
         if "/" in body:
@@ -714,9 +673,6 @@ class SubfieldView:
         idx = self.field.to_index(x)
         if idx == 0 or self.order == self.field.q:
             return True
-        log = self.field._log
-        if log is not None:
-            return log[idx] % self._step == 0
         return self.field.pow(idx, self.order) == idx
 
     __contains__ = contains

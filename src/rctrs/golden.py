@@ -141,9 +141,9 @@ def golden_cases(key: str) -> list[GoldenCase]:
     raise ValueError(f"unknown example {key!r}; choose from {', '.join(GOLDEN_KEYS)}")
 
 
-def check_case(case: GoldenCase, budget: int | None = None) -> tuple[AnalysisReport, list[str]]:
+def check_case(case: GoldenCase) -> tuple[AnalysisReport, list[str]]:
     """Analyze one case and list every expectation that does not hold."""
-    report = analyze(case.code, budget=budget)
+    report = analyze(case.code)
     exp = case.expected
     problems = []
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
-from .codes import CodeFamily, CodeSpec, GeneratorMatrix, generator_matrix
+from .codes import CodeFamily, CodeSpec, generator_matrix
 from .construct import ConstructedCode
 from .mds import (
     DEFAULT_DISTANCE_BUDGET,
@@ -97,7 +97,6 @@ def analyze(
     source: Union[CodeSpec, ConstructedCode],
     method: str = METHOD_BOTH,
     budget: int | None = None,
-    gen: Optional[GeneratorMatrix] = None,
 ) -> AnalysisReport:
     if isinstance(source, ConstructedCode):
         spec = source.spec
@@ -108,8 +107,7 @@ def analyze(
         provenance = ()
         warnings = []
     warnings.extend(_spec_warnings(spec))
-    if gen is None:
-        gen = generator_matrix(spec)
+    gen = generator_matrix(spec)
     verdict = check_mds(spec, method=method, gen=gen)
     dist = min_distance(gen, distance_budget(budget), mds_verdict=verdict)
     schur = schur_report(gen, verdict)

@@ -91,6 +91,11 @@ def ctrs_distinguisher(g: Matrix, mds: MdsVerdict, dim: int | None = None) -> Op
     return dim == 2 * g.nrows + 1
 
 
+def tri(v: Optional[bool]) -> str:
+    """A one-sided verdict as true, false or undetermined."""
+    return "undetermined" if v is None else ("true" if v else "false")
+
+
 @dataclass(frozen=True)
 class SchurReport:
     dim: int
@@ -100,9 +105,6 @@ class SchurReport:
     ctrs_incompatible: Optional[bool]
 
     def render(self) -> str:
-        def tri(v: Optional[bool]) -> str:
-            return "undetermined" if v is None else ("true" if v else "false")
-
         return (
             f"schur_dim={self.dim} non_rs={tri(self.non_rs)} "
             f"ctrs_incompatible={tri(self.ctrs_incompatible)}"

@@ -259,6 +259,7 @@ def test_index_coeff_round_trip_gf_27():
 def test_coeff_vector_to_index_example():
     f = field_create(7, 2)
     assert f.index_from_coeffs((3, 2)) == 17
+    assert f.index_from_coeffs((-4, 9)) == 17  # coefficients are taken mod p
 
 
 def test_to_index_range_checks():
@@ -397,9 +398,11 @@ def test_full_degree_subfield_is_whole_field():
 
 # --- XOR and Zech addition, packed table build -------------------------------
 
-# p = 2 fields add by XOR, with tables or without (GF(2^21)); odd p with m >= 3
-# and tables add through Zech logarithms.
-FAST_ADD_FIELDS = [(2, 3), (2, 8), (2, 16), (2, 21), (3, 3), (5, 3), (7, 4), (3, 10)]
+# p = 2 fields add by XOR, with tables or without (GF(2^21)); odd p with tables
+# add through Zech logarithms, m = 2 included.
+FAST_ADD_FIELDS = [
+    (2, 3), (2, 8), (2, 16), (2, 21), (3, 3), (5, 3), (7, 4), (3, 10), (5, 2), (31, 2),
+]
 
 
 @pytest.mark.parametrize("p,m", FAST_ADD_FIELDS)
@@ -408,19 +411,21 @@ def test_fast_add_sub_neg_match_digit_loops(p, m):
     if p == 2:
         assert f.add is operator.xor and f.sub is operator.xor
     else:
-        assert f._log is not None and f.add != f._add_digits
+        assert f._log is not None
+    assert f.add != f._add_digits  # the digit loop is only the oracle here
+    digits = f._add_digits
     rng = random.Random(f"fast-add:{p}^{m}")
     pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(3000)]
     for _ in range(200):
         a = rng.randrange(f.q)
-        pairs += [(a, 0), (0, a), (a, a), (a, f._neg_digits(a)), (a, p - 1), (p - 1, a)]
+        pairs += [(a, 0), (0, a), (a, a), (a, digits(0, a, -1)), (a, p - 1), (p - 1, a)]
     seen = set()
     for a, b in pairs:
-        assert f.add(a, b) == f._add_digits(a, b), (a, b)
-        assert f.sub(a, b) == f._sub_digits(a, b), (a, b)
-        assert f.neg(a) == f._neg_digits(a), a
+        assert f.add(a, b) == digits(a, b), (a, b)
+        assert f.sub(a, b) == digits(a, b, -1), (a, b)
+        assert f.neg(a) == digits(0, a, -1), a
         seen |= {"zero operand"} if 0 in (a, b) else set()
-        seen |= {"b = -a"} if a and f._add_digits(a, b) == 0 else set()
+        seen |= {"b = -a"} if a and digits(a, b) == 0 else set()
         seen |= {"a = b"} if a == b else set()
         seen |= {"-1"} if p - 1 in (a, b) else set()
     assert seen == {"zero operand", "b = -a", "a = b", "-1"}
@@ -461,9 +466,10 @@ def test_packed_table_build_matches_polynomial_walk(descriptor):
 
 # --- fields above the table limit ---------------------------------------------
 
-# GF(2^21) and GF(3^13) have q > 2^20 and m >= 3, so they reach the digit-loop
-# add/sub/neg, polynomial mul, and the table-free pow/inv/order_of/contains.
-LARGE_FIELDS = [(2, 21), (3, 13)]
+# GF(2^21), GF(3^13) and GF(1031^2) have q > 2^20, so they reach polynomial
+# mul and the table-free pow/inv/order_of/contains; the odd-p ones add with the
+# digit loop, GF(1031^2) at m = 2.
+LARGE_FIELDS = [(2, 21), (3, 13), (1031, 2)]
 
 
 @pytest.mark.parametrize("p,m", LARGE_FIELDS)
