@@ -8,6 +8,8 @@ constructed codes from RS and column-twisted RS codes.  Everything is
 integer arithmetic on element indices; no floating point anywhere.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DegenerateBCError,
     DegreeMismatchError,
@@ -99,97 +101,15 @@ from .specfile import (
     codespec_from_text,
     codespec_read,
     codespec_to_text,
-    codespec_write,
 )
 from .report import BUDGET_ENV_VAR, AnalysisReport, analyze, distance_budget
 from .golden import GOLDEN_KEYS, GoldenCase, check_case, golden_cases
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AnalysisReport",
-    "BUDGET_ENV_VAR",
-    "CodeFamily",
-    "CodeSpec",
-    "ConstructedCode",
-    "DEFAULT_DISTANCE_BUDGET",
-    "DegenerateBCError",
-    "DegreeMismatchError",
-    "DistanceResult",
-    "Field",
-    "FieldElement",
-    "FieldMismatchError",
-    "GOLDEN_KEYS",
-    "GeneratorMatrix",
-    "GoldenCase",
-    "HookOutOfRangeError",
-    "InvalidSpecError",
-    "Isometry",
-    "LengthMismatchError",
-    "Matrix",
-    "MdsVerdict",
-    "MembershipViolationError",
-    "MethodDisagreementError",
-    "MultiplicativeSubgroup",
-    "NotADivisorError",
-    "NotPrimeError",
-    "NotSquareError",
-    "OrderDoesNotDivideError",
-    "ParseError",
-    "ReducibleError",
-    "SchurReport",
-    "SizeMismatchError",
-    "SubfieldView",
-    "SubgroupConstructionParams",
-    "UnsupportedExtendedGeneralHError",
-    "WrongHookTwistError",
-    "analyze",
-    "apply_isometry",
-    "build_subfield_chain_code",
-    "build_subgroup_code",
-    "check_case",
-    "check_mds",
-    "closed_form_for",
-    "codespec_from_text",
-    "codespec_read",
-    "codespec_to_text",
-    "codespec_write",
-    "colex_subsets",
-    "corollary_lengths",
-    "corollary_witness_codes",
-    "ctrs_distinguisher",
-    "deleted_row_vandermonde_det",
-    "deleted_row_vandermonde_matrix",
-    "det",
-    "distance_budget",
-    "elementary_symmetric",
-    "encode",
-    "eval_poly",
-    "field_create",
-    "generator_matrix",
-    "golden_cases",
-    "is_non_rs",
-    "is_prime",
-    "matrix_from_text",
-    "matrix_to_text",
-    "mds_by_minors",
-    "mds_closed_form_general",
-    "mds_closed_form_h0",
-    "mds_closed_form_hk1",
-    "min_distance",
-    "null_space",
-    "prime_factors",
-    "random_isometry",
-    "rank",
-    "row_space_equal",
-    "rref",
-    "schur_report",
-    "schur_square_dim",
-    "schur_square_rows",
-    "schur_vec",
-    "subgroup_eval_points",
-    "subgroup_of_order",
-    "twist_space_basis",
-    "vandermonde_det",
-    "vandermonde_matrix",
-]
+# The imports above are the public names: every public global that is not
+# a submodule.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -43,9 +43,23 @@ class CodeFamily(str, Enum):
         except ValueError:
             raise InvalidSpecError(f"unknown code family {value!r}") from None
 
+    @property
+    def twisted(self) -> bool:
+        """TRS and RCTRS take the hook h, the twist t and eta."""
+        return self in ("TRS", "RCTRS")
 
-_TWISTED = (CodeFamily.TRS, CodeFamily.RCTRS)
-_POINTED = (CodeFamily.CTRS, CodeFamily.RCTRS)
+    @property
+    def pointed(self) -> bool:
+        """CTRS and RCTRS take b, c and lambda, with n-1 evaluation points."""
+        return self in ("CTRS", "RCTRS")
+
+    def takes(self, attr: str) -> bool:
+        """Whether a spec of this family takes the CodeSpec attribute."""
+        if attr in ("h", "t", "eta"):
+            return self.twisted
+        if attr in ("b", "c", "lam"):
+            return self.pointed
+        return attr != "v" or self == "GRS"
 
 
 @dataclass(frozen=True)
@@ -61,7 +75,7 @@ class CodeSpec:
     field: Field
     n: int
     k: int
-    alphas: tuple[int, ...]
+    alphas: tuple[int, ...] = ()
     v: tuple[int, ...] | None = None
     h: int = 0
     t: int = 1
@@ -91,38 +105,30 @@ class CodeSpec:
         n, k = self.n, self.k
         if not 1 <= k <= n:
             raise InvalidSpecError(f"dimension k={k} outside [1, n={n}]")
-        max_n = f.q if fam in (CodeFamily.GRS, CodeFamily.TRS) else f.q + 1
+        max_n = f.q + 1 if fam.pointed else f.q
         if n > max_n:
             raise InvalidSpecError(f"length n={n} exceeds {max_n} for {fam.value} over {f!r}")
-        want_pts = n if fam in (CodeFamily.GRS, CodeFamily.TRS) else n - 1
+        want_pts = n - 1 if fam.pointed else n
         if len(self.alphas) != want_pts:
             raise InvalidSpecError(
                 f"{fam.value} with n={n} needs {want_pts} evaluation points, got {len(self.alphas)}"
             )
         if len(set(self.alphas)) != len(self.alphas):
             raise InvalidSpecError("evaluation points must be pairwise distinct")
-        if fam in _TWISTED:
+        if fam.twisted:
             if self.t < 1:
                 raise InvalidSpecError(f"twist amount t={self.t} must be at least 1")
             if not 0 <= self.h < k:
                 raise InvalidSpecError(f"hook h={self.h} outside [0, k={k})")
-            if self.eta is None:
-                raise InvalidSpecError(f"{fam.value} spec needs eta")
-        else:
-            if self.h != 0 or self.t != 1:
-                raise InvalidSpecError(f"{fam.value} spec does not take hook or twist")
-            if self.eta is not None:
-                raise InvalidSpecError(f"{fam.value} spec does not take eta")
-        if fam in _POINTED:
-            for name in ("b", "c", "lam"):
-                if getattr(self, name) is None:
-                    raise InvalidSpecError(f"{fam.value} spec needs {name}")
-        else:
-            for name in ("b", "c", "lam"):
-                if getattr(self, name) is not None:
-                    raise InvalidSpecError(f"{fam.value} spec does not take {name}")
+        elif self.h != 0 or self.t != 1:
+            raise InvalidSpecError(f"{fam.value} spec does not take hook or twist")
+        for name in ("eta", "b", "c", "lam"):
+            takes = fam.takes(name)
+            if takes != (getattr(self, name) is not None):
+                verb = "needs" if takes else "does not take"
+                raise InvalidSpecError(f"{fam.value} spec {verb} {name}")
         if self.v is not None:
-            if fam is not CodeFamily.GRS:
+            if not fam.takes("v"):
                 raise InvalidSpecError("column multipliers apply to GRS only")
             if len(self.v) != n:
                 raise InvalidSpecError(f"need {n} column multipliers, got {len(self.v)}")
@@ -208,12 +214,12 @@ def generator_matrix(spec: CodeSpec) -> GeneratorMatrix:
     """Build the canonical generator matrix for a spec."""
     f = spec.field
     k = spec.k
-    if spec.family in _TWISTED:
+    if spec.family.twisted:
         basis = twist_space_basis(f, k, spec.t, spec.h, spec.eta)
     else:
         basis = _monomial_basis(k)
 
-    pointed = spec.family in _POINTED
+    pointed = spec.family.pointed
     points = spec.alphas + (spec.b, spec.c) if pointed else spec.alphas
     add = f.add
     sub = f.sub

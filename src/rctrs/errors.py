@@ -1,9 +1,13 @@
 """Exception types shared across the package.
 
 Everything derives from ValueError so callers who do not care about the
-exact failure mode can catch one base class.  Division by zero and bad
-element indices reuse the builtin ZeroDivisionError and IndexError.
+exact failure mode can catch one base class.  Division by zero reuses the
+builtin ZeroDivisionError; a bad element index is also an IndexError.
 """
+
+
+class ElementIndexError(IndexError, ValueError):
+    """Element index outside [0, q) for its field."""
 
 
 class NotPrimeError(ValueError):

@@ -40,12 +40,13 @@ built from it.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 from operator import xor
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
     DegreeMismatchError,
+    ElementIndexError,
     FieldMismatchError,
     NotADivisorError,
     NotPrimeError,
@@ -59,12 +60,19 @@ ElementLike = Union[int, "FieldElement"]
 # Extension fields up to this order get exp/log tables.
 _TABLE_LIMIT = 1 << 20
 
+# prime_factors trial-divides below this bound.
+_TRIAL_LIMIT = 1 << 22
+# Miller-Rabin to these bases is exact below _PRIME_TEST_EXACT, the least
+# composite that passes them all (Sorenson and Webster, Math. Comp. 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_EXACT = 3317044064679887385961981
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
+    """Deterministic Miller-Rabin, exact for n < _PRIME_TEST_EXACT (3.3e24)."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _WITNESSES:
         if n % small == 0:
             return n == small
     d = n - 1
@@ -72,7 +80,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -86,15 +94,24 @@ def is_prime(n: int) -> bool:
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending."""
+    """Distinct prime factors of n, ascending.
+
+    Trial division below _TRIAL_LIMIT stops once is_prime proves the
+    cofactor left prime; a cofactor it cannot split or prove raises
+    ValueError.
+    """
     out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
+    divisors = chain((2,), range(3, _TRIAL_LIMIT, 2))
+    while n > 1 and not (n < _PRIME_TEST_EXACT and is_prime(n)):
+        d = next((d for d in divisors if n % d == 0), None)
+        if d is None:
+            raise ValueError(
+                f"cannot factor {n}: no prime factor below {_TRIAL_LIMIT}, "
+                f"and it is not provably prime"
+            )
+        out.append(d)
+        while n % d == 0:
+            n //= d
     if n > 1:
         out.append(n)
     return out
@@ -495,7 +512,7 @@ class Field:
             return x.index
         idx = int(x)
         if not 0 <= idx < self.q:
-            raise IndexError(f"element index {idx} outside [0, {self.q})")
+            raise ElementIndexError(f"element index {idx} outside [0, {self.q})")
         return idx
 
     def element(self, x: ElementLike | Sequence[int]) -> "FieldElement":
@@ -586,13 +603,18 @@ class FieldElement:
     Arithmetic accepts either another element of the same field or a raw
     integer index.  Note that in extension fields an integer operand is
     interpreted as an index, not as a repeated sum of ones.
+
+    An element equals the int with the same index, and hashes as that
+    index; elements of different fields never compare equal.  Equality is
+    therefore not transitive across fields: GF(13)(3) == 3 == GF(7)(3),
+    but GF(13)(3) != GF(7)(3).
     """
 
     __slots__ = ("field", "index")
 
     def __init__(self, field: Field, index: int):
         if not 0 <= index < field.q:
-            raise IndexError(f"element index {index} outside [0, {field.q})")
+            raise ElementIndexError(f"element index {index} outside [0, {field.q})")
         self.field = field
         self.index = index
 

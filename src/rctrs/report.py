@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 from typing import Union
 
-from .codes import CodeFamily, CodeSpec, generator_matrix
+from .codes import CodeSpec, generator_matrix
 from .construct import ConstructedCode
 from .mds import (
     DEFAULT_DISTANCE_BUDGET,
@@ -60,13 +60,13 @@ class AnalysisReport:
             f"dimension={self.dimension}",
             f"extended={'true' if spec.extended else 'false'}",
         ]
-        if spec.family in (CodeFamily.TRS, CodeFamily.RCTRS):
+        if spec.family.twisted:
             out.append(f"hook={spec.h} twist={spec.t}")
         if spec.alphas:
             out.append("alphas=" + ",".join(str(a) for a in spec.alphas))
-        if spec.family in (CodeFamily.CTRS, CodeFamily.RCTRS):
+        if spec.family.pointed:
             out.append(f"b={spec.b} c={spec.c} lambda={spec.lam}")
-        if spec.family in (CodeFamily.TRS, CodeFamily.RCTRS):
+        if spec.family.twisted:
             out.append(f"eta={spec.eta}")
         out.append(self.mds.render())
         out.append(self.distance.render(self.length - self.dimension + 1))
@@ -83,7 +83,7 @@ class AnalysisReport:
 
 def _spec_warnings(spec: CodeSpec) -> list[str]:
     out = []
-    if spec.family in (CodeFamily.CTRS, CodeFamily.RCTRS):
+    if spec.family.pointed:
         if spec.b in spec.alphas:
             out.append("twist point b coincides with an evaluation point")
         if spec.c in spec.alphas:

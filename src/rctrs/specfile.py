@@ -32,16 +32,6 @@ from .codes import CodeFamily, CodeSpec
 from .errors import ParseError
 from .gf import Field
 
-_KEYS = ("family", "n", "k", "h", "t", "extended", "alphas", "v", "b", "c", "lambda", "eta")
-_FAMILY_KEYS = {
-    CodeFamily.GRS: {"family", "n", "k", "extended", "alphas", "v"},
-    CodeFamily.TRS: {"family", "n", "k", "h", "t", "extended", "alphas", "eta"},
-    CodeFamily.CTRS: {"family", "n", "k", "extended", "alphas", "b", "c", "lambda"},
-    CodeFamily.RCTRS: {
-        "family", "n", "k", "h", "t", "extended", "alphas", "b", "c", "lambda", "eta",
-    },
-}
-
 Source = Union[str, Path, TextIO]
 
 
@@ -53,15 +43,14 @@ def _read_text(source: Source) -> str:
     return source.read()
 
 
-def _parse_int(value: str, key: str, lineno: int) -> int:
+def _parse_int(key: str, value: str, lineno: int) -> int:
     try:
         return int(value)
     except ValueError:
         raise ParseError(f"line {lineno}: key {key!r} needs an integer, got {value!r}") from None
 
 
-def _parse_int_list(value: str, key: str, lineno: int) -> tuple[int, ...]:
-    value = value.strip()
+def _parse_int_list(key: str, value: str, lineno: int) -> tuple[int, ...]:
     if not value:
         return ()
     try:
@@ -70,6 +59,36 @@ def _parse_int_list(value: str, key: str, lineno: int) -> tuple[int, ...]:
         raise ParseError(
             f"line {lineno}: key {key!r} needs comma-separated integers, got {value!r}"
         ) from None
+
+
+def _parse_flag(key: str, value: str, lineno: int) -> bool:
+    flag = _parse_int(key, value, lineno)
+    if flag not in (0, 1):
+        raise ParseError(f"{key} must be 0 or 1")
+    return bool(flag)
+
+
+def _parse_family(key: str, value: str, lineno: int) -> CodeFamily:
+    return CodeFamily.coerce(value)
+
+
+# (key, CodeSpec attribute, parser) for every key after the field line,
+# in the order codespec_to_text writes them.
+_KEYS = (
+    ("family", "family", _parse_family),
+    ("n", "n", _parse_int),
+    ("k", "k", _parse_int),
+    ("h", "h", _parse_int),
+    ("t", "t", _parse_int),
+    ("extended", "extended", _parse_flag),
+    ("alphas", "alphas", _parse_int_list),
+    ("v", "v", _parse_int_list),
+    ("b", "b", _parse_int),
+    ("c", "c", _parse_int),
+    ("lambda", "lam", _parse_int),
+    ("eta", "eta", _parse_int),
+)
+_ATTRS = {key: attr for key, attr, _ in _KEYS}
 
 
 def codespec_from_text(text: str) -> CodeSpec:
@@ -89,7 +108,7 @@ def codespec_from_text(text: str) -> CodeSpec:
             continue
         if field is None:
             raise ParseError(f"line {lineno}: the field line must come first")
-        if key not in _KEYS:
+        if key not in _ATTRS:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
         if key in pairs:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
@@ -99,72 +118,33 @@ def codespec_from_text(text: str) -> CodeSpec:
     if "family" not in pairs:
         raise ParseError("missing family line")
     family = CodeFamily.coerce(pairs["family"][0])
-    allowed = _FAMILY_KEYS[family]
     for key, (_, lineno) in pairs.items():
-        if key not in allowed:
+        if not family.takes(_ATTRS[key]):
             raise ParseError(
                 f"line {lineno}: key {key!r} does not apply to family {family.value}"
             )
     for key in ("n", "k"):
         if key not in pairs:
             raise ParseError(f"missing {key} line")
+    kwargs = {attr: parse(key, *pairs[key]) for key, attr, parse in _KEYS if key in pairs}
+    return CodeSpec(field=field, **kwargs)
 
-    def take_int(key: str, default: int | None = None) -> int | None:
-        if key not in pairs:
-            return default
-        value, lineno = pairs[key]
-        return _parse_int(value, key, lineno)
 
-    alphas: tuple[int, ...] = ()
-    if "alphas" in pairs:
-        value, lineno = pairs["alphas"]
-        alphas = _parse_int_list(value, "alphas", lineno)
-    v = None
-    if "v" in pairs:
-        value, lineno = pairs["v"]
-        v = _parse_int_list(value, "v", lineno)
-    extended = take_int("extended", 0)
-    if extended not in (0, 1):
-        raise ParseError("extended must be 0 or 1")
-
-    return CodeSpec(
-        family=family,
-        field=field,
-        n=take_int("n"),
-        k=take_int("k"),
-        alphas=alphas,
-        v=v,
-        h=take_int("h", 0),
-        t=take_int("t", 1),
-        b=take_int("b"),
-        c=take_int("c"),
-        lam=take_int("lambda"),
-        eta=take_int("eta"),
-        extended=bool(extended),
-    )
+def _format(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(str(x) for x in value)
+    if isinstance(value, CodeFamily):
+        return value.value
+    return str(int(value))
 
 
 def codespec_to_text(spec: CodeSpec) -> str:
-    lines = [
-        f"field {spec.field.descriptor()}",
-        f"family {spec.family.value}",
-        f"n {spec.n}",
-        f"k {spec.k}",
-    ]
-    if spec.family in (CodeFamily.TRS, CodeFamily.RCTRS):
-        lines.append(f"h {spec.h}")
-        lines.append(f"t {spec.t}")
-    lines.append(f"extended {1 if spec.extended else 0}")
-    if spec.alphas:
-        lines.append("alphas " + ",".join(str(a) for a in spec.alphas))
-    if spec.v is not None:
-        lines.append("v " + ",".join(str(x) for x in spec.v))
-    if spec.family in (CodeFamily.CTRS, CodeFamily.RCTRS):
-        lines.append(f"b {spec.b}")
-        lines.append(f"c {spec.c}")
-        lines.append(f"lambda {spec.lam}")
-    if spec.family in (CodeFamily.TRS, CodeFamily.RCTRS):
-        lines.append(f"eta {spec.eta}")
+    lines = [f"field {spec.field.descriptor()}"]
+    for key, attr, _ in _KEYS:
+        # A GRS spec without v, or a code with no points, leaves the line out.
+        value = getattr(spec, attr)
+        if spec.family.takes(attr) and value not in (None, ()):
+            lines.append(f"{key} {_format(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -173,15 +153,3 @@ def codespec_read(source: Source) -> CodeSpec:
     if isinstance(source, str) and "\n" not in source and Path(source).exists():
         source = Path(source)
     return codespec_from_text(_read_text(source))
-
-
-def codespec_write(spec: CodeSpec, target: Union[str, Path, TextIO, None] = None) -> str:
-    """Serialize a spec; writes to the target when one is given."""
-    text = codespec_to_text(spec)
-    if target is None:
-        return text
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text)
-    else:
-        target.write(text)
-    return text

@@ -160,6 +160,21 @@ def test_analyze_report(tmp_path, capsys):
     assert "schur_dim=8 non_rs=true ctrs_incompatible=undetermined" in out
 
 
+def test_analyze_report_lines_follow_the_family(tmp_path, capsys):
+    trs = "field 13\nfamily TRS\nn 6\nk 3\nh 1\nt 1\nalphas 1,2,3,4,5,6\neta 5\n"
+    assert main(["analyze", write_spec(tmp_path, trs, "trs.spec")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[5:8] == ["hook=1 twist=1", "alphas=1,2,3,4,5,6", "eta=5"]
+    assert not any(line.startswith(("b=", "warning=")) for line in lines)
+
+    ctrs = "field 13\nfamily CTRS\nn 6\nk 3\nalphas 1,2,3,4,5\nb 7\nc 7\nlambda 3\n"
+    assert main(["analyze", write_spec(tmp_path, ctrs, "ctrs.spec")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[5:7] == ["alphas=1,2,3,4,5", "b=7 c=7 lambda=3"]
+    assert lines[-1] == "warning=twist points b and c coincide"
+    assert not any(line.startswith(("hook=", "eta=")) for line in lines)
+
+
 def test_export_import_round_trip(tmp_path, capsys):
     path = write_spec(tmp_path, SPEC_17)
     matrix_path = tmp_path / "gen.matrix"
@@ -200,3 +215,59 @@ def test_closed_form_requested_where_unavailable(tmp_path, capsys):
     path = write_spec(tmp_path, text, "interior.spec")
     assert main(["check-mds", path, "--method", "closed"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_element_index_out_of_range_is_usage_error(tmp_path, capsys):
+    text = "field 17^1/1,0\nfamily GRS\nn 4\nk 2\nalphas 0,1,2,99\n"
+    path = write_spec(tmp_path, text, "index.spec")
+    assert main(["analyze", path]) == 2
+    assert capsys.readouterr().err == "error: element index 99 outside [0, 17)\n"
+
+    argv = [
+        "construct", "subgroup", "--field", "17", "--order", "8", "--b", "1",
+        "--c", "99", "--lambda", "10", "--eta", "4", "--k", "4",
+    ]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: element index 99 outside [0, 17)\n"
+
+
+def test_field_info_rejects_unfactorable_group_order(capsys):
+    # a safe prime near 2^90: (q-1)/2 is prime but too large to prove so
+    assert main(["field-info", "1237940039285380274899126343"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot factor ")
+
+
+def test_distance_budget_from_environment(tmp_path, capsys, monkeypatch):
+    path = write_spec(tmp_path, SPEC_17)
+    monkeypatch.setenv("RCTRS_DISTANCE_BUDGET", "10")
+    assert main(["distance", path]) == 0
+    assert "distance=5 distance_method=minors" in capsys.readouterr().out
+
+    assert main(["distance", path, "--budget", "100000"]) == 0
+    assert "distance_method=enumeration" in capsys.readouterr().out
+
+    monkeypatch.setenv("RCTRS_DISTANCE_BUDGET", "lots")
+    assert main(["distance", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: RCTRS_DISTANCE_BUDGET must be an integer, got 'lots'\n"
+    )
+    assert main(["distance", path, "--budget", "100000"]) == 0
+    assert "distance_method=enumeration" in capsys.readouterr().out
+
+
+def test_method_disagreement_exits_1(tmp_path, capsys, monkeypatch):
+    import rctrs.mds as mds
+
+    def wrong(spec):
+        return mds.MdsVerdict(False, tuple(range(spec.k)), mds.METHOD_CLOSED_H0)
+
+    monkeypatch.setattr(mds, "mds_closed_form_h0", wrong)
+    path = write_spec(tmp_path, SPEC_17)
+    assert main(["check-mds", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: minor oracle says mds=True but closed_form_h0 says mds=False"
+    )

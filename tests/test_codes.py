@@ -71,11 +71,13 @@ def test_spec_validation_errors():
         rctrs_spec(F7, [0, 1, 2], 5, 6, 2, 1, k=5)
     with pytest.raises(InvalidSpecError):  # hook at k
         rctrs_spec(F7, [0, 1, 2], 5, 6, 2, 1, k=3, h=3)
-    with pytest.raises(InvalidSpecError):  # missing twist scalars
+    with pytest.raises(InvalidSpecError, match="^CTRS spec needs b$"):
         CodeSpec(CodeFamily.CTRS, F7, 4, 2, (0, 1, 2))
-    with pytest.raises(InvalidSpecError):  # eta on a pointed-only family
+    with pytest.raises(InvalidSpecError, match="^TRS spec needs eta$"):
+        CodeSpec(CodeFamily.TRS, F7, 3, 2, (0, 1, 2))
+    with pytest.raises(InvalidSpecError, match="^CTRS spec does not take eta$"):
         CodeSpec(CodeFamily.CTRS, F7, 4, 2, (0, 1, 2), b=3, c=4, lam=5, eta=1)
-    with pytest.raises(InvalidSpecError):  # b on a GRS code
+    with pytest.raises(InvalidSpecError, match="^GRS spec does not take b$"):
         CodeSpec(CodeFamily.GRS, F7, 3, 2, (0, 1, 2), b=3, c=4, lam=5)
     with pytest.raises(InvalidSpecError):  # multipliers on non-GRS
         CodeSpec(CodeFamily.TRS, F7, 3, 2, (0, 1, 2), v=(1, 1, 1), eta=1)

@@ -98,6 +98,8 @@ def test_is_prime_on_large_inputs():
     assert not is_prime(561)  # Carmichael
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
     assert is_prime(10**18 + 9)
+    # the least strong pseudoprime to every prime base up to 37
+    assert not is_prime(399165290221 * 798330580441)
 
 
 def test_prime_factors():
@@ -105,6 +107,13 @@ def test_prime_factors():
     assert prime_factors(2400) == [2, 3, 5]
     assert prime_factors(2**20) == [2]
     assert prime_factors(97) == [97]
+    # 2^64 - 1 stops at 65537, once is_prime proves the cofactor 6700417
+    assert prime_factors(2**64 - 1) == [3, 5, 17, 257, 641, 65537, 6700417]
+    # q - 1 of a safe prime near 2^70: twice a prime that is_prime proves
+    assert prime_factors(1180591620717411303658) == [2, 590295810358705651829]
+    # near 2^90 the cofactor is past the range where is_prime is exact
+    with pytest.raises(ValueError, match="cannot factor 618970019642690137449563171"):
+        prime_factors(1237940039285380274899126342)
 
 
 # --- construction and moduli ------------------------------------------------
@@ -297,6 +306,8 @@ def test_element_hash_agrees_with_int_equality():
     assert e != other and other != e
     assert len({e, other}) == 2
     assert len({e, f.element(3)}) == 1
+    # so equality is not transitive across fields
+    assert e == 3 == other
 
 
 def test_elements_iteration():
