@@ -93,7 +93,7 @@ def cmd_construct_subgroup(args) -> int:
 
 
 def cmd_check_mds(args) -> int:
-    spec = codespec_read(Path(args.spec))
+    spec = codespec_read(args.spec)
     gen = generator_matrix(spec)
     verdict = check_mds(spec, method=args.method, gen=gen)
     print(verdict.render())
@@ -106,7 +106,7 @@ def cmd_check_mds(args) -> int:
 
 
 def cmd_schur_dim(args) -> int:
-    spec = codespec_read(Path(args.spec))
+    spec = codespec_read(args.spec)
     gen = generator_matrix(spec)
     verdict = check_mds(spec, gen=gen)
     print(schur_report(gen, verdict).render())
@@ -114,7 +114,7 @@ def cmd_schur_dim(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    spec = codespec_read(Path(args.spec))
+    spec = codespec_read(args.spec)
     gen = generator_matrix(spec)
     result = min_distance(gen, distance_budget(args.budget))
     print(result.render(gen.ncols - gen.nrows + 1))
@@ -122,7 +122,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
-    spec = codespec_read(Path(args.spec))
+    spec = codespec_read(args.spec)
     gen = generator_matrix(spec)
     verdict = check_mds(spec, gen=gen)
     rep = schur_report(gen, verdict)
@@ -157,7 +157,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_export(args) -> int:
-    spec = codespec_read(Path(args.spec))
+    spec = codespec_read(args.spec)
     if args.format == "matrix":
         text = matrix_to_text(generator_matrix(spec).matrix)
     else:
@@ -185,7 +185,7 @@ def cmd_import(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    spec = codespec_read(Path(args.spec))
+    spec = codespec_read(args.spec)
     report = analyze(spec, method=args.method, budget=args.budget)
     sys.stdout.write(report.render())
     return 0

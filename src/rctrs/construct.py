@@ -85,9 +85,7 @@ def subgroup_eval_points(
     ci = f.to_index(c)
     if bi == ci:
         raise DegenerateBCError("twist points b and c must differ")
-    sub = f.sub
-    mul = f.mul
-    inv = f.inv
+    sub, mul, inv = f.sub, f.mul, f.inv
     pts = [mul(sub(bi, mul(mu, ci)), inv(sub(1, mu))) for mu in group.indices[1:]]
     assert len(set(pts)) == len(pts) and bi not in pts
     return pts
@@ -115,10 +113,7 @@ def build_subfield_chain_code(
     v0 = field.subfield(q0_degree)
     v1 = field.subfield(q1_degree)
     pts = [field.to_index(a) for a in alphas]
-    bi = field.to_index(b)
-    ci = field.to_index(c)
-    li = field.to_index(lam)
-    ei = field.to_index(eta)
+    bi, ci, li, ei = (field.to_index(x) for x in (b, c, lam, eta))
     for a in pts:
         if not v0.contains(a):
             raise MembershipViolationError(f"evaluation point {a} lies outside F_{v0.order}")
@@ -184,19 +179,14 @@ def build_subgroup_code(
     """Code of length group_order (+1 when extended) from a subgroup of F_q0*."""
     f = params.field
     view = f.subfield(params.base_subfield_degree)
-    n = params.group_order
-    k = params.k
-    h = params.h
+    n, k, h = params.group_order, params.k, params.h
     if not 0 <= h < k:
         raise InvalidSpecError(f"hook h={h} outside [0, k={k})")
     if params.extended and 0 < h < k - 1:
         raise UnsupportedExtendedGeneralHError(
             f"extended codes are guaranteed for hooks 0 and k-1 only, got h={h}"
         )
-    bi = f.to_index(params.b)
-    ci = f.to_index(params.c)
-    li = f.to_index(params.lam)
-    ei = f.to_index(params.eta)
+    bi, ci, li, ei = (f.to_index(x) for x in (params.b, params.c, params.lam, params.eta))
     if bi == ci:
         raise DegenerateBCError("twist points b and c must differ")
     if not view.contains(bi) or not view.contains(ci):
@@ -221,25 +211,16 @@ def build_subgroup_code(
     if unguaranteed:
         return ConstructedCode(spec, SUBGROUP, False, False, False)
 
-    in_window = 3 <= k and 2 * k <= n
-    if h == 0:
-        non_rs = in_window and bi != 0 and ci != 0 and li != 0
-    elif h == k - 1:
-        non_rs = in_window and li != 0 and ei != 0
-    else:
-        non_rs = in_window and li != 0 and ei != 0 and (h != 1 or (bi != 0 and ci != 0))
-
-    proper = view.order < f.q
-    eta_outside = ei != 0 and not view.contains(ei)
-    ctrs_base = proper and eta_outside and li != 0 and 4 <= k and 2 * k <= n - 1
-    if h == 0:
-        # The dimension-(2k+1) certificate behind the distinguisher holds
-        # for the plain hook-0 code; the extended one can land at 2k+2.
-        ctrs = ctrs_base and bi != 0 and ci != 0 and not params.extended
-    elif h == k - 1:
-        ctrs = ctrs_base
-    else:
-        ctrs = ctrs_base and (h != 1 or (bi != 0 and ci != 0))
+    # Both certificates need nonzero twist points at hooks 0 and 1.  The CTRS
+    # one needs eta outside F_q0 (so nonzero, and F_q0 proper), and at hook 0
+    # it holds for the plain code only: the extended one can land at Schur
+    # dimension 2k+2 instead of 2k+1.
+    bc = h > 1 or (bi != 0 and ci != 0)
+    non_rs = 3 <= k and 2 * k <= n and li != 0 and (h == 0 or ei != 0) and bc
+    ctrs = (
+        not view.contains(ei) and li != 0 and 4 <= k and 2 * k <= n - 1
+        and bc and not (h == 0 and params.extended)
+    )
 
     return ConstructedCode(
         spec,
@@ -261,15 +242,14 @@ def corollary_lengths(q: int, p_div: int) -> tuple[int, int]:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    for p in prime_factors(q):
-        e = 0
-        v = q
-        while v % p == 0:
-            v //= p
-            e += 1
-        if v == 1:
-            return p, e
-    raise ValueError(f"{q} is not a prime power")
+    factors = prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p = factors[0]
+    e = 1
+    while p**e < q:
+        e += 1
+    return p, e
 
 
 def corollary_witness_codes(q: int, p_div: int) -> tuple[ConstructedCode, ConstructedCode]:

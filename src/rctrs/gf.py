@@ -40,7 +40,8 @@ built from it.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain, count, islice
+from math import gcd
 from operator import xor
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -60,8 +61,10 @@ ElementLike = Union[int, "FieldElement"]
 # Extension fields up to this order get exp/log tables.
 _TABLE_LIMIT = 1 << 20
 
-# prime_factors trial-divides below this bound.
+# prime_factors trial-divides below this bound, then splits what is left
+# with at most _RHO_STEPS steps of Pollard rho.
 _TRIAL_LIMIT = 1 << 22
+_RHO_STEPS = 1 << 23
 # Miller-Rabin to these bases is exact below _PRIME_TEST_EXACT, the least
 # composite that passes them all (Sorenson and Webster, Math. Comp. 2017).
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -93,28 +96,73 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _rho_divisor(n: int) -> int | None:
+    """A proper divisor of the odd composite n by Brent's variant of Pollard
+    rho (BIT 20(2), 1980), or None when _RHO_STEPS steps find none."""
+    steps = 0
+    for c in count(1):
+        y, r, prod, d = 2, 1, 1, 1
+        while d == 1:
+            if steps + 2 * r > _RHO_STEPS:
+                return None
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            done = 0
+            while done < r and d == 1:
+                saved = y
+                for _ in range(min(128, r - done)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                d = gcd(prod, n)
+                done += 128
+            steps += 2 * r
+            r *= 2
+        if d == n:
+            # the last batch overshot: retake its steps one gcd at a time
+            d = 1
+            while d == 1:
+                saved = (saved * saved + c) % n
+                d = gcd(x - saved, n)
+        if d != n:
+            return d
+
+
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n, ascending.
 
     Trial division below _TRIAL_LIMIT stops once is_prime proves the
-    cofactor left prime; a cofactor it cannot split or prove raises
-    ValueError.
+    cofactor left prime.  Pollard rho splits a composite cofactor below
+    _PRIME_TEST_EXACT.  A larger cofactor that is not provably prime, or
+    one that rho cannot split, raises ValueError.
     """
     out = []
     divisors = chain((2,), range(3, _TRIAL_LIMIT, 2))
     while n > 1 and not (n < _PRIME_TEST_EXACT and is_prime(n)):
         d = next((d for d in divisors if n % d == 0), None)
         if d is None:
-            raise ValueError(
-                f"cannot factor {n}: no prime factor below {_TRIAL_LIMIT}, "
-                f"and it is not provably prime"
-            )
+            if n >= _PRIME_TEST_EXACT:
+                raise ValueError(
+                    f"cannot factor {n}: no prime factor below {_TRIAL_LIMIT}, "
+                    f"and it is not provably prime"
+                )
+            return out + sorted(_rho_factors(n))
         out.append(d)
         while n % d == 0:
             n //= d
     if n > 1:
         out.append(n)
     return out
+
+
+def _rho_factors(n: int) -> set[int]:
+    """The prime factors of n < _PRIME_TEST_EXACT, none below _TRIAL_LIMIT."""
+    if is_prime(n):
+        return {n}
+    d = _rho_divisor(n)
+    if d is None:
+        raise ValueError(f"cannot factor {n}: Pollard rho found no divisor in {_RHO_STEPS} steps")
+    return _rho_factors(d) | _rho_factors(n // d)
 
 
 # ---------------------------------------------------------------------------

@@ -168,16 +168,16 @@ def mds_by_minors(g: Matrix) -> MdsVerdict:
 # The t = 1 closed form.
 
 
-def _require_closed_form(spec: CodeSpec, hook: str) -> None:
+def _require_closed_form(spec: CodeSpec, method: str) -> None:
     if spec.family is not CodeFamily.RCTRS:
         raise WrongHookTwistError(f"closed form applies to RCTRS specs, not {spec.family.value}")
     if spec.t != 1:
         raise WrongHookTwistError(f"closed form needs t=1, spec has t={spec.t}")
-    if hook == "h0" and spec.h != 0:
+    if method == METHOD_CLOSED_H0 and spec.h != 0:
         raise WrongHookTwistError(f"hook-0 closed form used with h={spec.h}")
-    if hook == "hk1" and spec.h != spec.k - 1:
+    if method == METHOD_CLOSED_HK1 and spec.h != spec.k - 1:
         raise WrongHookTwistError(f"hook-(k-1) closed form used with h={spec.h}, k={spec.k}")
-    if hook == "general" and spec.extended and 0 < spec.h < spec.k - 1:
+    if method == METHOD_CLOSED_GENERAL and spec.extended and 0 < spec.h < spec.k - 1:
         raise WrongHookTwistError("no closed form for extended codes with an interior hook")
 
 
@@ -251,19 +251,19 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
 
 def mds_closed_form_h0(spec: CodeSpec) -> MdsVerdict:
     """Closed-form MDS check for hook 0, twist 1, plain or extended."""
-    _require_closed_form(spec, "h0")
+    _require_closed_form(spec, METHOD_CLOSED_H0)
     return _closed_form(spec, METHOD_CLOSED_H0)
 
 
 def mds_closed_form_hk1(spec: CodeSpec) -> MdsVerdict:
     """Closed-form MDS check for hook k-1, twist 1, plain or extended."""
-    _require_closed_form(spec, "hk1")
+    _require_closed_form(spec, METHOD_CLOSED_HK1)
     return _closed_form(spec, METHOD_CLOSED_HK1)
 
 
 def mds_closed_form_general(spec: CodeSpec) -> MdsVerdict:
     """Closed-form MDS check for any hook, twist 1; extended codes only at hook 0 or k-1."""
-    _require_closed_form(spec, "general")
+    _require_closed_form(spec, METHOD_CLOSED_GENERAL)
     return _closed_form(spec, METHOD_CLOSED_GENERAL)
 
 

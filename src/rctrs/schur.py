@@ -100,7 +100,6 @@ def tri(v: Optional[bool]) -> str:
 class SchurReport:
     dim: int
     dimension_k: int
-    length: int
     non_rs: Optional[bool]
     ctrs_incompatible: Optional[bool]
 
@@ -116,7 +115,6 @@ def schur_report(g: Matrix, mds: MdsVerdict) -> SchurReport:
     return SchurReport(
         dim=dim,
         dimension_k=g.nrows,
-        length=g.ncols,
         non_rs=is_non_rs(g, mds, dim),
         ctrs_incompatible=ctrs_distinguisher(g, mds, dim),
     )

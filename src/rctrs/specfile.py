@@ -26,21 +26,10 @@ are also rejected, so a GRS spec cannot smuggle in a twist.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TextIO, Union
 
 from .codes import CodeFamily, CodeSpec
 from .errors import ParseError
 from .gf import Field
-
-Source = Union[str, Path, TextIO]
-
-
-def _read_text(source: Source) -> str:
-    if isinstance(source, Path):
-        return source.read_text()
-    if isinstance(source, str):
-        return source
-    return source.read()
 
 
 def _parse_int(key: str, value: str, lineno: int) -> int:
@@ -148,8 +137,6 @@ def codespec_to_text(spec: CodeSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def codespec_read(source: Source) -> CodeSpec:
-    """Read and validate a spec from a path, text or stream."""
-    if isinstance(source, str) and "\n" not in source and Path(source).exists():
-        source = Path(source)
-    return codespec_from_text(_read_text(source))
+def codespec_read(path: str | Path) -> CodeSpec:
+    """Read and validate the spec file at path."""
+    return codespec_from_text(Path(path).read_text())

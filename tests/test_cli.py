@@ -150,6 +150,21 @@ def test_reproduce_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_reproduce_reports_a_wrong_point_set(capsys, monkeypatch):
+    import rctrs.golden as golden
+
+    example = golden.EXAMPLES["17"]
+    wrong = example._replace(alphas=frozenset({0, 3, 7}))
+    monkeypatch.setitem(golden.EXAMPLES, "17", wrong)
+    assert main(["reproduce", "--example", "17"]) == 1
+    captured = capsys.readouterr()
+    assert "mismatch=alphas: expected frozenset({0, 3, 7}), got frozenset({" in captured.out
+    assert captured.out.count("mismatch=") == 1
+    assert "result=FAIL" in captured.out
+    assert captured.out.rstrip().endswith("reproduce=FAIL cases=0/1")
+    assert captured.err == ""
+
+
 def test_analyze_report(tmp_path, capsys):
     path = write_spec(tmp_path, SPEC_17)
     assert main(["analyze", path]) == 0
@@ -237,6 +252,12 @@ def test_field_info_rejects_unfactorable_group_order(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot factor ")
+
+
+def test_field_info_factors_group_order_with_two_large_primes(capsys):
+    # q - 1 = 2 * 7186589 * 9496939: both odd factors lie past trial division
+    assert main(["field-info", "136501194702143"]) == 0
+    assert "order=136501194702142" in capsys.readouterr().out
 
 
 def test_distance_budget_from_environment(tmp_path, capsys, monkeypatch):

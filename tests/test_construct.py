@@ -218,6 +218,77 @@ def test_subgroup_hook_one_needs_nonzero_twist_points():
     assert nonzero.guaranteed_non_rs
 
 
+def _hook_by_hook_flags(f, view, n, k, h, b, c, lam, eta, extended):
+    """The subgroup recipe's flags, written as its first case split on the hook."""
+    in_window = 3 <= k and 2 * k <= n
+    if h == 0:
+        non_rs = in_window and b != 0 and c != 0 and lam != 0
+    elif h == k - 1:
+        non_rs = in_window and lam != 0 and eta != 0
+    else:
+        non_rs = in_window and lam != 0 and eta != 0 and (h != 1 or (b != 0 and c != 0))
+    proper = view.order < f.q
+    eta_outside = eta != 0 and not view.contains(eta)
+    ctrs_base = proper and eta_outside and lam != 0 and 4 <= k and 2 * k <= n - 1
+    if h == 0:
+        ctrs = ctrs_base and b != 0 and c != 0 and not extended
+    elif h == k - 1:
+        ctrs = ctrs_base
+    else:
+        ctrs = ctrs_base and (h != 1 or (b != 0 and c != 0))
+    return non_rs, ctrs
+
+
+def test_subgroup_flags_match_the_hook_by_hook_rules():
+    # (p, m, subfield degree): proper subfields with subgroups long enough
+    # for both certificate windows, and whole fields
+    shapes = ((31, 2, 1), (37, 2, 1), (5, 4, 2), (2, 8, 4), (3, 4, 2), (13, 1, 1), (2, 4, 4))
+    rng = random.Random(49536)
+    seen = set()
+    for _ in range(4000):
+        p, m, d = rng.choice(shapes)
+        f = field_create(p, m)
+        view = f.subfield(d)
+        sub = view.element_indices()
+        divisors = [x for x in range(2, view.order) if (view.order - 1) % x == 0]
+        n = rng.choice(divisors[-3:] if rng.random() < 0.5 else divisors)
+        members = set(subgroup_of_order(view, n).indices)
+        k = rng.randint(1, min(8, n))
+        if n >= 9 and rng.random() < 0.5:
+            k = rng.randint(4, (n - 1) // 2)  # the CTRS window
+        h = rng.choice((0, 1 % k, k - 1, rng.randrange(k)))
+        b, c = rng.sample(sub[1:], 2)
+        b, c = rng.choice(((b, c), (0, c), (b, 0)))
+        lam = rng.choice((0, rng.choice([x for x in sub if x not in members] or [0])))
+        eta = rng.choice((0, rng.choice(sub[1:]), rng.randrange(f.q)))
+        extended = h in (0, k - 1) and rng.random() < 0.5
+        eta_kind = "zero" if not eta else "inside" if view.contains(eta) else "outside"
+        params = SubgroupConstructionParams(f, d, n, b, c, lam, eta, h=h, k=k, extended=extended)
+        code = build_subgroup_code(params, unguaranteed=eta_kind == "inside")
+        want = (False, False)
+        if eta_kind != "inside":
+            want = _hook_by_hook_flags(f, view, n, k, h, b, c, lam, eta, extended)
+        assert (code.guaranteed_non_rs, code.guaranteed_ctrs_inequivalent) == want, params
+        hook = "0" if h == 0 else "k-1" if h == k - 1 else "1" if h == 1 else "interior"
+        seen.update({
+            ("hook", hook), ("b or c zero", not (b and c)), ("lambda zero", not lam),
+            ("eta", eta_kind), ("extended", extended), ("proper", view.order < f.q),
+            ("non_rs", want[0]), ("ctrs", want[1]),
+        })
+        if eta_kind == "outside" and lam and 4 <= k and 2 * k <= n - 1:
+            seen.add(("ctrs window", hook, extended, not (b and c)))
+    for kind in ("0", "1", "k-1", "interior"):
+        assert ("hook", kind) in seen
+    for kind in ("zero", "inside", "outside"):
+        assert ("eta", kind) in seen
+    for key in ("b or c zero", "lambda zero", "extended", "proper", "non_rs", "ctrs"):
+        assert {(key, True), (key, False)} <= seen
+    for hook in ("0", "1", "k-1", "interior"):
+        for zero in (False, True):
+            assert ("ctrs window", hook, False, zero) in seen
+    assert ("ctrs window", "0", True, False) in seen
+
+
 def test_random_guaranteed_builds_are_mds():
     f = field_create(13, 2)
     view = f.subfield(1)

@@ -111,9 +111,22 @@ def test_prime_factors():
     assert prime_factors(2**64 - 1) == [3, 5, 17, 257, 641, 65537, 6700417]
     # q - 1 of a safe prime near 2^70: twice a prime that is_prime proves
     assert prime_factors(1180591620717411303658) == [2, 590295810358705651829]
+    # Pollard rho splits composite cofactors with no factor below 2^22:
+    # two primes, a square, and the two primes nearest the top of the range
+    assert prime_factors(136501194702142) == [2, 7186589, 9496939]
+    assert prime_factors(2 * 4194319**2 * 1000000007) == [2, 4194319, 1000000007]
+    assert prime_factors(1000000000039 * 1800000000047) == [1000000000039, 1800000000047]
     # near 2^90 the cofactor is past the range where is_prime is exact
     with pytest.raises(ValueError, match="cannot factor 618970019642690137449563171"):
         prime_factors(1237940039285380274899126342)
+
+
+def test_prime_factors_gives_up_past_the_rho_cap(monkeypatch):
+    import rctrs.gf as gf
+
+    monkeypatch.setattr(gf, "_RHO_STEPS", 0)
+    with pytest.raises(ValueError, match="cannot factor 68250597351071: Pollard rho"):
+        prime_factors(136501194702142)
 
 
 # --- construction and moduli ------------------------------------------------

@@ -1,6 +1,5 @@
 """Text round trips and rejection paths for plain-text code specs."""
 
-import io
 import random
 
 import pytest
@@ -149,12 +148,11 @@ def test_spec_validation_still_applies():
         codespec_from_text(SAMPLE.replace("h 0", "h 4"))
 
 
-def test_read_from_path_text_and_stream(tmp_path):
+def test_read_from_path(tmp_path):
     spec = codespec_from_text(SAMPLE)
     path = tmp_path / "code.spec"
     path.write_text(SAMPLE)
     assert codespec_read(path) == spec
     assert codespec_read(str(path)) == spec
-    assert codespec_read(SAMPLE) == spec
-    assert codespec_read(io.StringIO(SAMPLE)) == spec
-
+    with pytest.raises(FileNotFoundError):
+        codespec_read(str(tmp_path / "missing.spec"))
