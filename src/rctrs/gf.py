@@ -61,8 +61,9 @@ ElementLike = Union[int, "FieldElement"]
 # Extension fields up to this order get exp/log tables.
 _TABLE_LIMIT = 1 << 20
 
-# prime_factors trial-divides below this bound, then splits what is left
-# with at most _RHO_STEPS steps of Pollard rho.
+# prime_factors trial-divides below _TRIAL_SMALL (below _TRIAL_LIMIT while the
+# cofactor is too large for is_prime), then runs at most _RHO_STEPS of rho.
+_TRIAL_SMALL = 1 << 16
 _TRIAL_LIMIT = 1 << 22
 _RHO_STEPS = 1 << 23
 # Miller-Rabin to these bases is exact below _PRIME_TEST_EXACT, the least
@@ -131,16 +132,17 @@ def _rho_divisor(n: int) -> int | None:
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n, ascending.
 
-    Trial division below _TRIAL_LIMIT stops once is_prime proves the
-    cofactor left prime.  Pollard rho splits a composite cofactor below
-    _PRIME_TEST_EXACT.  A larger cofactor that is not provably prime, or
-    one that rho cannot split, raises ValueError.
+    Trial division stops once is_prime proves the cofactor left prime.
+    From _TRIAL_SMALL on, Pollard rho splits a composite cofactor below
+    _PRIME_TEST_EXACT; a larger one is divided on below _TRIAL_LIMIT.  A
+    cofactor still not provably prime, or one rho cannot split, raises ValueError.
     """
     out = []
     divisors = chain((2,), range(3, _TRIAL_LIMIT, 2))
     while n > 1 and not (n < _PRIME_TEST_EXACT and is_prime(n)):
-        d = next((d for d in divisors if n % d == 0), None)
-        if d is None:
+        limit = _TRIAL_SMALL if n < _PRIME_TEST_EXACT else _TRIAL_LIMIT
+        d = next((d for d in divisors if n % d == 0 or d >= limit), None)
+        if d is None or n % d:
             if n >= _PRIME_TEST_EXACT:
                 raise ValueError(
                     f"cannot factor {n}: no prime factor below {_TRIAL_LIMIT}, "
@@ -156,7 +158,7 @@ def prime_factors(n: int) -> list[int]:
 
 
 def _rho_factors(n: int) -> set[int]:
-    """The prime factors of n < _PRIME_TEST_EXACT, none below _TRIAL_LIMIT."""
+    """The prime factors of n < _PRIME_TEST_EXACT, none below _TRIAL_SMALL."""
     if is_prime(n):
         return {n}
     d = _rho_divisor(n)

@@ -179,30 +179,46 @@ def row_space_equal(a: Matrix, b: Matrix) -> bool:
 # Symmetric functions and Vandermonde identities.
 
 
-def symmetric_tables(field: Field, points: Sequence[int], subsets: Iterable[Sequence[int]], lo: int, hi: int):
-    """For each subset of positions into points, all of one size, yield the
-    subset and [sigma_0, ..., sigma_hi] of its points, exact in degrees lo..hi.
+def symmetric_tables(
+    field: Field, points: Sequence[int], subsets: Iterable[Sequence[int]], lo: int, hi: int, factors=()
+):
+    """For each subset of positions into points, yield the subset and
+    [sigma_0, ..., sigma_hi] of its points, exact in degrees lo..hi,
+    followed by the product over the subset of each sequence in factors.
 
-    The standard one-pass recurrence sigma_j += x * sigma_(j-1), banded:
-    each point updates only the degrees that can still reach lo with the
-    points left, so the product of all points (lo = hi = size) or their
-    sum (lo = hi = 1) costs one multiplication per point.  Entries below
-    lo are left partial; sigma_0 is always 1.
+    The subsets are the k-subsets of a range in colex order, as from
+    _colex_subsets, or a prefix of them.  bands[p] is the table of the
+    points at positions p and above, built by sigma_j += x * sigma_(j-1)
+    from the top position down and banded to the degrees that can still
+    reach lo.  The next subset keeps the positions above the first i with
+    cols[i] != i, so only bands[i] down to bands[0] are redone: at lo = hi
+    = size a subset usually costs one multiplication.  Entries below lo
+    are stale, and the yielded list is reused, so read it before the next.
     """
     add = field.add
     mul = field.mul
-    start = [1] + [0] * hi
+    slots = list(enumerate(factors, hi + 1))
     steps = None
     for cols in subsets:
         if steps is None:
             n = len(cols)
-            # (position in the subset, degree) pairs in update order
-            steps = [(p, j) for p in range(n) for j in range(min(hi, p + 1), max(0, lo - n + p), -1)]
-        table = start[:]
-        for p, j in steps:
-            y = mul(points[cols[p]], table[j - 1])
-            table[j] = add(table[j], y) if table[j] else y
-        yield cols, table
+            bands = [[1] + [0] * hi + [1] * len(slots) for _ in range(n + 1)]
+            steps = [(p, bands[p], bands[p + 1], range(min(hi, n - p), max(0, lo - p - 1), -1)) for p in range(n)]
+            # the updates for positions i, i-1, ..., 0; none for the empty subset, at i = -1
+            steps = [steps[i::-1] for i in range(n)] + [[]]
+            i = n - 1
+        else:
+            i = 0
+            while cols[i] == i:
+                i += 1
+        for p, band, above, degrees in steps[i]:
+            x = points[cols[p]]
+            for j in degrees:
+                y = mul(x, above[j - 1])
+                band[j] = add(above[j], y) if above[j] else y
+            for s, values in slots:
+                band[s] = mul(above[s], values[cols[p]])
+        yield cols, bands[0]
 
 
 def elementary_symmetric(field: Field, values: Sequence[ElementLike], r: int) -> FieldElement:

@@ -13,9 +13,11 @@ Two independent routes decide whether a code is MDS:
   evaluation columns only, or swaps in the twist and/or coefficient
   column; every case reduces to a product of point differences times
   1 - eta_r sigma_r of the points, r = k - h, or a hook-0 variant for
-  the coefficient column.  Its three entry points, mds_closed_form_h0,
-  _hk1 and _general, differ only in the hooks they accept and the
-  method label they report.
+  the coefficient column.  Consecutive colex subsets share their highest
+  points, whose sigma bands and twist products carry over, so a subset
+  costs a few multiplications.  Its three entry points,
+  mds_closed_form_h0, _hk1 and _general, differ only in the hooks they
+  accept and the method label they report.
 
 mds_by_minors scans column subsets in colexicographic order.  The closed
 form scans category by category, each in colexicographic order: subsets
@@ -193,7 +195,9 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
     a minor vanishes when prod(b - a) corr(W + b) == lambda prod(c - a)
     corr(W + c), where sigma_d(W + x) = sigma_d(W) + x sigma_(d-1)(W).
     Extended codes with an interior hook have no such form; callers rule
-    them out.
+    them out.  Each category walks its subsets with symmetric_tables, whose
+    tables end with prod(b - a) and prod(c - a) in the twist categories;
+    the first compares sigma_r with 1/eta_r, which never holds at eta_r = 0.
     """
     f = spec.field
     al = spec.alphas
@@ -204,20 +208,15 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
     add, sub, mul = f.add, f.sub, f.mul
     eta_r = f.neg(spec.eta) if r % 2 else spec.eta
     twist, coeff = npts, npts + 1
-
-    def twist_minor_vanishes(cols, corr_b: int, corr_c: int) -> bool:
-        vb = vc = 1
-        for i in cols:
-            vb = mul(vb, sub(b, al[i]))
-            vc = mul(vc, sub(c, al[i]))
-        return mul(vb, corr_b) == mul(lam, mul(vc, corr_c))
+    diffs = ([sub(b, a) for a in al], [sub(c, a) for a in al])
 
     def coeff_corr(top: int, one: int) -> int:
         """The hook-0 coefficient-column correction from sigma_(k-1) and sigma_1."""
         return add(1, mul(eta_r, mul(top, one)))
 
+    inv_eta = f.inv(eta_r) if eta_r else None
     for cols, table in symmetric_tables(f, al, _colex_subsets(npts, k), r, r):
-        if mul(eta_r, table[r]) == 1:
+        if table[r] == inv_eta:
             return MdsVerdict(False, cols, method)
 
     if spec.extended and not h:
@@ -226,25 +225,24 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
             if not coeff_corr(table[k - 1], table[1]):
                 return MdsVerdict(False, cols + (coeff,), method)
 
-    for cols, table in symmetric_tables(f, al, _colex_subsets(npts, k - 1), r - 1, r):
-        corr_b = sub(1, mul(eta_r, add(table[r], mul(b, table[r - 1]))))
-        corr_c = sub(1, mul(eta_r, add(table[r], mul(c, table[r - 1]))))
-        if twist_minor_vanishes(cols, corr_b, corr_c):
+    eta_b, eta_c = mul(eta_r, b), mul(eta_r, c)
+    for cols, table in symmetric_tables(f, al, _colex_subsets(npts, k - 1), r - 1, r, diffs):
+        corr = sub(1, mul(eta_r, table[r]))
+        corr_b = sub(corr, mul(eta_b, table[r - 1]))
+        corr_c = sub(corr, mul(eta_c, table[r - 1]))
+        if mul(table[-2], corr_b) == mul(lam, mul(table[-1], corr_c)):
             return MdsVerdict(False, cols + (twist,), method)
 
     if spec.extended and k >= 2:
-        if h:
-            # at hook k-1 the coefficient-column correction is 1, so no sigma is needed
-            for cols in _colex_subsets(npts, k - 2):
-                if twist_minor_vanishes(cols, 1, 1):
-                    return MdsVerdict(False, cols + (twist, coeff), method)
-        else:
-            top = k - 1
-            for cols, table in symmetric_tables(f, al, _colex_subsets(npts, k - 2), 1, top):
+        # at hook k-1 the coefficient-column correction is 1, so no sigma is needed
+        top = 0 if h else k - 1
+        for cols, table in symmetric_tables(f, al, _colex_subsets(npts, k - 2), min(top, 1), top, diffs):
+            corr_b = corr_c = 1
+            if not h:
                 corr_b = coeff_corr(add(table[top], mul(b, table[top - 1])), add(table[1], b))
                 corr_c = coeff_corr(add(table[top], mul(c, table[top - 1])), add(table[1], c))
-                if twist_minor_vanishes(cols, corr_b, corr_c):
-                    return MdsVerdict(False, cols + (twist, coeff), method)
+            if mul(table[-2], corr_b) == mul(lam, mul(table[-1], corr_c)):
+                return MdsVerdict(False, cols + (twist, coeff), method)
 
     return MdsVerdict(True, None, method)
 

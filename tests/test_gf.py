@@ -1,5 +1,6 @@
 """Finite field arithmetic, subfields and subgroups."""
 
+import itertools
 import operator
 import random
 
@@ -127,6 +128,66 @@ def test_prime_factors_gives_up_past_the_rho_cap(monkeypatch):
     monkeypatch.setattr(gf, "_RHO_STEPS", 0)
     with pytest.raises(ValueError, match="cannot factor 68250597351071: Pollard rho"):
         prime_factors(136501194702142)
+
+
+def trial_then_rho_factors(n: int) -> list[int]:
+    """Trial division by every odd number below _TRIAL_LIMIT before rho;
+    the oracle for the earlier hand-over to rho in prime_factors."""
+    import rctrs.gf as gf
+
+    out = []
+    divisors = itertools.chain((2,), range(3, gf._TRIAL_LIMIT, 2))
+    while n > 1 and not (n < gf._PRIME_TEST_EXACT and is_prime(n)):
+        d = next((d for d in divisors if n % d == 0), None)
+        if d is None:
+            if n >= gf._PRIME_TEST_EXACT:
+                raise ValueError(
+                    f"cannot factor {n}: no prime factor below {gf._TRIAL_LIMIT}, "
+                    f"and it is not provably prime"
+                )
+            return out + sorted(gf._rho_factors(n))
+        out.append(d)
+        while n % d == 0:
+            n //= d
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def test_prime_factors_matches_full_trial_division():
+    """Rho takes composite cofactors from 2^16 on; the factors, or the error,
+    are those of trial division to 2^22 followed by rho."""
+    import rctrs.gf as gf
+
+    rng = random.Random(2**16)
+
+    def prime_near(lo, hi):
+        n = rng.randrange(lo, hi) | 1
+        while not is_prime(n):
+            n += 2
+        return n
+
+    def mid():  # mostly small, so the oracle stays quick; 4194301 is the largest below 2^22
+        return prime_near(1 << 16, 1 << rng.randrange(17, 22))
+
+    def outcome(factor, n):
+        try:
+            return factor(n)
+        except ValueError as exc:
+            return str(exc)
+
+    unprovable = 618970019642690137449563171  # past _PRIME_TEST_EXACT, no factor below 2^22
+    big, mid_big = prime_near(1 << 40, 1 << 62), prime_near(1 << 24, 1 << 30)
+    cases = [65537, 4194301, 65537**2, 4194301**2, 65537 * 4194301]
+    cases += [65537 * unprovable, 65537 * big**2, 65537 * mid_big**2]
+    for _ in range(3):
+        small = 2 ** rng.randrange(1, 4) * 3 ** rng.randrange(2)
+        p, p2, big = mid(), mid(), prime_near(1 << 40, 1 << 62)
+        cases += [p, p * p, small * p * big, p * p * big, small * p * p2 * big]
+    assert {n < gf._PRIME_TEST_EXACT for n in cases} == {True, False}
+    for n in cases:
+        assert outcome(prime_factors, n) == outcome(trial_then_rho_factors, n), n
+    assert outcome(prime_factors, 65537 * unprovable).startswith(f"cannot factor {unprovable}: no prime")
 
 
 # --- construction and moduli ------------------------------------------------

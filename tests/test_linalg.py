@@ -21,6 +21,7 @@ from rctrs.linalg import (
     rank,
     row_space_equal,
     rref,
+    symmetric_tables,
     vandermonde_det,
     vandermonde_matrix,
 )
@@ -239,6 +240,61 @@ def test_elementary_symmetric_against_subset_enumeration():
             assert elementary_symmetric(f, values, r) == brute_esym(f, values, r)
     assert elementary_symmetric(f, [], 0) == 1
     assert elementary_symmetric(f, [5], 2) == 0
+
+
+def tables_one_by_one(f, points, subsets, lo, hi):
+    """Each subset's banded table from scratch, points in position order;
+    the oracle for the shared-suffix walk of symmetric_tables."""
+    add, mul = f.add, f.mul
+    start = [1] + [0] * hi
+    steps = None
+    for cols in subsets:
+        if steps is None:
+            n = len(cols)
+            steps = [(p, j) for p in range(n) for j in range(min(hi, p + 1), max(0, lo - n + p), -1)]
+        table = start[:]
+        for p, j in steps:
+            y = mul(points[cols[p]], table[j - 1])
+            table[j] = add(table[j], y) if table[j] else y
+        yield cols, table
+
+
+def test_symmetric_tables_walk_matches_tables_one_by_one():
+    """Every table of the walk, degrees lo..hi and both carried products,
+    equals the oracle's and the products taken directly, on points with
+    zeros and repeats, over every subset size 0..6 and every lo <= hi."""
+    rng = random.Random(4096)
+    seen = set()
+    for f in (field_create(2, 3), field_create(3, 3), F13, field_create(1031, 2)):
+        for size in range(7):
+            npts = size + rng.randrange(4)
+            pool = [0, 1] + [rng.randrange(2, f.q) for _ in range(npts)]
+            points = [rng.choice(pool) for _ in range(npts)]
+            b, c = rng.choice(points) if npts else 0, rng.randrange(f.q)
+            factors = ([f.sub(b, a) for a in points], [f.sub(c, a) for a in points])
+            subsets = list(itertools.combinations(range(npts), size))
+            subsets.sort(key=lambda cols: cols[::-1])  # colex
+            for hi in range(size + 2):
+                for lo in range(hi + 1):
+                    walk = symmetric_tables(f, points, iter(subsets), lo, hi, factors)
+                    oracle = tables_one_by_one(f, points, subsets, lo, hi)
+                    count = 0
+                    for (cols, table), (want_cols, want) in zip(walk, oracle):
+                        assert cols == want_cols
+                        assert table[lo : hi + 1] == want[lo : hi + 1], (f, points, cols, lo, hi)
+                        products = [1, 1]
+                        for i in cols:
+                            products = [f.mul(x, values[i]) for x, values in zip(products, factors)]
+                        assert table[hi + 1 :] == products
+                        seen |= {"zero product"} if 0 in products else set()
+                        count += 1
+                    assert count == len(subsets)
+                    seen |= {f"size={size}"} | ({"lo=0"} if lo == 0 else set())
+                    seen |= {"size=npts"} if size == npts else set()
+            seen |= {"zero point"} if 0 in points else set()
+            seen |= {"repeated point"} if len(set(points)) < npts else set()
+    wanted = {f"size={s}" for s in range(7)} | {"size=npts", "lo=0", "zero product", "zero point", "repeated point"}
+    assert wanted <= seen, wanted - seen
 
 
 # --- Vandermonde ----------------------------------------------------------------
