@@ -25,7 +25,6 @@ from .errors import (
     OrderDoesNotDivideError,
     ParseError,
     ReducibleError,
-    SizeMismatchError,
     UnsupportedExtendedGeneralHError,
     WrongHookTwistError,
 )
@@ -41,25 +40,18 @@ from .gf import (
 )
 from .linalg import (
     Matrix,
-    deleted_row_vandermonde_det,
-    deleted_row_vandermonde_matrix,
     det,
-    elementary_symmetric,
     matrix_from_text,
     matrix_to_text,
     null_space,
     rank,
-    row_space_equal,
     rref,
-    vandermonde_det,
-    vandermonde_matrix,
 )
 from .codes import (
     CodeFamily,
     CodeSpec,
     GeneratorMatrix,
     encode,
-    eval_poly,
     generator_matrix,
     twist_space_basis,
 )
@@ -77,12 +69,9 @@ from .mds import (
     min_distance,
 )
 from .schur import (
-    Isometry,
     SchurReport,
-    apply_isometry,
     ctrs_distinguisher,
     is_non_rs,
-    random_isometry,
     schur_report,
     schur_square_dim,
     schur_square_rows,

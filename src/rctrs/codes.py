@@ -170,17 +170,6 @@ def _monomial_basis(k: int) -> list[list[int]]:
     return [[1 if j == i else 0 for j in range(k)] for i in range(k)]
 
 
-def eval_poly(field: Field, coeffs: Sequence[ElementLike], x: ElementLike) -> FieldElement:
-    """Horner evaluation of a little-endian coefficient vector."""
-    xi = field.to_index(x)
-    add = field.add
-    mul = field.mul
-    acc = 0
-    for c in reversed([field.to_index(c) for c in coeffs]):
-        acc = add(mul(acc, xi), c)
-    return FieldElement(field, acc)
-
-
 class GeneratorMatrix:
     """A generator matrix together with the spec that produced it."""
 

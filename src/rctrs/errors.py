@@ -19,7 +19,8 @@ class ReducibleError(ValueError):
 
 
 class DegreeMismatchError(ValueError):
-    """Modulus degree or shape does not match the requested extension."""
+    """Extension degree out of range (a field order above 2^64 included),
+    or a modulus whose degree or shape does not match it."""
 
 
 class FieldMismatchError(ValueError):
@@ -52,10 +53,6 @@ class LengthMismatchError(ValueError):
 
 class WrongHookTwistError(ValueError):
     """Closed-form check applied to a spec outside its hook/twist range."""
-
-
-class SizeMismatchError(ValueError):
-    """Isometry size does not match the code length."""
 
 
 class DegenerateBCError(ValueError):

@@ -35,7 +35,11 @@ of q - 1 entries (about 0.5 MB at GF(3^10)), with -1 = g^((q-1)/2).
 Odd p without tables add digit by digit on the index.  The primitive
 element is the smallest index g with g^((q-1)/r) != 1 for every prime r
 dividing q - 1; one search finds it for every shape, and the tables are
-built from it.
+built from it.  For m > 1 the search starts at index p, past the
+constants of GF(p), none of which can generate.
+
+Fields of order above 2^64 (_FIELD_LIMIT) are rejected with a
+DegreeMismatchError, before p^m is computed or p is tested for primality.
 """
 
 from __future__ import annotations
@@ -60,6 +64,9 @@ ElementLike = Union[int, "FieldElement"]
 
 # Extension fields up to this order get exp/log tables.
 _TABLE_LIMIT = 1 << 20
+# Fields above this order are rejected: the modulus and generator searches
+# and the factoring of q - 1 have no bounded cost past it.
+_FIELD_LIMIT = 1 << 64
 
 # prime_factors trial-divides below _TRIAL_SMALL (below _TRIAL_LIMIT while the
 # cofactor is too large for is_prime), then runs at most _RHO_STEPS of rho.
@@ -302,10 +309,15 @@ class Field:
     )
 
     def __init__(self, p: int, m: int = 1, modulus: Iterable[int] | None = None):
-        if not isinstance(p, int) or not is_prime(p):
+        if not isinstance(p, int) or p < 2:
             raise NotPrimeError(f"characteristic {p!r} is not prime")
         if not isinstance(m, int) or m < 1:
             raise DegreeMismatchError(f"extension degree must be a positive integer, got {m!r}")
+        # Every p gives q > 2^64 once m > 64, so a huge m never reaches p**m.
+        if m >= _FIELD_LIMIT.bit_length() or p**m > _FIELD_LIMIT:
+            raise DegreeMismatchError(f"field order {p}^{m} exceeds the limit 2^64")
+        if not is_prime(p):
+            raise NotPrimeError(f"characteristic {p!r} is not prime")
         self.p = p
         self.m = m
         self.q = p**m
@@ -461,10 +473,14 @@ class Field:
         return exp, log
 
     def _find_generator(self) -> int:
-        """Smallest-index element of multiplicative order q - 1."""
+        """Smallest-index element of multiplicative order q - 1.
+
+        For m > 1 the search starts at p: the indices below p are the
+        constants of GF(p), whose orders divide p - 1 < q - 1.
+        """
         qm1 = self.q - 1
         cofactors = [qm1 // r for r in self.factors_of_group_order()]
-        for idx in range(1, self.q):
+        for idx in range(1 if self.m == 1 else self.p, self.q):
             if all(self.pow(idx, e) != 1 for e in cofactors):
                 return idx
         raise RuntimeError("no generator found")  # unreachable
@@ -524,16 +540,6 @@ class Field:
             e = -e
         return self.index_from_coeffs(_poly_powmod(self.coeffs_of(a), e, self.modulus, self.p))
 
-    def order_of(self, a: int) -> int:
-        """Multiplicative order of a nonzero element index."""
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative order")
-        order = self.q - 1
-        for r in self.factors_of_group_order():
-            while order % r == 0 and self.pow(a, order // r) == 1:
-                order //= r
-        return order
-
     def coeffs_of(self, idx: int) -> tuple[int, ...]:
         """Little-endian coefficient vector of length m."""
         p = self.p
@@ -582,9 +588,6 @@ class Field:
         if self._gen is None:
             self._gen = self._find_generator()
         return FieldElement(self, self._gen)
-
-    def frobenius(self, x: ElementLike) -> "FieldElement":
-        return FieldElement(self, self.pow(self.to_index(x), self.p))
 
     def subfield(self, degree: int) -> "SubfieldView":
         return SubfieldView(self, degree)

@@ -5,18 +5,17 @@ Field.  Rank, determinant, RREF and null space all run one Gaussian
 elimination loop (_eliminate) with exact field inverses; nothing here
 ever rounds.
 
-Also hosts the polynomial-flavoured determinant identities used by the
-code analyzers: elementary symmetric polynomials via the standard
-one-pass recurrence, banded to the degrees asked for, Vandermonde
-determinants in product form, and the closed form for a Vandermonde
-matrix with one power row deleted.
+Also hosts symmetric_tables, the elementary symmetric polynomials of
+point subsets that the closed-form MDS criteria read, by the standard
+one-pass recurrence banded to the degrees asked for, and the plain-text
+matrix format.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import HookOutOfRangeError, NotSquareError, ParseError
+from .errors import NotSquareError, ParseError
 from .gf import ElementLike, Field, FieldElement, field_create
 
 
@@ -43,20 +42,11 @@ class Matrix:
         self.nrows = len(grid)
         self.ncols = ncols
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def entry(self, i: int, j: int) -> FieldElement:
         return FieldElement(self.field, self.rows[i][j])
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.rows[i]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, zip(*self.rows)) if self.nrows else Matrix(
-            self.field, [], ncols=1
-        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -163,20 +153,8 @@ def null_space(m: Matrix) -> Matrix:
     return Matrix(f, basis, ncols=m.ncols)
 
 
-def row_space_equal(a: Matrix, b: Matrix) -> bool:
-    """Whether two matrices span the same row space (RREF is canonical)."""
-    if a.field != b.field or a.ncols != b.ncols:
-        return False
-
-    def reduced(m: Matrix) -> list[list[int]]:
-        rows = _mutable(m)
-        return rows[: len(_eliminate(m.field, rows, full=True)[0])]
-
-    return reduced(a) == reduced(b)
-
-
 # ---------------------------------------------------------------------------
-# Symmetric functions and Vandermonde identities.
+# Elementary symmetric functions over colex subsets.
 
 
 def symmetric_tables(
@@ -219,64 +197,6 @@ def symmetric_tables(
             for s, values in slots:
                 band[s] = mul(above[s], values[cols[p]])
         yield cols, bands[0]
-
-
-def elementary_symmetric(field: Field, values: Sequence[ElementLike], r: int) -> FieldElement:
-    """Degree-r elementary symmetric polynomial of the values."""
-    if r < 0:
-        raise ValueError("degree must be nonnegative")
-    vals = [field.to_index(v) for v in values]
-    _, table = next(symmetric_tables(field, vals, [range(len(vals))], r, r))
-    return FieldElement(field, table[r])
-
-
-def vandermonde_matrix(field: Field, points: Sequence[ElementLike], nrows: int | None = None) -> Matrix:
-    """Rows are powers 0..nrows-1 of the points, one column per point."""
-    pts = [field.to_index(x) for x in points]
-    if nrows is None:
-        nrows = len(pts)
-    mul = field.mul
-    rows = [[1] * len(pts)]
-    for _ in range(nrows - 1):
-        rows.append([mul(a, x) for a, x in zip(rows[-1], pts)])
-    return Matrix(field, rows[:nrows])
-
-
-def vandermonde_det(field: Field, points: Sequence[ElementLike]) -> FieldElement:
-    """Product of (x_j - x_i) over i < j."""
-    pts = [field.to_index(x) for x in points]
-    mul = field.mul
-    sub = field.sub
-    out = 1
-    for j in range(1, len(pts)):
-        pj = pts[j]
-        for i in range(j):
-            out = mul(out, sub(pj, pts[i]))
-            if not out:
-                return FieldElement(field, 0)
-    return FieldElement(field, out)
-
-
-def deleted_row_vandermonde_matrix(
-    field: Field, points: Sequence[ElementLike], skip_power: int
-) -> Matrix:
-    """Square matrix with power rows 0..n except skip_power, n = #points."""
-    n = len(points)
-    if not 1 <= skip_power <= n - 1:
-        raise HookOutOfRangeError(f"skipped power {skip_power} outside [1, {n - 1}]")
-    full = vandermonde_matrix(field, points, nrows=n + 1)
-    return Matrix(field, [full.rows[e] for e in range(n + 1) if e != skip_power])
-
-
-def deleted_row_vandermonde_det(
-    field: Field, points: Sequence[ElementLike], skip_power: int
-) -> FieldElement:
-    """Closed form: sigma_(n-skip_power)(points) times the Vandermonde det."""
-    n = len(points)
-    if not 1 <= skip_power <= n - 1:
-        raise HookOutOfRangeError(f"skipped power {skip_power} outside [1, {n - 1}]")
-    sigma = elementary_symmetric(field, points, n - skip_power)
-    return FieldElement(field, field.mul(sigma.index, vandermonde_det(field, points).index))
 
 
 # ---------------------------------------------------------------------------

@@ -77,10 +77,6 @@ class DistanceResult:
     method: str  # "enumeration", "minors" or "budget-exceeded"
     enumerated: int = 0
 
-    @property
-    def budget_exceeded(self) -> bool:
-        return self.value is None
-
     def render(self, bound: int) -> str:
         """The distance line of a report; bound is the Singleton bound n - k + 1."""
         if self.value is None:

@@ -1,4 +1,4 @@
-"""Schur-square analysis and code equivalence helpers.
+"""Schur-square analysis and the distinguishers built on it.
 
 The Schur square of a code is spanned by the componentwise products of
 codeword pairs; for a k-row generator matrix the k(k+1)/2 products of
@@ -15,22 +15,16 @@ the preconditions fail):
 * ctrs_distinguisher: dimension 2k+1 rules out one-twist CTRS codes,
   which stay at or below 2k; requires k <= (N-1)/2.
 
-Hamming isometries (column permutations composed with nonzero column
-scalings) preserve distance, MDS-ness and the Schur-square dimension,
-which the test suite uses as an invariance oracle.
-
 Functions taking a Matrix also take a GeneratorMatrix, which exposes the
 same field, nrows, ncols and rows.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .codes import GeneratorMatrix
-from .errors import LengthMismatchError, SizeMismatchError
+from .errors import LengthMismatchError
 from .gf import ElementLike, Field, FieldElement
 from .linalg import Matrix, rank
 from .mds import MdsVerdict
@@ -119,45 +113,3 @@ def schur_report(g: Matrix, mds: MdsVerdict) -> SchurReport:
         ctrs_incompatible=ctrs_distinguisher(g, mds, dim),
     )
 
-
-@dataclass(frozen=True)
-class Isometry:
-    """Hamming isometry x -> (scale_i * x[perm_i]); both parts length N."""
-
-    perm: tuple[int, ...]
-    scale: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.perm)
-        if len(self.scale) != n:
-            raise SizeMismatchError("permutation and scaling lengths differ")
-        if sorted(self.perm) != list(range(n)):
-            raise ValueError(f"not a permutation of range({n}): {self.perm}")
-        if any(s == 0 for s in self.scale):
-            raise ValueError("column scalings must be nonzero")
-
-
-def apply_isometry(g: Matrix, iso: Isometry) -> Matrix:
-    """Image of the generator matrix; rows keep their message meaning but
-    no longer follow the basis-evaluation layout of the original spec.
-    A GeneratorMatrix comes back as a GeneratorMatrix with the same spec."""
-    if len(iso.perm) != g.ncols:
-        raise SizeMismatchError(
-            f"isometry on {len(iso.perm)} coordinates applied to length {g.ncols}"
-        )
-    mul = g.field.mul
-    rows = [
-        [mul(s, row[p]) for p, s in zip(iso.perm, iso.scale)]
-        for row in g.rows
-    ]
-    out = Matrix(g.field, rows, ncols=g.ncols)
-    if isinstance(g, GeneratorMatrix):
-        return GeneratorMatrix(g.spec, out)
-    return out
-
-
-def random_isometry(field: Field, n: int, rng: random.Random) -> Isometry:
-    perm = list(range(n))
-    rng.shuffle(perm)
-    scale = [rng.randrange(1, field.q) for _ in range(n)]
-    return Isometry(tuple(perm), tuple(scale))

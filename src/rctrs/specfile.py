@@ -53,7 +53,7 @@ def _parse_int_list(key: str, value: str, lineno: int) -> tuple[int, ...]:
 def _parse_flag(key: str, value: str, lineno: int) -> bool:
     flag = _parse_int(key, value, lineno)
     if flag not in (0, 1):
-        raise ParseError(f"{key} must be 0 or 1")
+        raise ParseError(f"line {lineno}: {key} must be 0 or 1")
     return bool(flag)
 
 

@@ -13,18 +13,16 @@ from rctrs.codes import CodeFamily, CodeSpec, generator_matrix
 from rctrs.construct import corollary_witness_codes
 from rctrs.gf import field_create, prime_factors
 from rctrs.golden import GOLDEN_KEYS, check_case, golden_cases
-from rctrs.linalg import (
+from rctrs.linalg import det
+from rctrs.mds import check_mds, mds_by_minors
+from rctrs.schur import schur_square_dim, schur_square_rows
+
+from oracles import (
+    apply_isometry,
     deleted_row_vandermonde_det,
     deleted_row_vandermonde_matrix,
-    det,
-    row_space_equal,
-)
-from rctrs.mds import check_mds, mds_by_minors
-from rctrs.schur import (
-    apply_isometry,
     random_isometry,
-    schur_square_dim,
-    schur_square_rows,
+    row_space_equal,
 )
 
 

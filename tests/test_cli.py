@@ -1,5 +1,7 @@
 """End-to-end command-line checks: output contracts and exit codes."""
 
+import time
+
 import pytest
 
 from rctrs.cli import main
@@ -247,11 +249,32 @@ def test_element_index_out_of_range_is_usage_error(tmp_path, capsys):
 
 
 def test_field_info_rejects_unfactorable_group_order(capsys):
-    # a safe prime near 2^90: (q-1)/2 is prime but too large to prove so
+    # A safe prime near 2^90: (q-1)/2 is prime but too large to prove so.
+    # Fields this large are refused before q - 1 is factored.
     assert main(["field-info", "1237940039285380274899126343"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: cannot factor ")
+    assert captured.err == "error: field order 1237940039285380274899126343^1 exceeds the limit 2^64\n"
+
+
+def test_fields_above_2_to_64_exit_2_at_once(tmp_path, capsys):
+    spec = write_spec(tmp_path, "field 3^1000\nfamily GRS\nn 2\nk 1\nalphas 0,1\n")
+    matrix = tmp_path / "big.matrix"
+    matrix.write_text("3 1000 1 1\n0\n")
+    for argv, order in (
+        (["field-info", "3^1000"], "3^1000"),
+        (["analyze", spec], "3^1000"),
+        (["import", str(matrix)], "3^1000"),
+        (["field-info", "2^99999999999"], "2^99999999999"),
+    ):
+        started = time.monotonic()
+        assert main(argv) == 2
+        assert time.monotonic() - started < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: field order {order} exceeds the limit 2^64\n"
+    assert main(["field-info", "2^64"]) == 0
+    assert "q=18446744073709551616" in capsys.readouterr().out
 
 
 def test_field_info_factors_group_order_with_two_large_primes(capsys):

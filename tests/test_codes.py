@@ -8,7 +8,6 @@ from rctrs.codes import (
     CodeFamily,
     CodeSpec,
     encode,
-    eval_poly,
     generator_matrix,
     twist_space_basis,
 )
@@ -19,6 +18,8 @@ from rctrs.errors import (
 )
 from rctrs.gf import field_create
 from rctrs.linalg import rank
+
+from oracles import eval_poly
 
 F7 = field_create(7)
 F13 = field_create(13)
@@ -59,6 +60,21 @@ def test_eval_poly_matches_naive_powers():
         for i, ci in enumerate(coeffs):
             naive = f.add(naive, f.mul(ci, f.pow(x, i)))
         assert eval_poly(f, coeffs, x).index == naive
+
+
+def test_generator_matrix_rows_evaluate_the_twisted_basis():
+    f = field_create(3, 2)
+    rng = random.Random(4)
+    for _ in range(30):
+        k = rng.randrange(1, 5)
+        t = rng.randrange(1, 3)
+        h = rng.randrange(k)
+        eta = rng.randrange(1, f.q)
+        alphas = tuple(rng.sample(range(f.q), rng.randrange(k, f.q + 1)))
+        spec = CodeSpec(CodeFamily.TRS, f, len(alphas), k, alphas, h=h, t=t, eta=eta)
+        want = [[eval_poly(f, coeffs, a).index for a in alphas]
+                for coeffs in twist_space_basis(f, k, t, h, eta)]
+        assert generator_matrix(spec).rows == tuple(map(tuple, want))
 
 
 # --- spec validation -------------------------------------------------------------

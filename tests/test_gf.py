@@ -3,6 +3,7 @@
 import itertools
 import operator
 import random
+import time
 
 import pytest
 
@@ -25,6 +26,8 @@ from rctrs.gf import (
     prime_factors,
     subgroup_of_order,
 )
+
+from oracles import order_of, smallest_generator
 
 
 # --- reference helpers ----------------------------------------------------
@@ -206,6 +209,17 @@ def test_nonprime_characteristic_rejected():
         Field(1, 2)
 
 
+@pytest.mark.parametrize(
+    "p,m", [(3, 1000), (2, 99999999999), (2, 65), (3, 41), (2**64 + 1, 1), (2**70, 1)]
+)
+def test_field_order_above_2_to_64_rejected_before_any_work(p, m):
+    # 2^64 + 1 is composite and 2^99999999999 is not built: the bound comes first
+    started = time.monotonic()
+    with pytest.raises(DegreeMismatchError, match=r"exceeds the limit 2\^64"):
+        Field(p, m)
+    assert time.monotonic() - started < 0.1
+
+
 def test_default_modulus_is_deterministic_and_known():
     assert field_create(7, 4).descriptor() == "7^4/1,0,0,1,1"
     assert field_create(2, 2).descriptor() == "2^2/1,1,1"
@@ -323,8 +337,8 @@ def test_pow_and_order():
     assert f.pow(g, f.q - 1) == 1
     assert f.pow(g, 0) == 1
     assert f.pow(0, 5) == 0
-    assert f.order_of(g) == 48
-    assert f.order_of(1) == 1
+    assert order_of(f, g) == 48
+    assert order_of(f, 1) == 1
 
 
 # --- element indices and coefficients ---------------------------------------
@@ -420,17 +434,33 @@ def test_known_primitive_elements():
     assert field_create(7, 4).primitive_element().index == 12
 
 
+@pytest.mark.parametrize(
+    "p,m", [(31, 2), (251, 2), (13, 3), (7, 4), (3, 5), (5, 6), (2, 8), (3, 10), (2, 16)]
+)
+def test_generator_search_from_p_matches_the_search_from_1(p, m):
+    f = field_create(p, m)
+    assert f.primitive_element().index == smallest_generator(f)
+
+
+def test_generator_search_skips_a_large_prime_subfield():
+    # From 1, the search would first try the 2^32 - 6 nonzero constants.
+    started = time.monotonic()
+    f = Field(4294967291, 2)
+    g = f.primitive_element().index
+    assert time.monotonic() - started < 1.0
+    assert order_of(f, g) == f.q - 1
+    assert all(order_of(f, a) < f.q - 1 for a in range(f.p, g))
+
+
 def test_frobenius():
     f = field_create(3, 4)
     rng = random.Random(5)
     for _ in range(200):
         a, b = rng.randrange(f.q), rng.randrange(f.q)
-        assert f.frobenius(f.add(a, b)).index == f.add(
-            f.frobenius(a).index, f.frobenius(b).index
-        )
-        assert f.frobenius(a).index == f.pow(a, 3)
+        assert f.pow(f.add(a, b), f.p) == f.add(f.pow(a, f.p), f.pow(b, f.p))
+        assert f.pow(a, f.p) == f.mul(f.mul(a, a), a)
     for a in range(3):  # prime subfield is fixed pointwise
-        assert f.frobenius(a).index == a
+        assert f.pow(a, f.p) == a
 
 
 # --- subfields ---------------------------------------------------------------
@@ -552,7 +582,7 @@ def test_packed_table_build_matches_polynomial_walk(descriptor):
 # --- fields above the table limit ---------------------------------------------
 
 # GF(2^21), GF(3^13) and GF(1031^2) have q > 2^20, so they reach polynomial
-# mul and the table-free pow/inv/order_of/contains; the odd-p ones add with the
+# mul and the table-free pow/inv/contains; the odd-p ones add with the
 # digit loop, GF(1031^2) at m = 2.
 LARGE_FIELDS = [(2, 21), (3, 13), (1031, 2)]
 
@@ -594,17 +624,17 @@ def test_table_free_primitive_element_is_smallest_by_cofactors(p, m):
     assert all(poly_pow_index(f, g, e) != 1 for e in cofactors)
     for a in range(1, g):
         assert any(poly_pow_index(f, a, e) == 1 for e in cofactors)
-    assert f.order_of(g) == f.q - 1
+    assert order_of(f, g) == f.q - 1
 
 
 @pytest.mark.parametrize("p,m", LARGE_FIELDS)
 def test_table_free_order_and_subfields(p, m):
     f = field_create(p, m)
     rng = random.Random(307 + p)
-    assert f.order_of(1) == 1
+    assert order_of(f, 1) == 1
     for _ in range(10):
         a = rng.randrange(1, f.q)
-        order = f.order_of(a)
+        order = order_of(f, a)
         assert (f.q - 1) % order == 0
         assert poly_pow_index(f, a, order) == 1
         assert all(poly_pow_index(f, a, order // r) != 1 for r in prime_factors(order))
@@ -616,7 +646,7 @@ def test_table_free_order_and_subfields(p, m):
         assert all(view.contains(a) for a in members)
         for a in (rng.randrange(f.q) for _ in range(20)):
             assert view.contains(a) == (poly_pow_index(f, a, view.order) == a)
-        assert f.order_of(view.primitive_element().index) == view.order - 1
+        assert order_of(f, view.primitive_element().index) == view.order - 1
 
 
 # --- multiplicative subgroups -------------------------------------------------

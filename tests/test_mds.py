@@ -521,7 +521,6 @@ def test_distance_budget_exceeded_on_non_mds_code():
     result = min_distance(m, budget=1000)
     assert result.value is None
     assert result.method == "budget-exceeded"
-    assert result.budget_exceeded
     # A repeated row has rank below k, so some nonzero message encodes to zero.
     repeated = Matrix(f, [pts, pts, squares])
     assert min_distance(repeated, budget=1000) == DistanceResult(0, "minors")

@@ -1,5 +1,8 @@
-"""The package's public names: its imports, listed once."""
+"""The package's public names: its imports, listed once, each used."""
 
+import ast
+from collections import Counter
+from pathlib import Path
 from types import ModuleType
 
 import rctrs
@@ -13,3 +16,54 @@ def test_all_lists_every_public_name_that_is_not_a_module():
     assert sorted(rctrs.__all__) == sorted(public)
     assert all(hasattr(rctrs, name) for name in rctrs.__all__)
 
+
+# Definitions that nothing else in src/rctrs names, and why each stays.
+KEPT = {
+    "num_columns": "public API: the length of the code a spec describes; read by perfbench",
+    "encode": "public API: a message times the generator matrix",
+    "corollary_witness_codes": "public API: one witness code per corollary length",
+    "element": "public API: the FieldElement view of an index or coefficient vector",
+    "elements": "public API: every element of a field, as FieldElements",
+    "det": "public API; read by perfbench",
+    "rref": "public API; read by perfbench",
+    "null_space": "public API: the right kernel of a matrix",
+    "colex_subsets": "public API: the order of the minor scan; read by perfbench",
+    "schur_vec": "public API: the componentwise product of two vectors",
+}
+
+
+def _names(node: ast.AST) -> Counter:
+    """How often each identifier is named under node: loaded or stored
+    names, attribute names and imported names."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name] += 1
+    return out
+
+
+def test_every_definition_in_src_is_used_in_src_or_kept():
+    """src/rctrs holds what the library runs: each non-dunder function,
+    class and method is named in src/rctrs outside its own definition
+    (__init__.py's re-exports do not count), or is on KEPT."""
+    src = Path(__file__).resolve().parent.parent / "src" / "rctrs"
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
+    named = sum((_names(tree) for tree in trees), Counter())
+    unused = set()
+    for tree in trees:
+        for node in tree.body:
+            defs = [node]
+            if isinstance(node, ast.ClassDef):
+                defs += node.body
+            for d in defs:
+                if not isinstance(d, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                if d.name.startswith("__") and d.name.endswith("__"):
+                    continue
+                if named[d.name] == _names(d)[d.name]:
+                    unused.add(d.name)
+    assert unused == set(KEPT)

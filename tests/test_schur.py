@@ -5,20 +5,25 @@ import random
 import pytest
 
 from rctrs.codes import CodeFamily, CodeSpec, generator_matrix
-from rctrs.errors import LengthMismatchError, SizeMismatchError
+from rctrs.errors import LengthMismatchError
 from rctrs.gf import field_create
-from rctrs.linalg import Matrix, row_space_equal
+from rctrs.linalg import Matrix
 from rctrs.mds import MdsVerdict, check_mds, mds_by_minors
 from rctrs.schur import (
-    Isometry,
-    apply_isometry,
     ctrs_distinguisher,
     is_non_rs,
-    random_isometry,
     schur_report,
     schur_square_dim,
     schur_square_rows,
     schur_vec,
+)
+
+from oracles import (
+    Isometry,
+    SizeMismatchError,
+    apply_isometry,
+    random_isometry,
+    row_space_equal,
 )
 
 F13 = field_create(13)

@@ -119,7 +119,7 @@ def test_missing_lines_rejected():
 
 
 def test_bad_values_rejected():
-    with pytest.raises(ParseError, match="extended must be 0 or 1"):
+    with pytest.raises(ParseError, match="^line 7: extended must be 0 or 1$"):
         codespec_from_text(SAMPLE.replace("extended 0", "extended 2"))
     with pytest.raises(ParseError, match="needs an integer"):
         codespec_from_text(SAMPLE.replace("k 4", "k four"))
