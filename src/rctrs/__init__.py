@@ -6,99 +6,110 @@ the MDS property (exhaustive minors and closed-form criteria), computes
 Schur-square dimensions, and runs the distinguishers that separate the
 constructed codes from RS and column-twisted RS codes.  Everything is
 integer arithmetic on element indices; no floating point anywhere.
+
+`import rctrs` loads no submodule.  Each public name, and each submodule
+(`rctrs.gf`, `rctrs.mds`, ...), is imported on first access through the
+module __getattr__ (PEP 562), so a command that only inspects a field
+loads `gf` and `errors` and nothing else.
 """
 
-from types import ModuleType as _ModuleType
-
-from .errors import (
-    DegenerateBCError,
-    DegreeMismatchError,
-    FieldMismatchError,
-    HookOutOfRangeError,
-    InvalidSpecError,
-    LengthMismatchError,
-    MembershipViolationError,
-    MethodDisagreementError,
-    NotADivisorError,
-    NotPrimeError,
-    NotSquareError,
-    OrderDoesNotDivideError,
-    ParseError,
-    ReducibleError,
-    UnsupportedExtendedGeneralHError,
-    WrongHookTwistError,
-)
-from .gf import (
-    Field,
-    FieldElement,
-    MultiplicativeSubgroup,
-    SubfieldView,
-    field_create,
-    is_prime,
-    prime_factors,
-    subgroup_of_order,
-)
-from .linalg import (
-    Matrix,
-    det,
-    matrix_from_text,
-    matrix_to_text,
-    null_space,
-    rank,
-    rref,
-)
-from .codes import (
-    CodeFamily,
-    CodeSpec,
-    GeneratorMatrix,
-    encode,
-    generator_matrix,
-    twist_space_basis,
-)
-from .mds import (
-    DEFAULT_DISTANCE_BUDGET,
-    DistanceResult,
-    MdsVerdict,
-    check_mds,
-    closed_form_for,
-    colex_subsets,
-    mds_by_minors,
-    mds_closed_form_general,
-    mds_closed_form_h0,
-    mds_closed_form_hk1,
-    min_distance,
-)
-from .schur import (
-    SchurReport,
-    ctrs_distinguisher,
-    is_non_rs,
-    schur_report,
-    schur_square_dim,
-    schur_square_rows,
-    schur_vec,
-)
-from .construct import (
-    ConstructedCode,
-    SubgroupConstructionParams,
-    build_subfield_chain_code,
-    build_subgroup_code,
-    corollary_lengths,
-    corollary_witness_codes,
-    subgroup_eval_points,
-)
-from .specfile import (
-    codespec_from_text,
-    codespec_read,
-    codespec_to_text,
-)
-from .report import BUDGET_ENV_VAR, AnalysisReport, analyze, distance_budget
-from .golden import GOLDEN_KEYS, GoldenCase, check_case, golden_cases
+from importlib import import_module as _import_module
 
 __version__ = "1.0.0"
 
-# The imports above are the public names: every public global that is not
-# a submodule.
-__all__ = sorted(
-    name for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _ModuleType)
-)
+# The worked examples in golden, in order.  The keys are kept here so that
+# the command-line parser offers them without importing the examples.
+GOLDEN_KEYS = ("7_4", "23_2", "17", "29_2")
+
+# The public names, by the submodule that exports them.
+_PUBLIC = {
+    "errors": (
+        "DegenerateBCError",
+        "DegreeMismatchError",
+        "FieldMismatchError",
+        "HookOutOfRangeError",
+        "InvalidSpecError",
+        "LengthMismatchError",
+        "MembershipViolationError",
+        "MethodDisagreementError",
+        "NotADivisorError",
+        "NotPrimeError",
+        "NotSquareError",
+        "OrderDoesNotDivideError",
+        "ParseError",
+        "ReducibleError",
+        "UnsupportedExtendedGeneralHError",
+        "WrongHookTwistError",
+    ),
+    "gf": (
+        "Field",
+        "FieldElement",
+        "MultiplicativeSubgroup",
+        "SubfieldView",
+        "field_create",
+        "is_prime",
+        "prime_factors",
+        "subgroup_of_order",
+    ),
+    "linalg": ("Matrix", "det", "matrix_from_text", "matrix_to_text", "null_space", "rank", "rref"),
+    "codes": (
+        "CodeFamily",
+        "CodeSpec",
+        "GeneratorMatrix",
+        "encode",
+        "generator_matrix",
+        "twist_space_basis",
+    ),
+    "mds": (
+        "DEFAULT_DISTANCE_BUDGET",
+        "DistanceResult",
+        "MdsVerdict",
+        "check_mds",
+        "closed_form_for",
+        "colex_subsets",
+        "mds_by_minors",
+        "mds_closed_form_general",
+        "mds_closed_form_h0",
+        "mds_closed_form_hk1",
+        "min_distance",
+    ),
+    "schur": (
+        "SchurReport",
+        "ctrs_distinguisher",
+        "is_non_rs",
+        "schur_report",
+        "schur_square_dim",
+        "schur_square_rows",
+        "schur_vec",
+    ),
+    "construct": (
+        "ConstructedCode",
+        "SubgroupConstructionParams",
+        "build_subfield_chain_code",
+        "build_subgroup_code",
+        "corollary_lengths",
+        "corollary_witness_codes",
+        "subgroup_eval_points",
+    ),
+    "specfile": ("codespec_from_text", "codespec_read", "codespec_to_text"),
+    "report": ("BUDGET_ENV_VAR", "AnalysisReport", "analyze", "distance_budget"),
+    "golden": ("GOLDEN_KEYS", "GoldenCase", "check_case", "golden_cases"),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _PUBLIC:
+        return _import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_PUBLIC})

@@ -5,6 +5,10 @@ constructions, MDS checks, Schur-square analysis, distance computation,
 the RS/CTRS distinguishers, file export/import, and a reproduction
 harness for the built-in worked examples.
 
+Each run is a fresh process, so the library is imported per subcommand:
+field-info loads gf and errors only, check-mds adds specfile, codes,
+linalg and mds, and only reproduce loads the worked examples.
+
 Exit codes: 0 on success, 1 on analysis failure (a reproduction
 mismatch, a method disagreement, or an --expect gate that does not
 hold), 2 on usage, parse or validation errors.
@@ -14,22 +18,39 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 from pathlib import Path
 
-from .codes import generator_matrix
+from . import GOLDEN_KEYS
 from .errors import MethodDisagreementError
-from .gf import Field
-from .golden import GOLDEN_KEYS, check_case, golden_cases
-from .linalg import matrix_from_text, matrix_to_text, rank
-from .mds import check_mds, min_distance
-from .report import analyze, distance_budget
-from .schur import schur_report, tri
-from .specfile import codespec_from_text, codespec_read, codespec_to_text
-from .construct import (
-    SubgroupConstructionParams,
-    build_subfield_chain_code,
-    build_subgroup_code,
-)
+
+# The library names the commands call, by defining module.  The module
+# __getattr__ below imports each one on first use, so a subcommand loads only
+# the modules it calls (field-info: gf).  The commands look the names up on
+# _cli, this module, so a replacement set as its attribute (a tracing wrapper)
+# is the one they call.
+_USES = {
+    "codes": ("generator_matrix",),
+    "construct": ("SubgroupConstructionParams", "build_subfield_chain_code", "build_subgroup_code"),
+    "gf": ("Field",),
+    "golden": ("check_case", "golden_cases"),
+    "linalg": ("matrix_from_text", "matrix_to_text", "rank"),
+    "mds": ("check_mds", "min_distance"),
+    "report": ("analyze", "distance_budget"),
+    "schur": ("schur_report", "tri"),
+    "specfile": ("codespec_from_text", "codespec_read", "codespec_to_text"),
+}
+_MODULE_OF = {name: module for module, names in _USES.items() for name in names}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __package__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -52,11 +73,11 @@ def _emit_constructed(code, out: str | None) -> None:
     lines = [f"# construction {code.construction}"]
     lines.extend(f"# guarantee {p}" for p in code.provenance())
     lines.extend(f"# warning {w}" for w in code.warnings)
-    _emit("\n".join(lines) + "\n" + codespec_to_text(code.spec), out)
+    _emit("\n".join(lines) + "\n" + _cli.codespec_to_text(code.spec), out)
 
 
 def cmd_field_info(args) -> int:
-    f = Field.from_descriptor(args.field)
+    f = _cli.Field.from_descriptor(args.field)
     g = f.primitive_element()
     print(f"field={f.descriptor()}")
     print(f"p={f.p}")
@@ -72,8 +93,8 @@ def cmd_field_info(args) -> int:
 
 
 def cmd_construct_subfield_chain(args) -> int:
-    f = Field.from_descriptor(args.field)
-    code = build_subfield_chain_code(
+    f = _cli.Field.from_descriptor(args.field)
+    code = _cli.build_subfield_chain_code(
         f, args.q0_degree, args.q1_degree, args.alphas,
         args.b, args.c, args.lam, args.eta, args.k, extended=args.extended,
     )
@@ -82,23 +103,23 @@ def cmd_construct_subfield_chain(args) -> int:
 
 
 def cmd_construct_subgroup(args) -> int:
-    f = Field.from_descriptor(args.field)
-    params = SubgroupConstructionParams(
+    f = _cli.Field.from_descriptor(args.field)
+    params = _cli.SubgroupConstructionParams(
         f, args.subfield_degree, args.order, args.b, args.c,
         args.lam, args.eta, h=args.hook, k=args.k, extended=args.extended,
     )
-    code = build_subgroup_code(params, unguaranteed=args.unguaranteed)
+    code = _cli.build_subgroup_code(params, unguaranteed=args.unguaranteed)
     _emit_constructed(code, args.output)
     return 0
 
 
 def cmd_check_mds(args) -> int:
-    spec = codespec_read(args.spec)
-    gen = generator_matrix(spec)
-    verdict = check_mds(spec, method=args.method, gen=gen)
+    spec = _cli.codespec_read(args.spec)
+    gen = _cli.generator_matrix(spec)
+    verdict = _cli.check_mds(spec, method=args.method, gen=gen)
     print(verdict.render())
     if args.verbose:
-        sys.stdout.write(matrix_to_text(gen.matrix))
+        sys.stdout.write(_cli.matrix_to_text(gen.matrix))
     if args.expect is not None and verdict.is_mds != (args.expect == "true"):
         print(f"error: expected mds={args.expect}", file=sys.stderr)
         return 1
@@ -106,31 +127,31 @@ def cmd_check_mds(args) -> int:
 
 
 def cmd_schur_dim(args) -> int:
-    spec = codespec_read(args.spec)
-    gen = generator_matrix(spec)
-    verdict = check_mds(spec, gen=gen)
-    print(schur_report(gen, verdict).render())
+    spec = _cli.codespec_read(args.spec)
+    gen = _cli.generator_matrix(spec)
+    verdict = _cli.check_mds(spec, gen=gen)
+    print(_cli.schur_report(gen, verdict).render())
     return 0
 
 
 def cmd_distance(args) -> int:
-    spec = codespec_read(args.spec)
-    gen = generator_matrix(spec)
-    result = min_distance(gen, distance_budget(args.budget))
+    spec = _cli.codespec_read(args.spec)
+    gen = _cli.generator_matrix(spec)
+    result = _cli.min_distance(gen, _cli.distance_budget(args.budget))
     print(result.render(gen.ncols - gen.nrows + 1))
     return 0
 
 
 def cmd_distinguish(args) -> int:
-    spec = codespec_read(args.spec)
-    gen = generator_matrix(spec)
-    verdict = check_mds(spec, gen=gen)
-    rep = schur_report(gen, verdict)
+    spec = _cli.codespec_read(args.spec)
+    gen = _cli.generator_matrix(spec)
+    verdict = _cli.check_mds(spec, gen=gen)
+    rep = _cli.schur_report(gen, verdict)
     print(f"schur_dim={rep.dim}")
     if args.target == "rs":
-        print(f"non_rs={tri(rep.non_rs)}")
+        print(f"non_rs={_cli.tri(rep.non_rs)}")
     else:
-        print(f"ctrs_incompatible={tri(rep.ctrs_incompatible)}")
+        print(f"ctrs_incompatible={_cli.tri(rep.ctrs_incompatible)}")
     return 0
 
 
@@ -139,14 +160,14 @@ def cmd_reproduce(args) -> int:
     failures = 0
     total = 0
     for key in keys:
-        for case in golden_cases(key):
+        for case in _cli.golden_cases(key):
             total += 1
-            report, problems = check_case(case)
+            report, problems = _cli.check_case(case)
             print(f"example={case.label}")
             for line in report.lines():
                 print(line)
             if args.verbose:
-                sys.stdout.write(matrix_to_text(generator_matrix(case.code.spec).matrix))
+                sys.stdout.write(_cli.matrix_to_text(_cli.generator_matrix(case.code.spec).matrix))
             for problem in problems:
                 print(f"mismatch={problem}")
             print(f"result={'PASS' if not problems else 'FAIL'}")
@@ -157,11 +178,11 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_export(args) -> int:
-    spec = codespec_read(args.spec)
+    spec = _cli.codespec_read(args.spec)
     if args.format == "matrix":
-        text = matrix_to_text(generator_matrix(spec).matrix)
+        text = _cli.matrix_to_text(_cli.generator_matrix(spec).matrix)
     else:
-        text = codespec_to_text(spec)
+        text = _cli.codespec_to_text(spec)
     _emit(text, args.output)
     return 0
 
@@ -173,20 +194,20 @@ def cmd_import(args) -> int:
         "",
     )
     if first.startswith("field"):
-        spec = codespec_from_text(text)
+        spec = _cli.codespec_from_text(text)
         print("kind=codespec")
-        sys.stdout.write(codespec_to_text(spec))
+        sys.stdout.write(_cli.codespec_to_text(spec))
     else:
-        m = matrix_from_text(text)
+        m = _cli.matrix_from_text(text)
         print("kind=matrix")
         print(f"field={m.field.descriptor()}")
-        print(f"rows={m.nrows} cols={m.ncols} rank={rank(m)}")
+        print(f"rows={m.nrows} cols={m.ncols} rank={_cli.rank(m)}")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    spec = codespec_read(args.spec)
-    report = analyze(spec, method=args.method, budget=args.budget)
+    spec = _cli.codespec_read(args.spec)
+    report = _cli.analyze(spec, method=args.method, budget=args.budget)
     sys.stdout.write(report.render())
     return 0
 

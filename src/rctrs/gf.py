@@ -20,12 +20,16 @@ and x^(p^(m/r)) - x is prime to f for each prime r dividing m.
 Arithmetic depends on the shape of the field:
 
 * Prime fields (m = 1) compute modulo p.
-* Extensions with m > 1 and q <= 2^20 build exp/log tables, so
-  multiplication and inversion are table lookups.  The tables come from
-  one walk over the powers of the primitive element; each step
-  multiplies by it on a packed index, one digit per bit lane, with two
-  lookups of precomputed half-index products, one integer add and a
-  lane-wise reduction mod p (for p = 2, one XOR).
+* Extensions with m > 1 and q <= 2^20 get exp/log tables, so
+  multiplication and inversion are table lookups.  The tables are built
+  on first arithmetic, not by the constructor: the first read of add,
+  sub, neg, mul or inv binds all five.  Until then pow, the generator
+  search, primitive_element and subfield membership take the table-free
+  path, with the same results.  The tables come from one walk over the
+  powers of the primitive element; each step multiplies by it on a
+  packed index, one digit per bit lane, with two lookups of precomputed
+  half-index products, one integer add and a lane-wise reduction mod p
+  (for p = 2, one XOR).
 * Larger extensions multiply polynomials modulo f and invert by powering.
 
 Addition has four shapes.  Prime fields add modulo p.  For p = 2 and
@@ -35,8 +39,9 @@ of q - 1 entries (about 0.5 MB at GF(3^10)), with -1 = g^((q-1)/2).
 Odd p without tables add digit by digit on the index.  The primitive
 element is the smallest index g with g^((q-1)/r) != 1 for every prime r
 dividing q - 1; one search finds it for every shape, and the tables are
-built from it.  For m > 1 the search starts at index p, past the
-constants of GF(p), none of which can generate.
+built from it, reusing it when primitive_element has already found it.
+For m > 1 the search starts at index p, past the constants of GF(p),
+none of which can generate.
 
 Fields of order above 2^64 (_FIELD_LIMIT) are rejected with a
 DegreeMismatchError, before p^m is computed or p is tested for primality.
@@ -284,11 +289,33 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
+class _Arithmetic:
+    """One of a Field's add, sub, neg, mul and inv before its first read.
+
+    That read binds all five in the instance dict, with the tables where
+    the field has them, and the dict entries then shadow this non-data
+    descriptor.  The other attributes stay slots, whose reads CPython
+    specializes; a class __getattr__ would cost every read of them.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, field, owner=None):
+        if field is None:
+            return self
+        field._bind_ops()
+        if field.m > 1 and field.q <= _TABLE_LIMIT:
+            field._build_tables()
+        return field.__dict__[self.name]
+
+
 class Field:
     """GF(p^m) with index-based arithmetic.
 
     The scalar methods (add, sub, mul, ...) operate on integer element
     indices and are the workhorse API for the linear algebra layer.
+    They are bound, and the tables built, on first read.
     Use element() / elements() for the wrapped FieldElement view.
     """
 
@@ -297,11 +324,7 @@ class Field:
         "m",
         "q",
         "modulus",
-        "add",
-        "sub",
-        "neg",
-        "mul",
-        "inv",
+        "__dict__",  # add, sub, neg, mul and inv, once bound
         "_exp",
         "_log",
         "_gen",
@@ -336,9 +359,12 @@ class Field:
         self._log: list[int] | None = None
         self._gen: int | None = None
         self._factors_qm1: list[int] | None = None
-        self._bind_ops()
-        if m > 1 and self.q <= _TABLE_LIMIT:
-            self._build_tables()
+
+    add = _Arithmetic()
+    sub = _Arithmetic()
+    neg = _Arithmetic()
+    mul = _Arithmetic()
+    inv = _Arithmetic()
 
     # -- construction helpers -------------------------------------------------
 
@@ -364,11 +390,9 @@ class Field:
 
     def _build_tables(self) -> None:
         p, qm1 = self.p, self.q - 1
-        gen = self._find_generator()
-        exp, log = self._walk_powers(gen)
+        exp, log = self._walk_powers(self.primitive_element().index)
         self._exp = exp
         self._log = log
-        self._gen = gen
 
         def mul(a: int, b: int) -> int:
             if a == 0 or b == 0:
@@ -524,7 +548,11 @@ class Field:
     # -- scalar API ------------------------------------------------------------
 
     def pow(self, a: int, e: int) -> int:
-        """a raised to an arbitrary integer exponent, on indices."""
+        """a raised to an arbitrary integer exponent, on indices.
+
+        Reads the tables once they exist and builds none: a nonzero a has
+        a^e = a^(e mod (q - 1)), so a negative e needs no inverse.
+        """
         if a == 0:
             if e == 0:
                 return 1
@@ -535,10 +563,9 @@ class Field:
             return self._exp[self._log[a] * e % (self.q - 1)]
         if self.m == 1:
             return pow(a, e, self.p)
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        return self.index_from_coeffs(_poly_powmod(self.coeffs_of(a), e, self.modulus, self.p))
+        return self.index_from_coeffs(
+            _poly_powmod(self.coeffs_of(a), e % (self.q - 1), self.modulus, self.p)
+        )
 
     def coeffs_of(self, idx: int) -> tuple[int, ...]:
         """Little-endian coefficient vector of length m."""

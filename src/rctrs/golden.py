@@ -2,10 +2,12 @@
 
 EXAMPLES holds each example's recipe inputs (default moduli,
 smallest-index primitive elements) and the values computed once and
-frozen.  golden_cases builds the examples through the public
-construction API; check_case analyzes one and compares each frozen
-value.  The reproduce CLI command and the acceptance tests both run
-through this module, so there is a single source of truth.
+frozen; the package's GOLDEN_KEYS names them, so that the command-line
+parser can list them without importing this module.  golden_cases
+builds the examples through the public construction API; check_case
+analyzes one and compares each frozen value.  The reproduce CLI command
+and the acceptance tests both run through this module, so there is a
+single source of truth.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from . import GOLDEN_KEYS
 from .construct import (
     SUBFIELD_CHAIN,
     SUBGROUP,
@@ -65,42 +68,42 @@ class Example(NamedTuple):
     unguaranteed: bool = False
 
 
-EXAMPLES = {
-    # F_7 inside F_49 inside GF(7^4), hook 0
-    "7_4": Example(
+# GOLDEN_KEYS names these examples, in order.
+EXAMPLES = dict(zip(GOLDEN_KEYS, (
+    # 7_4: F_7 inside F_49 inside GF(7^4), hook 0
+    Example(
         (7, 4), SUBFIELD_CHAIN,
         dict(q0_degree=1, q1_degree=2, alphas=(0, 1, 2, 3, 4, 5), b=6, c=5,
              lam=Primitive(2), eta=Primitive(4), k=3),
         frozenset(range(6)),
         ((7, 3, 5, "minors", 6, True, False), (8, 3, 6, "minors", 6, True, False)),
     ),
-    # the order-11 subgroup of F_23*, hook 0
-    "23_2": Example(
+    # 23_2: the order-11 subgroup of F_23*, hook 0
+    Example(
         (23, 2), SUBGROUP,
         dict(base_subfield_degree=1, group_order=11, b=12, c=7, lam=5,
              eta=Primitive(2), h=0, k=4),
         frozenset({2, 3, 4, 6, 13, 15, 16, 17, 20, 22}),
         ((11, 4, 8, "minors", 9, True, True), (12, 4, 9, "minors", 10, True, False)),
     ),
-    # the order-8 subgroup of F_17*, hook 0; eta lies in F_17*, outside the
+    # 17: the order-8 subgroup of F_17*, hook 0; eta lies in F_17*, outside the
     # recipe, so the build is unguaranteed and the analyzers decide
-    "17": Example(
+    Example(
         (17, 1), SUBGROUP,
         dict(base_subfield_degree=1, group_order=8, b=1, c=2, lam=10, eta=4, h=0, k=4),
         frozenset({0, 3, 7, 8, 10, 12, 13}),
         ((8, 4, 5, "enumeration", 8, True, None),),
         unguaranteed=True,
     ),
-    # the order-14 subgroup of F_29*, hook k-1
-    "29_2": Example(
+    # 29_2: the order-14 subgroup of F_29*, hook k-1
+    Example(
         (29, 2), SUBGROUP,
         dict(base_subfield_degree=1, group_order=14, b=12, c=7, lam=15,
              eta=Primitive(2), h=3, k=4),
         frozenset({3, 4, 6, 8, 9, 10, 11, 13, 15, 16, 22, 24, 26}),
         ((14, 4, 11, "minors", 9, True, True), (15, 4, 12, "minors", 9, True, True)),
     ),
-}
-GOLDEN_KEYS = tuple(EXAMPLES)
+), strict=True))
 
 
 def golden_cases(key: str) -> list[GoldenCase]:

@@ -1,9 +1,14 @@
 """End-to-end command-line checks: output contracts and exit codes."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import rctrs
 from rctrs.cli import main
 from rctrs.specfile import codespec_from_text
 
@@ -315,3 +320,64 @@ def test_method_disagreement_exits_1(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith(
         "error: minor oracle says mds=True but closed_form_h0 says mds=False"
     )
+
+
+# A fresh process runs the command, then lists the rctrs modules it loaded.
+_COLD = """
+import sys
+from rctrs.cli import main
+code = main(sys.argv[1:])
+print("loaded=" + ",".join(sorted(m for m in sys.modules if m.split(".")[0] == "rctrs")))
+sys.exit(code)
+"""
+_SRC = str(Path(rctrs.__file__).resolve().parent.parent)
+_BASE = {"rctrs", "rctrs.cli", "rctrs.errors", "rctrs.gf"}
+_SPEC = _BASE | {"rctrs.specfile", "rctrs.codes", "rctrs.linalg", "rctrs.mds"}
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["field-info", "3^10"], _BASE),
+    (["check-mds", "{spec}"], _SPEC),
+    (["distinguish", "{spec}", "--target", "rs"], _SPEC | {"rctrs.schur"}),
+    (["analyze", "{spec}"], _SPEC | {"rctrs.schur", "rctrs.construct", "rctrs.report"}),
+    (["reproduce", "--example", "17"], _SPEC - {"rctrs.specfile"}
+     | {"rctrs.schur", "rctrs.construct", "rctrs.report", "rctrs.golden"}),
+])
+def test_each_subcommand_loads_only_the_modules_it_uses(tmp_path, capsys, argv, loaded):
+    argv = [a.format(spec=write_spec(tmp_path, SPEC_17)) for a in argv]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _COLD, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+    out, _, modules = proc.stdout.rpartition("loaded=")
+    assert proc.returncode == 0, proc.stderr
+    assert set(modules.split()[0].split(",")) == loaded
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_commands_call_the_library_through_the_cli_module(tmp_path, capsys, monkeypatch):
+    """A replacement set as an attribute of rctrs.cli, such as a tracing
+    wrapper, is the function the commands call."""
+    import rctrs.cli as cli
+
+    spec = write_spec(tmp_path, SPEC_17)
+    names = ("generator_matrix", "check_mds", "min_distance", "schur_report", "analyze",
+             "codespec_from_text", "check_case")
+    calls = set()
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls.add(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    for argv, called in (
+        (["check-mds", spec], {"generator_matrix", "check_mds"}),
+        (["distance", spec], {"generator_matrix", "min_distance"}),
+        (["distinguish", spec, "--target", "rs"], {"generator_matrix", "check_mds", "schur_report"}),
+        (["analyze", spec], {"analyze"}),
+        (["import", spec], {"codespec_from_text"}),
+        (["reproduce", "--example", "17"], {"check_case"}),
+    ):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == called, argv
+    capsys.readouterr()

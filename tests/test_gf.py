@@ -523,6 +523,7 @@ FAST_ADD_FIELDS = [
 @pytest.mark.parametrize("p,m", FAST_ADD_FIELDS)
 def test_fast_add_sub_neg_match_digit_loops(p, m):
     f = field_create(p, m)
+    f.add(1, 1)  # the first arithmetic binds the ops and builds the tables
     if p == 2:
         assert f.add is operator.xor and f.sub is operator.xor
     else:
@@ -573,10 +574,61 @@ TABLE_FIELDS = [
 def test_packed_table_build_matches_polynomial_walk(descriptor):
     f = Field.from_descriptor(descriptor)
     exp, log = walked_tables(f)
+    f.mul(1, 1)  # the tables are built on first arithmetic
     assert f._exp == exp
     assert f._log == log
     if "/" in descriptor:
         assert f.primitive_element().index != f.p  # the generator is not x
+
+
+# --- tables built on first arithmetic ----------------------------------------
+
+LAZY_FIELDS = ["3^10", "2^8", "31^2", "7^4", "5^6", "2^4/1,1,1,1,1"]
+
+
+@pytest.mark.parametrize("descriptor", LAZY_FIELDS)
+def test_field_inspection_builds_no_tables(descriptor, monkeypatch):
+    f = Field.from_descriptor(descriptor)
+    g = f.primitive_element().index
+    views = [f.subfield(d) for d in range(1, f.m + 1) if f.m % d == 0]
+    sub_gens = [v.primitive_element().index for v in views]
+    rng = random.Random(f"lazy:{descriptor}")
+    sample = [0, 1, g, *sub_gens, *(rng.randrange(f.q) for _ in range(50))]
+    members = [[v.contains(a) for a in sample] for v in views]
+    assert f._log is None and f._exp is None
+    with monkeypatch.context() as patch:
+        patch.setattr(Field, "_find_generator", lambda self: pytest.fail("second generator search"))
+        f.mul(1, 1)  # the tables reuse the generator found above
+    assert f._log is not None
+    assert f.primitive_element().index == g
+    assert [v.primitive_element().index for v in views] == sub_gens
+    assert [[v.contains(a) for a in sample] for v in views] == members
+    subfields = [set(v.element_indices()) for v in views]
+    assert members == [[a in sub for a in sample] for sub in subfields]
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+@pytest.mark.parametrize("descriptor", ["3^10", "2^8", "31^2", "5^3/1,0,1,1"])
+def test_first_arithmetic_builds_the_walked_tables(descriptor, op):
+    f = Field.from_descriptor(descriptor)
+    assert f._log is None
+    getattr(f, op)(1, 1)  # no generator search before this one
+    assert f._log is not None
+    assert (f._exp, f._log) == walked_tables(f)
+
+
+@pytest.mark.parametrize("p,m", [(17, 1), (31, 2), (7, 4), (2, 8)])
+def test_pow_is_the_same_before_and_after_the_tables(p, m):
+    f = Field(p, m)
+    rng = random.Random(f"pow:{p}^{m}")
+    cases = [(a, e) for a in (1, 2, f.q - 1) for e in (0, 1, -1, f.q - 1, f.q - 2, -f.q)]
+    cases += [(rng.randrange(1, f.q), rng.randrange(-3 * f.q, 3 * f.q)) for _ in range(300)]
+    before = [f.pow(a, e) for a, e in cases]
+    assert f._log is None
+    f.inv(1)
+    assert (f._log is not None) == (m > 1)
+    assert [f.pow(a, e) for a, e in cases] == before
+    assert before == [poly_pow_index(f, a, e % (f.q - 1)) for a, e in cases]
 
 
 # --- fields above the table limit ---------------------------------------------
