@@ -7,13 +7,15 @@ Schur-square dimensions, and runs the distinguishers that separate the
 constructed codes from RS and column-twisted RS codes.  Everything is
 integer arithmetic on element indices; no floating point anywhere.
 
-`import rctrs` loads no submodule.  Each public name, and each submodule
-(`rctrs.gf`, `rctrs.mds`, ...), is imported on first access through the
-module __getattr__ (PEP 562), so a command that only inspects a field
-loads `gf` and `errors` and nothing else.
+`import rctrs` loads no submodule.  _PUBLIC is the one table of which
+submodule defines each public name, and the command line resolves its
+names through it.  The module __getattr__ (PEP 562) imports a submodule
+on first access to it or to one of its names, by the import statement's
+path, so `python -X importtime` lists it; a command that only inspects
+a field loads `gf` and `errors` and nothing else.
 """
 
-from importlib import import_module as _import_module
+import sys as _sys
 
 __version__ = "1.0.0"
 
@@ -101,13 +103,13 @@ __all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name in _PUBLIC:
-        return _import_module(f".{name}", __name__)
-    module = _MODULE_OF.get(name)
+    module = name if name in _PUBLIC else _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_import_module(f".{module}", __name__), name)
-    globals()[name] = value  # later lookups skip this hook
+    __import__(f"{__name__}.{module}")
+    value = _sys.modules[f"{__name__}.{module}"]
+    if name != module:
+        value = globals()[name] = getattr(value, name)  # later lookups skip this hook
     return value
 
 

@@ -7,7 +7,10 @@ harness for the built-in worked examples.
 
 Each run is a fresh process, so the library is imported per subcommand:
 field-info loads gf and errors only, check-mds adds specfile, codes,
-linalg and mds, and only reproduce loads the worked examples.
+linalg and mds, and only reproduce loads the worked examples.  The
+commands call each library name as an attribute of _cli, this module,
+which resolves it through the package on first use, so a replacement
+set here (a tracing wrapper) is the one called.
 
 Exit codes: 0 on success, 1 on analysis failure (a reproduction
 mismatch, a method disagreement, or an --expect gate that does not
@@ -18,38 +21,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import import_module
 from pathlib import Path
 
 from . import GOLDEN_KEYS
 from .errors import MethodDisagreementError
 
-# The library names the commands call, by defining module.  The module
-# __getattr__ below imports each one on first use, so a subcommand loads only
-# the modules it calls (field-info: gf).  The commands look the names up on
-# _cli, this module, so a replacement set as its attribute (a tracing wrapper)
-# is the one they call.
-_USES = {
-    "codes": ("generator_matrix",),
-    "construct": ("SubgroupConstructionParams", "build_subfield_chain_code", "build_subgroup_code"),
-    "gf": ("Field",),
-    "golden": ("check_case", "golden_cases"),
-    "linalg": ("matrix_from_text", "matrix_to_text", "rank"),
-    "mds": ("check_mds", "min_distance"),
-    "report": ("analyze", "distance_budget"),
-    "schur": ("schur_report", "tri"),
-    "specfile": ("codespec_from_text", "codespec_read", "codespec_to_text"),
-}
-_MODULE_OF = {name: module for module, names in _USES.items() for name in names}
 _cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    module = _MODULE_OF.get(name)
-    if module is None:
+    package = sys.modules[__package__]
+    if name.startswith("_") or name not in dir(package):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __package__), name)
-    globals()[name] = value  # later lookups skip this hook
+    value = globals()[name] = getattr(package, name)  # later lookups skip this hook
     return value
 
 
@@ -149,9 +133,9 @@ def cmd_distinguish(args) -> int:
     rep = _cli.schur_report(gen, verdict)
     print(f"schur_dim={rep.dim}")
     if args.target == "rs":
-        print(f"non_rs={_cli.tri(rep.non_rs)}")
+        print(f"non_rs={_cli.schur.tri(rep.non_rs)}")
     else:
-        print(f"ctrs_incompatible={_cli.tri(rep.ctrs_incompatible)}")
+        print(f"ctrs_incompatible={_cli.schur.tri(rep.ctrs_incompatible)}")
     return 0
 
 

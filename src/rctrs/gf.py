@@ -800,12 +800,11 @@ class MultiplicativeSubgroup:
     at the identity, as ambient field indices.
     """
 
-    __slots__ = ("field", "indices", "generator_index")
+    __slots__ = ("field", "indices")
 
-    def __init__(self, field: Field, indices: Sequence[int], generator_index: int):
+    def __init__(self, field: Field, indices: Sequence[int]):
         self.field = field
         self.indices = tuple(indices)
-        self.generator_index = generator_index
 
     @property
     def order(self) -> int:
@@ -833,4 +832,4 @@ def subgroup_of_order(view: SubfieldView, n: int) -> MultiplicativeSubgroup:
         indices.append(cur)
         cur = f.mul(cur, gen)
     assert len(indices) == n
-    return MultiplicativeSubgroup(f, indices, gen)
+    return MultiplicativeSubgroup(f, indices)

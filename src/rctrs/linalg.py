@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import NotSquareError, ParseError
-from .gf import ElementLike, Field, FieldElement, field_create
+from .gf import ElementLike, Field, FieldElement, _default_modulus, field_create
 
 
 class Matrix:
@@ -41,12 +41,6 @@ class Matrix:
         self.rows = grid
         self.nrows = len(grid)
         self.ncols = ncols
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.field, self.rows[i][j])
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i]
 
     def __eq__(self, other) -> bool:
         return (
@@ -200,28 +194,37 @@ def symmetric_tables(
 
 
 # ---------------------------------------------------------------------------
-# Plain text serialization: header "p m rows cols", then index rows.
+# Plain text serialization: header "p m rows cols", then index rows.  A field
+# whose modulus is not the default adds it to the header as in the field
+# descriptor, leading coefficient first: "p m rows cols c_m,...,c_0".
 
 
 def matrix_to_text(m: Matrix) -> str:
-    lines = [f"{m.field.p} {m.field.m} {m.nrows} {m.ncols}"]
+    f = m.field
+    modulus = "" if f.modulus == _default_modulus(f.p, f.m) else " " + f.descriptor().partition("/")[2]
+    lines = [f"{f.p} {f.m} {m.nrows} {m.ncols}{modulus}"]
     lines.extend(" ".join(str(x) for x in row) for row in m.rows)
     return "\n".join(lines) + "\n"
 
 
 def matrix_from_text(text: str, field: Field | None = None) -> Matrix:
-    """Parse matrix text; reconstructs the default field unless one is given."""
+    """Parse matrix text; reconstructs the header's field unless one is given."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ParseError("empty matrix text")
+    head = lines[0].split()
     try:
-        p, m, nrows, ncols = (int(tok) for tok in lines[0].split())
+        if len(head) not in (4, 5):
+            raise ValueError
+        p, m, nrows, ncols = (int(tok) for tok in head[:4])
+        modulus = [int(c) for c in reversed(head[4].split(","))] if len(head) == 5 else None
     except ValueError as exc:
         raise ParseError(f"bad matrix header {lines[0]!r}") from exc
+    named = field_create(p, m, modulus)
     if field is None:
-        field = field_create(p, m)
-    elif field.p != p or field.m != m:
-        raise ParseError(f"matrix header names GF({p}^{m}), got field {field!r}")
+        field = named
+    elif field != named:
+        raise ParseError(f"matrix header names field {named.descriptor()}, got {field.descriptor()}")
     if len(lines) - 1 != nrows:
         raise ParseError(f"expected {nrows} rows, found {len(lines) - 1}")
     rows = []

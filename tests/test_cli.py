@@ -214,6 +214,23 @@ def test_export_import_round_trip(tmp_path, capsys):
     assert "kind=codespec" in out and "family RCTRS" in out
 
 
+def test_matrix_file_keeps_a_non_default_modulus(tmp_path, capsys):
+    # x^2 + 2x + 2 is not the default modulus of GF(9); read with the
+    # default x^2 + 1, this matrix has rank 2.
+    path = write_spec(tmp_path, "field 3^2/1,2,2\nfamily GRS\nn 3\nk 3\nalphas 1,7,6\n")
+    assert main(["check-mds", path]) == 0
+    assert capsys.readouterr().out.startswith("mds=true")
+    matrix_path = tmp_path / "gen.matrix"
+    assert main(["export", path, "-o", str(matrix_path)]) == 0
+    assert matrix_path.read_text().splitlines()[0] == "3 2 3 3 1,2,2"
+    assert main(["import", str(matrix_path)]) == 0
+    assert capsys.readouterr().out == "kind=matrix\nfield=3^2/1,2,2\nrows=3 cols=3 rank=3\n"
+
+    matrix_path.write_text("3 2 1 1 1,0,2\n1\n")  # x^2 + 2 = (x + 1)(x + 2)
+    assert main(["import", str(matrix_path)]) == 2
+    assert "reducible" in capsys.readouterr().err
+
+
 def test_usage_and_validation_exit_codes(tmp_path, capsys):
     assert main([]) == 2
     capsys.readouterr()
@@ -323,6 +340,8 @@ def test_method_disagreement_exits_1(tmp_path, capsys, monkeypatch):
 
 
 # A fresh process runs the command, then lists the rctrs modules it loaded.
+# It runs under -X importtime, which must list the same modules: the lazy
+# imports go through the import statement's path, which it instruments.
 _COLD = """
 import sys
 from rctrs.cli import main
@@ -346,11 +365,14 @@ _SPEC = _BASE | {"rctrs.specfile", "rctrs.codes", "rctrs.linalg", "rctrs.mds"}
 def test_each_subcommand_loads_only_the_modules_it_uses(tmp_path, capsys, argv, loaded):
     argv = [a.format(spec=write_spec(tmp_path, SPEC_17)) for a in argv]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _COLD, *argv], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", _COLD, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
     out, _, modules = proc.stdout.rpartition("loaded=")
     assert proc.returncode == 0, proc.stderr
     assert set(modules.split()[0].split(",")) == loaded
+    timed = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    assert {m for m in timed if m.split(".")[0] == "rctrs"} == loaded
     assert main(argv) == 0
     assert capsys.readouterr().out == out
 
@@ -381,3 +403,8 @@ def test_commands_call_the_library_through_the_cli_module(tmp_path, capsys, monk
         assert main(argv) == 0
         assert calls == called, argv
     capsys.readouterr()
+    # Only library names resolve through the package: not its private or
+    # dunder names, which would make this module look like a package.
+    assert not hasattr(cli, "__path__") and not hasattr(cli, "_PUBLIC")
+    with pytest.raises(AttributeError, match="'rctrs.cli' has no attribute 'no_such_name'"):
+        cli.no_such_name

@@ -729,8 +729,10 @@ def test_subgroup_structure():
     for a in members:  # closure
         for b in members:
             assert mul(a, b) in members
-    assert brute_order(f, g.generator_index) == 11
-    assert 1 in g and g.generator_index in g and 0 not in g
+    generator = g.indices[1]
+    assert g.indices == tuple(f.pow(generator, i) for i in range(11))  # its powers, in order
+    assert brute_order(f, generator) == 11
+    assert 1 in g and generator in g and 0 not in g
 
 
 def test_subgroup_order_must_divide():

@@ -60,8 +60,8 @@ def cofactor_det(f, rows):
 def test_matrix_construction_and_access():
     m = Matrix(F7, [[1, 2, 3], [4, 5, 6]])
     assert (m.nrows, m.ncols) == (2, 3)
-    assert m.entry(1, 2) == 6
-    assert m.row(0) == (1, 2, 3)
+    assert m.rows[1][2] == 6
+    assert m.rows[0] == (1, 2, 3)
     assert transpose(m).rows == ((1, 4), (2, 5), (3, 6))
     assert m == Matrix(F7, [[1, 2, 3], [4, 5, 6]])
     assert m != Matrix(F7, [[1, 2, 3], [4, 5, 0]])
@@ -160,7 +160,7 @@ def test_det_multiplicative():
             f,
             [
                 [
-                    _dot(f, a.row(i), tuple(b.rows[t][j] for t in range(3)))
+                    _dot(f, a.rows[i], tuple(b.rows[t][j] for t in range(3)))
                     for j in range(3)
                 ]
                 for i in range(3)
@@ -368,6 +368,22 @@ def test_matrix_text_round_trip():
     assert text.splitlines()[0] == "23 2 3 5"
     back = matrix_from_text(text)
     assert back == m and back.field == f
+
+
+def test_matrix_text_round_trip_keeps_a_non_default_modulus():
+    f = field_create(3, 2, [2, 2, 1])  # x^2 + 2x + 2, not the default x^2 + 1
+    assert f.modulus != field_create(3, 2).modulus
+    m = Matrix(f, [[1, 1, 1], [1, 7, 6], [1, 8, 4]])
+    assert rank(m) == 3
+    text = matrix_to_text(m)
+    assert text.splitlines()[0] == "3 2 3 3 1,2,2"
+    back = matrix_from_text(text)
+    assert back == m and back.field == f and rank(back) == 3
+    assert matrix_from_text(text, field=f) == m
+    with pytest.raises(ParseError):
+        matrix_from_text(text, field=field_create(3, 2))
+    with pytest.raises(ParseError):
+        matrix_from_text(matrix_to_text(Matrix(field_create(3, 2), m.rows)), field=f)
 
 
 def test_matrix_text_explicit_field():

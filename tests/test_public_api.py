@@ -39,15 +39,17 @@ KEPT = {
 }
 
 
-def _names(node: ast.AST) -> Counter:
-    """How often each identifier is named under node: loaded or stored
-    names, attribute names and imported names."""
+def _names(node: ast.AST, attributes_only: bool = False) -> Counter:
+    """How often each identifier is named under node: attribute names, and
+    unless attributes_only, loaded or stored names and imported names."""
     out = Counter()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            out[n.id] += 1
-        elif isinstance(n, ast.Attribute):
+        if isinstance(n, ast.Attribute):
             out[n.attr] += 1
+        elif attributes_only:
+            continue
+        elif isinstance(n, ast.Name):
+            out[n.id] += 1
         elif isinstance(n, ast.alias):
             out[n.name] += 1
     return out
@@ -55,22 +57,26 @@ def _names(node: ast.AST) -> Counter:
 
 def test_every_definition_in_src_is_used_in_src_or_kept():
     """src/rctrs holds what the library runs: each non-dunder function,
-    class and method is named in src/rctrs outside its own definition
-    (__init__.py's re-exports do not count), or is on KEPT."""
+    class and method is named in src/rctrs outside its own definition, or is
+    on KEPT.  A method or property counts as named only as an attribute
+    (x.name), so a local variable of the same name does not keep it alive.
+    __init__.py's re-exports do not count."""
     src = Path(__file__).resolve().parent.parent / "src" / "rctrs"
     trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
     named = sum((_names(tree) for tree in trees), Counter())
+    attributes = sum((_names(tree, attributes_only=True) for tree in trees), Counter())
     unused = set()
     for tree in trees:
         for node in tree.body:
-            defs = [node]
+            defs = [(node, False)]
             if isinstance(node, ast.ClassDef):
-                defs += node.body
-            for d in defs:
+                defs += [(d, True) for d in node.body]
+            for d, method in defs:
                 if not isinstance(d, (ast.FunctionDef, ast.ClassDef)):
                     continue
                 if d.name.startswith("__") and d.name.endswith("__"):
                     continue
-                if named[d.name] == _names(d)[d.name]:
+                counts = attributes if method else named
+                if counts[d.name] == _names(d, method)[d.name]:
                     unused.add(d.name)
     assert unused == set(KEPT)
