@@ -103,7 +103,7 @@ def cmd_check_mds(args) -> int:
     verdict = _cli.check_mds(spec, method=args.method, gen=gen)
     print(verdict.render())
     if args.verbose:
-        sys.stdout.write(_cli.matrix_to_text(gen.matrix))
+        sys.stdout.write(_cli.matrix_to_text(gen))
     if args.expect is not None and verdict.is_mds != (args.expect == "true"):
         print(f"error: expected mds={args.expect}", file=sys.stderr)
         return 1
@@ -151,7 +151,7 @@ def cmd_reproduce(args) -> int:
             for line in report.lines():
                 print(line)
             if args.verbose:
-                sys.stdout.write(_cli.matrix_to_text(_cli.generator_matrix(case.code.spec).matrix))
+                sys.stdout.write(_cli.matrix_to_text(_cli.generator_matrix(case.code.spec)))
             for problem in problems:
                 print(f"mismatch={problem}")
             print(f"result={'PASS' if not problems else 'FAIL'}")
@@ -164,7 +164,7 @@ def cmd_reproduce(args) -> int:
 def cmd_export(args) -> int:
     spec = _cli.codespec_read(args.spec)
     if args.format == "matrix":
-        text = _cli.matrix_to_text(_cli.generator_matrix(spec).matrix)
+        text = _cli.matrix_to_text(_cli.generator_matrix(spec))
     else:
         text = _cli.codespec_to_text(spec)
     _emit(text, args.output)

@@ -328,7 +328,6 @@ class Field:
         "_exp",
         "_log",
         "_gen",
-        "_factors_qm1",
     )
 
     def __init__(self, p: int, m: int = 1, modulus: Iterable[int] | None = None):
@@ -358,7 +357,6 @@ class Field:
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._gen: int | None = None
-        self._factors_qm1: list[int] | None = None
 
     add = _Arithmetic()
     sub = _Arithmetic()
@@ -503,16 +501,11 @@ class Field:
         constants of GF(p), whose orders divide p - 1 < q - 1.
         """
         qm1 = self.q - 1
-        cofactors = [qm1 // r for r in self.factors_of_group_order()]
+        cofactors = [qm1 // r for r in prime_factors(qm1)]
         for idx in range(1 if self.m == 1 else self.p, self.q):
             if all(self.pow(idx, e) != 1 for e in cofactors):
                 return idx
         raise RuntimeError("no generator found")  # unreachable
-
-    def factors_of_group_order(self) -> list[int]:
-        if self._factors_qm1 is None:
-            self._factors_qm1 = prime_factors(self.q - 1)
-        return self._factors_qm1
 
     # -- digit / polynomial plumbing ------------------------------------------
 

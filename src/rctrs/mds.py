@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .codes import CodeFamily, CodeSpec, GeneratorMatrix, generator_matrix
+from .codes import CodeFamily, CodeSpec, generator_matrix
 from .errors import MethodDisagreementError, WrongHookTwistError
 from .linalg import Matrix, _eliminate, rank, symmetric_tables
 
@@ -274,7 +274,7 @@ def closed_form_for(spec: CodeSpec):
     return None
 
 
-def check_mds(spec: CodeSpec, method: str = METHOD_BOTH, gen: GeneratorMatrix | None = None) -> MdsVerdict:
+def check_mds(spec: CodeSpec, method: str = METHOD_BOTH, gen: Matrix | None = None) -> MdsVerdict:
     """Run the requested verification route(s) on a spec.
 
     With method="both" the minor oracle and the closed form (when one

@@ -14,9 +14,6 @@ the preconditions fail):
   requires k <= N/2.
 * ctrs_distinguisher: dimension 2k+1 rules out one-twist CTRS codes,
   which stay at or below 2k; requires k <= (N-1)/2.
-
-Functions taking a Matrix also take a GeneratorMatrix, which exposes the
-same field, nrows, ncols and rows.
 """
 
 from __future__ import annotations

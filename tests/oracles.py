@@ -15,9 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from rctrs.codes import GeneratorMatrix
 from rctrs.errors import HookOutOfRangeError
-from rctrs.gf import ElementLike, Field, FieldElement
+from rctrs.gf import ElementLike, Field, FieldElement, prime_factors
 from rctrs.linalg import Matrix, rank, rref, symmetric_tables
 
 
@@ -118,7 +117,7 @@ def order_of(field: Field, a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("zero has no multiplicative order")
     order = field.q - 1
-    for r in field.factors_of_group_order():
+    for r in prime_factors(field.q - 1):
         while order % r == 0 and field.pow(a, order // r) == 1:
             order //= r
     return order
@@ -127,7 +126,7 @@ def order_of(field: Field, a: int) -> int:
 def smallest_generator(field: Field) -> int:
     """Smallest index of multiplicative order q - 1, searched from 1."""
     qm1 = field.q - 1
-    cofactors = [qm1 // r for r in field.factors_of_group_order()]
+    cofactors = [qm1 // r for r in prime_factors(qm1)]
     for idx in range(1, field.q):
         if all(field.pow(idx, e) != 1 for e in cofactors):
             return idx
@@ -161,8 +160,7 @@ class Isometry:
 
 def apply_isometry(g: Matrix, iso: Isometry) -> Matrix:
     """Image of the generator matrix; rows keep their message meaning but
-    no longer follow the basis-evaluation layout of the original spec.
-    A GeneratorMatrix comes back as a GeneratorMatrix with the same spec."""
+    no longer follow the basis-evaluation layout of the original spec."""
     if len(iso.perm) != g.ncols:
         raise SizeMismatchError(
             f"isometry on {len(iso.perm)} coordinates applied to length {g.ncols}"
@@ -172,10 +170,7 @@ def apply_isometry(g: Matrix, iso: Isometry) -> Matrix:
         [mul(s, row[p]) for p, s in zip(iso.perm, iso.scale)]
         for row in g.rows
     ]
-    out = Matrix(g.field, rows, ncols=g.ncols)
-    if isinstance(g, GeneratorMatrix):
-        return GeneratorMatrix(g.spec, out)
-    return out
+    return Matrix(g.field, rows, ncols=g.ncols)
 
 
 def random_isometry(field: Field, n: int, rng: random.Random) -> Isometry:

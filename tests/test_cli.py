@@ -197,6 +197,25 @@ def test_analyze_report_lines_follow_the_family(tmp_path, capsys):
     assert not any(line.startswith(("hook=", "eta=")) for line in lines)
 
 
+def test_a_large_twist_finishes(tmp_path, capsys):
+    # Only the hook term a^(k-1+t) sees t.  Over GF(13) a nonzero point has
+    # a^e = a^(e mod 12) and the point 0 gives 0 for any e >= 1, so t = 10^9
+    # and the small t with the same residue give the same matrix.
+    rctrs_text = ("field 13\nfamily RCTRS\nn 7\nk 3\nh 1\nt {t}\nalphas 0,1,2,3,4,5\n"
+                  "b 6\nc 7\nlambda 2\neta 3\n")
+    trs_text = "field 13\nfamily TRS\nn 7\nk 3\nh 2\nt {t}\nalphas 0,1,2,3,4,5,6\neta 5\n"
+    t = 10**9
+    small = (t - 1) % 12 + 1
+    for name, text in (("rctrs", rctrs_text), ("trs", trs_text)):
+        path = write_spec(tmp_path, text.format(t=t), f"{name}.spec")
+        started = time.monotonic()
+        assert main(["analyze", path]) == 0
+        assert time.monotonic() - started < 1.0
+        assert f"twist={t}" in capsys.readouterr().out
+        big = rctrs.generator_matrix(codespec_from_text(text.format(t=t)))
+        assert big.rows == rctrs.generator_matrix(codespec_from_text(text.format(t=small))).rows
+
+
 def test_export_import_round_trip(tmp_path, capsys):
     path = write_spec(tmp_path, SPEC_17)
     matrix_path = tmp_path / "gen.matrix"

@@ -1,6 +1,7 @@
 """Code specs, twisted polynomial bases and generator matrices."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -17,7 +18,7 @@ from rctrs.errors import (
     LengthMismatchError,
 )
 from rctrs.gf import field_create
-from rctrs.linalg import rank
+from rctrs.linalg import Matrix, rank
 
 from oracles import eval_poly
 
@@ -63,18 +64,50 @@ def test_eval_poly_matches_naive_powers():
 
 
 def test_generator_matrix_rows_evaluate_the_twisted_basis():
-    f = field_create(3, 2)
+    # Every family, plain and extended, at t = 1, 2, 3, over a table field,
+    # a prime field, a char-2 field and table-free GF(1031^2), where
+    # Field.pow runs on _poly_powmod.  Points include 0; b and c may be
+    # evaluation points or equal; GRS specs may carry multipliers.
     rng = random.Random(4)
-    for _ in range(30):
-        k = rng.randrange(1, 5)
-        t = rng.randrange(1, 3)
-        h = rng.randrange(k)
-        eta = rng.randrange(1, f.q)
-        alphas = tuple(rng.sample(range(f.q), rng.randrange(k, f.q + 1)))
-        spec = CodeSpec(CodeFamily.TRS, f, len(alphas), k, alphas, h=h, t=t, eta=eta)
-        want = [[eval_poly(f, coeffs, a).index for a in alphas]
-                for coeffs in twist_space_basis(f, k, t, h, eta)]
-        assert generator_matrix(spec).rows == tuple(map(tuple, want))
+    fields = (field_create(3, 2), F13, field_create(2, 3), field_create(1031, 2))
+    for f, family, extended, t, _ in product(fields, CodeFamily, (False, True), (1, 2, 3), range(4)):
+        if t > 1 and not family.twisted:
+            continue
+        npts = rng.randrange(1, min(f.q, 8))
+        alphas = (0, *rng.sample(range(1, f.q), npts - 1))
+        alphas = tuple(rng.sample(alphas, npts))
+        k = rng.randrange(1, npts + 1)
+        kw = {}
+        if family.twisted:
+            kw.update(h=rng.randrange(k), t=t, eta=rng.randrange(f.q))
+        if family.pointed:
+            b, c = (rng.choice((rng.choice(alphas), rng.randrange(f.q)))
+                    for _ in range(2))
+            kw.update(b=b, c=c, lam=rng.randrange(f.q))
+        n = npts + family.pointed
+        if family is CodeFamily.GRS and rng.randrange(2):
+            kw["v"] = tuple(rng.randrange(1, f.q) for _ in range(n))
+        spec = CodeSpec(family, f, n, k, alphas, extended=extended, **kw)
+
+        if family.twisted:
+            basis = twist_space_basis(f, k, t, kw["h"], kw["eta"])
+        else:
+            basis = [[int(i == j) for j in range(k)] for i in range(k)]
+        rows = []
+        for coeffs in basis:
+            row = [eval_poly(f, coeffs, a).index for a in alphas]
+            if family.pointed:
+                fb, fc = (eval_poly(f, coeffs, x).index for x in (b, c))
+                row.append(f.sub(fb, f.mul(kw["lam"], fc)))
+            if "v" in kw:
+                row = [f.mul(vj, x) for vj, x in zip(kw["v"], row)]
+            if extended:
+                row.append(coeffs[k - 1])
+            rows.append(row)
+        gen = generator_matrix(spec)
+        assert isinstance(gen, Matrix)
+        assert gen == Matrix(f, rows), spec
+        assert gen.matrix is gen
 
 
 # --- spec validation -------------------------------------------------------------

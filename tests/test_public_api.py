@@ -36,6 +36,8 @@ KEPT = {
     "null_space": "public API: the right kernel of a matrix",
     "colex_subsets": "public API: the order of the minor scan; read by perfbench",
     "schur_vec": "public API: the componentwise product of two vectors",
+    "matrix": "read by perfbench/probes.py as generator_matrix(spec).matrix; deleted with the benchmark PR",
+    "twist_space_basis": "public API: the basis of V(k, t, h, eta); generator_matrix's test oracle",
 }
 
 

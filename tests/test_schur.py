@@ -204,10 +204,9 @@ def test_random_isometry_seeded_reproducible():
     assert a == b
 
 
-def test_apply_isometry_keeps_generator_wrapper():
-    spec = grs_spec(F13, (1, 2, 3, 4), 2)
-    gen = generator_matrix(spec)
+def test_apply_isometry_permutes_generator_columns():
+    gen = generator_matrix(grs_spec(F13, (1, 2, 3, 4), 2))
     iso = Isometry((3, 2, 1, 0), (1, 1, 1, 1))
     out = apply_isometry(gen, iso)
-    assert out.spec is spec
+    assert type(out) is Matrix
     assert out.rows == tuple(tuple(reversed(r)) for r in gen.rows)
