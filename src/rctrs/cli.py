@@ -7,10 +7,15 @@ harness for the built-in worked examples.
 
 Each run is a fresh process, so the library is imported per subcommand:
 field-info loads gf and errors only, check-mds adds specfile, codes,
-linalg and mds, and only reproduce loads the worked examples.  The
-commands call each library name as an attribute of _cli, this module,
-which resolves it through the package on first use, so a replacement
-set here (a tracing wrapper) is the one called.
+linalg and mds, analyze adds schur and report but no recipe module, and
+only construct and reproduce load the recipes.  The commands call each
+library name as an attribute of _cli, this module, which resolves it
+through the package on first use, so a replacement set here (a tracing
+wrapper) is the one called.
+
+The distance budget of analyze and distance is the --budget flag, else
+RCTRS_DISTANCE_BUDGET, else 2^24; these two commands alone read the
+variable, so reproduce checks the worked examples at the default.
 
 Exit codes: 0 on success, 1 on analysis failure (a reproduction
 mismatch, a method disagreement, or an --expect gate that does not
@@ -191,7 +196,7 @@ def cmd_import(args) -> int:
 
 def cmd_analyze(args) -> int:
     spec = _cli.codespec_read(args.spec)
-    report = _cli.analyze(spec, method=args.method, budget=args.budget)
+    report = _cli.analyze(spec, method=args.method, budget=_cli.distance_budget(args.budget))
     sys.stdout.write(report.render())
     return 0
 

@@ -104,14 +104,14 @@ def build_subfield_chain_code(
     extended: bool = False,
 ) -> ConstructedCode:
     """Hook-0 code from a subfield chain F_q0 inside F_q1 inside F_q."""
-    if q1_degree % q0_degree != 0:
+    v0 = field.subfield(q0_degree)
+    v1 = field.subfield(q1_degree)
+    if v1.degree % v0.degree != 0:
         raise NotADivisorError(
             f"subfield degrees must nest: {q0_degree} does not divide {q1_degree}"
         )
     if q0_degree == q1_degree:
         raise MembershipViolationError("the chain needs F_q0 strictly inside F_q1")
-    v0 = field.subfield(q0_degree)
-    v1 = field.subfield(q1_degree)
     pts = [field.to_index(a) for a in alphas]
     bi, ci, li, ei = (field.to_index(x) for x in (b, c, lam, eta))
     for a in pts:

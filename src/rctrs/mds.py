@@ -15,18 +15,20 @@ Two independent routes decide whether a code is MDS:
   1 - eta_r sigma_r of the points, r = k - h, or a hook-0 variant for
   the coefficient column.  Consecutive colex subsets share their highest
   points, whose sigma bands and twist products carry over, so a subset
-  costs a few multiplications.  Its three entry points,
-  mds_closed_form_h0, _hk1 and _general, differ only in the hooks they
-  accept and the method label they report.
+  costs a few multiplications.  closed_form_for alone decides where it
+  applies; its three entry points, mds_closed_form_h0, _hk1 and
+  _general, differ only in the hook they take within that (h = 0,
+  h = k-1, any) and the method label they report.
 
 mds_by_minors scans column subsets in colexicographic order.  The closed
 form scans category by category, each in colexicographic order: subsets
 of evaluation columns only, then (when extended, at hook 0) k-1
 evaluations plus the coefficient column, then k-1 evaluations plus the
-twist column, then (when extended) k-2 evaluations plus both.
-Either way a failing witness is deterministic.  Witness column indices
-are 0-based with the twist column at position n-1 and, when extended,
-the coefficient column at position n.
+twist column, then (when extended) k-2 evaluations plus both.  Both
+read one cached table of colex subsets per (n, k), built from
+itertools.combinations.  Either way a failing witness is deterministic.
+Witness column indices are 0-based with the twist column at position
+n-1 and, when extended, the coefficient column at position n.
 
 Minimum distance is exact when q^k fits the budget.  The first k-1 rows
 are enumerated projectively, and each resulting prefix covers all q
@@ -43,6 +45,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Optional
 
 from .codes import CodeFamily, CodeSpec, generator_matrix
@@ -89,15 +92,8 @@ class DistanceResult:
 
 @lru_cache(maxsize=None)
 def _colex_subsets(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    if k == 0:
-        return ((),)
-    if k > n:
-        return ()
-    out = []
-    for last in range(k - 1, n):
-        for rest in _colex_subsets(last, k - 1):
-            out.append(rest + (last,))
-    return tuple(out)
+    # lex order over n-1 > ... > 0, with each subset and the whole order reversed
+    return tuple(c[::-1] for c in combinations(range(n - 1, -1, -1), k))[::-1]
 
 
 def colex_subsets(n: int, k: int):
@@ -166,17 +162,16 @@ def mds_by_minors(g: Matrix) -> MdsVerdict:
 # The t = 1 closed form.
 
 
-def _require_closed_form(spec: CodeSpec, method: str) -> None:
-    if spec.family is not CodeFamily.RCTRS:
-        raise WrongHookTwistError(f"closed form applies to RCTRS specs, not {spec.family.value}")
-    if spec.t != 1:
-        raise WrongHookTwistError(f"closed form needs t=1, spec has t={spec.t}")
-    if method == METHOD_CLOSED_H0 and spec.h != 0:
-        raise WrongHookTwistError(f"hook-0 closed form used with h={spec.h}")
-    if method == METHOD_CLOSED_HK1 and spec.h != spec.k - 1:
-        raise WrongHookTwistError(f"hook-(k-1) closed form used with h={spec.h}, k={spec.k}")
-    if method == METHOD_CLOSED_GENERAL and spec.extended and 0 < spec.h < spec.k - 1:
-        raise WrongHookTwistError("no closed form for extended codes with an interior hook")
+def _require_closed_form(spec: CodeSpec, method: str):
+    """closed_form_for(spec), if method (an entry point's label or "closed form") takes the hook."""
+    fn = closed_form_for(spec)
+    hook = {METHOD_CLOSED_H0: 0, METHOD_CLOSED_HK1: spec.k - 1}.get(method, spec.h)
+    if fn is None or spec.h != hook:
+        raise WrongHookTwistError(
+            f"no {method} for this spec ({spec.family.value}, h={spec.h}, "
+            f"t={spec.t}, extended={spec.extended})"
+        )
+    return fn
 
 
 def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
@@ -286,13 +281,7 @@ def check_mds(spec: CodeSpec, method: str = METHOD_BOTH, gen: Matrix | None = No
     if method == METHOD_MINORS:
         return mds_by_minors(gen)
     if method == "closed":
-        fn = closed_form_for(spec)
-        if fn is None:
-            raise WrongHookTwistError(
-                f"no closed form for this spec ({spec.family.value}, h={spec.h}, "
-                f"t={spec.t}, extended={spec.extended})"
-            )
-        return fn(spec)
+        return _require_closed_form(spec, "closed form")(spec)
     if method != METHOD_BOTH:
         raise ValueError(f"unknown method {method!r}")
     minors = mds_by_minors(gen)

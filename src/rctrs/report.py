@@ -3,17 +3,17 @@
 analyze() builds the generator matrix once and runs the MDS check, the
 distance computation and the Schur-square distinguishers on it, then
 bundles everything into a line-oriented report.  Reports are fully
-deterministic for a given spec and budget.
+deterministic for a given spec and budget.  analyze() enumerates within
+the budget it is passed, 2^24 by default; only the command line reads
+RCTRS_DISTANCE_BUDGET, through distance_budget().
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Union
 
 from .codes import CodeSpec, generator_matrix
-from .construct import ConstructedCode
 from .mds import (
     DEFAULT_DISTANCE_BUDGET,
     METHOD_BOTH,
@@ -93,23 +93,20 @@ def _spec_warnings(spec: CodeSpec) -> list[str]:
     return out
 
 
-def analyze(
-    source: Union[CodeSpec, ConstructedCode],
-    method: str = METHOD_BOTH,
-    budget: int | None = None,
-) -> AnalysisReport:
-    if isinstance(source, ConstructedCode):
-        spec = source.spec
-        provenance = source.provenance()
-        warnings = list(source.warnings)
-    else:
+def analyze(source, method: str = METHOD_BOTH, budget: int = DEFAULT_DISTANCE_BUDGET) -> AnalysisReport:
+    """Report on a CodeSpec, or on a ConstructedCode with its guarantees and warnings."""
+    if isinstance(source, CodeSpec):
         spec = source
         provenance = ()
         warnings = []
+    else:
+        spec = source.spec
+        provenance = source.provenance()
+        warnings = list(source.warnings)
     warnings.extend(_spec_warnings(spec))
     gen = generator_matrix(spec)
     verdict = check_mds(spec, method=method, gen=gen)
-    dist = min_distance(gen, distance_budget(budget), mds_verdict=verdict)
+    dist = min_distance(gen, budget, mds_verdict=verdict)
     schur = schur_report(gen, verdict)
     return AnalysisReport(
         spec=spec,

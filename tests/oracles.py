@@ -5,14 +5,15 @@ identity checks det and symmetric_tables; Hamming isometries (column
 permutations composed with nonzero column scalings) preserve distance,
 MDS-ness and the Schur-square dimension, so their images check
 schur_square_dim and check_mds; the rest are plain references for
-polynomial evaluation, row spaces, multiplicative orders and the
-generator search.
+polynomial evaluation, row spaces, colex order, multiplicative orders
+and the generator search.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from rctrs.errors import HookOutOfRangeError
@@ -21,7 +22,12 @@ from rctrs.linalg import Matrix, rank, rref, symmetric_tables
 
 
 # ---------------------------------------------------------------------------
-# Matrices, polynomials and symmetric functions.
+# Subsets, matrices, polynomials and symmetric functions.
+
+
+def colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
+    """The k-subsets of range(n) in colex order: by their reversed tuples."""
+    return sorted(combinations(range(n), k), key=lambda c: c[::-1])
 
 
 def identity(field: Field, n: int) -> Matrix:

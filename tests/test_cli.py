@@ -76,10 +76,14 @@ def test_construct_to_stdout(capsys):
 
 
 def test_construct_gate_failure_is_usage_error(capsys):
-    # lambda inside F_7 violates the chain membership hypotheses
-    argv = [a if a != "1531" else "2" for a in CHAIN_7_4]
-    assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    # lambda inside F_7 violates the chain membership hypotheses, and a
+    # subfield degree of 0 divides no extension degree
+    for at, value in ((CHAIN_7_4.index("1531"), "2"), (CHAIN_7_4.index("--q0-degree") + 1, "0")):
+        argv = CHAIN_7_4[:at] + [value] + CHAIN_7_4[at + 1:]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
 
 
 def test_construct_subgroup_pipeline(tmp_path, capsys):
@@ -326,20 +330,32 @@ def test_field_info_factors_group_order_with_two_large_primes(capsys):
 
 def test_distance_budget_from_environment(tmp_path, capsys, monkeypatch):
     path = write_spec(tmp_path, SPEC_17)
-    monkeypatch.setenv("RCTRS_DISTANCE_BUDGET", "10")
-    assert main(["distance", path]) == 0
-    assert "distance=5 distance_method=minors" in capsys.readouterr().out
+    for command in ("distance", "analyze"):
+        monkeypatch.setenv("RCTRS_DISTANCE_BUDGET", "10")
+        assert main([command, path]) == 0
+        assert "distance=5 distance_method=minors" in capsys.readouterr().out
 
-    assert main(["distance", path, "--budget", "100000"]) == 0
-    assert "distance_method=enumeration" in capsys.readouterr().out
+        assert main([command, path, "--budget", "100000"]) == 0
+        assert "distance_method=enumeration" in capsys.readouterr().out
 
-    monkeypatch.setenv("RCTRS_DISTANCE_BUDGET", "lots")
-    assert main(["distance", path]) == 2
-    assert capsys.readouterr().err == (
-        "error: RCTRS_DISTANCE_BUDGET must be an integer, got 'lots'\n"
-    )
-    assert main(["distance", path, "--budget", "100000"]) == 0
-    assert "distance_method=enumeration" in capsys.readouterr().out
+        monkeypatch.setenv("RCTRS_DISTANCE_BUDGET", "lots")
+        assert main([command, path]) == 2
+        assert capsys.readouterr().err == (
+            "error: RCTRS_DISTANCE_BUDGET must be an integer, got 'lots'\n"
+        )
+        assert main([command, path, "--budget", "100000"]) == 0
+        assert "distance_method=enumeration" in capsys.readouterr().out
+
+
+def test_reproduce_and_library_analysis_ignore_the_budget_variable(capsys, monkeypatch):
+    monkeypatch.setenv("RCTRS_DISTANCE_BUDGET", "1")
+    assert main(["reproduce", "--example", "17"]) == 0
+    out = capsys.readouterr().out
+    assert "distance=5 distance_method=enumeration" in out
+    assert out.endswith("reproduce=PASS cases=1/1\n")
+    (case,) = rctrs.golden.golden_cases("17")
+    report = rctrs.report.analyze(case.code)
+    assert (report.distance.value, report.distance.method) == (5, "enumeration")
 
 
 def test_method_disagreement_exits_1(tmp_path, capsys, monkeypatch):
@@ -377,7 +393,7 @@ _SPEC = _BASE | {"rctrs.specfile", "rctrs.codes", "rctrs.linalg", "rctrs.mds"}
     (["field-info", "3^10"], _BASE),
     (["check-mds", "{spec}"], _SPEC),
     (["distinguish", "{spec}", "--target", "rs"], _SPEC | {"rctrs.schur"}),
-    (["analyze", "{spec}"], _SPEC | {"rctrs.schur", "rctrs.construct", "rctrs.report"}),
+    (["analyze", "{spec}"], _SPEC | {"rctrs.schur", "rctrs.report"}),
     (["reproduce", "--example", "17"], _SPEC - {"rctrs.specfile"}
      | {"rctrs.schur", "rctrs.construct", "rctrs.report", "rctrs.golden"}),
 ])

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import rctrs.mds
 from rctrs.codes import CodeFamily, CodeSpec, generator_matrix
 from rctrs.errors import MethodDisagreementError, WrongHookTwistError
 from rctrs.gf import field_create
@@ -22,6 +23,8 @@ from rctrs.mds import (
     mds_closed_form_hk1,
     min_distance,
 )
+
+from oracles import colex_subsets as colex_oracle
 
 F13 = field_create(13)
 F9 = field_create(3, 2)
@@ -66,6 +69,16 @@ def test_colex_order():
     assert subs[0] == (0, 1, 2) and subs[-1] == (3, 4, 5)
     assert list(colex_subsets(3, 0)) == [()]
     assert list(colex_subsets(2, 3)) == []
+    # k = 0 and k > n included; each call caches its own (n, k) table only
+    table = rctrs.mds._colex_subsets
+    for n in range(13):
+        for k in range(n + 3):
+            want = colex_oracle(n, k)
+            assert list(table(n, k)) == want, (n, k)
+            assert list(colex_subsets(n, k)) == want, (n, k)
+    table.cache_clear()
+    table(12, 6)
+    assert table.cache_info().currsize == 1
 
 
 # --- minor oracle ---------------------------------------------------------------
