@@ -94,7 +94,7 @@ _PUBLIC = {
         "subgroup_eval_points",
     ),
     "specfile": ("codespec_from_text", "codespec_read", "codespec_to_text"),
-    "report": ("BUDGET_ENV_VAR", "AnalysisReport", "analyze", "distance_budget"),
+    "report": ("AnalysisReport", "analyze"),
     "golden": ("GOLDEN_KEYS", "GoldenCase", "check_case", "golden_cases"),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -13,7 +13,7 @@ library name as an attribute of _cli, this module, which resolves it
 through the package on first use, so a replacement set here (a tracing
 wrapper) is the one called.
 
-The distance budget of analyze and distance is the --budget flag, else
+distance_budget gives analyze and distance the --budget flag, else
 RCTRS_DISTANCE_BUDGET, else 2^24; these two commands alone read the
 variable, so reproduce checks the worked examples at the default.
 
@@ -25,6 +25,7 @@ hold), 2 on usage, parse or validation errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -32,6 +33,8 @@ from . import GOLDEN_KEYS
 from .errors import MethodDisagreementError
 
 _cli = sys.modules[__name__]
+
+BUDGET_ENV_VAR = "RCTRS_DISTANCE_BUDGET"
 
 
 def __getattr__(name: str):
@@ -49,6 +52,19 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
+
+
+def distance_budget(flag: int | None) -> int:
+    """Enumeration budget: the --budget flag, else the environment, else the default."""
+    if flag is not None:
+        return flag
+    env = os.environ.get(BUDGET_ENV_VAR)
+    if env:
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
+    return _cli.DEFAULT_DISTANCE_BUDGET
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -126,7 +142,7 @@ def cmd_schur_dim(args) -> int:
 def cmd_distance(args) -> int:
     spec = _cli.codespec_read(args.spec)
     gen = _cli.generator_matrix(spec)
-    result = _cli.min_distance(gen, _cli.distance_budget(args.budget))
+    result = _cli.min_distance(gen, distance_budget(args.budget))
     print(result.render(gen.ncols - gen.nrows + 1))
     return 0
 
@@ -196,7 +212,7 @@ def cmd_import(args) -> int:
 
 def cmd_analyze(args) -> int:
     spec = _cli.codespec_read(args.spec)
-    report = _cli.analyze(spec, method=args.method, budget=_cli.distance_budget(args.budget))
+    report = _cli.analyze(spec, method=args.method, budget=distance_budget(args.budget))
     sys.stdout.write(report.render())
     return 0
 

@@ -4,10 +4,14 @@ Two independent routes decide whether a code is MDS:
 
 * mds_by_minors checks every k-subset of columns for an invertible
   k-by-k minor.  It works on any generator matrix and is the oracle the
-  closed forms are measured against.  G is reduced to RREF once; each
-  minor is then decided on the block of the non-pivot columns it takes,
-  whose determinant expands into memoized sub-minors, so a minor costs
-  a few multiplications and no field inverse.
+  closed forms are measured against.  G is reduced to RREF once; unless
+  its first k columns are dependent (then they are the witness), it is
+  [I | A], and each minor is decided on the block of A its columns
+  take, whose determinant expands along its last column into memoized
+  sub-minors.  The expansion's terms are built once per set of
+  remaining rows, and each column of A is kept beside its negation, so
+  with the cofactor signs folded in a minor costs one multiplication
+  and one addition per term and no field inverse.
 * one closed-form checker replays the determinant factorizations for
   RCTRS codes with t = 1.  Each k-subset of columns either consists of
   evaluation columns only, or swaps in the twist and/or coefficient
@@ -20,7 +24,9 @@ Two independent routes decide whether a code is MDS:
   _general, differ only in the hook they take within that (h = 0,
   h = k-1, any) and the method label they report.
 
-mds_by_minors scans column subsets in colexicographic order.  The closed
+mds_by_minors scans column subsets in colexicographic order, which for
+bitmasks is increasing order, so it steps each mask to the next by
+Gosper's hack while it reads the column tuples alongside.  The closed
 form scans category by category, each in colexicographic order: subsets
 of evaluation columns only, then (when extended, at hook 0) k-1
 evaluations plus the coefficient column, then k-1 evaluations plus the
@@ -32,12 +38,13 @@ n-1 and, when extended, the coefficient column at position n.
 
 Minimum distance is exact when q^k fits the budget.  The first k-1 rows
 are enumerated projectively, and each resulting prefix covers all q
-codewords it forms with the last row in one pass over the columns (see
-_enumerate_min_weight); the result still counts the q^k - 1 nonzero
-codewords covered.  Past the budget it falls back to the Singleton bound
-through the minor check, and a G of rank below k has distance 0.
-Exceeding the budget on a full-rank non-MDS code is reported as an
-explicit result, not an error.
+codewords it forms with the last row in one pass over the columns; its
+exact mode is counted only when a bound from its distinct values could
+beat the best weight so far (see _enumerate_min_weight).  The result
+still counts the q^k - 1 nonzero codewords covered.  Past the budget it
+falls back to the Singleton bound through the minor check, and a G of
+rank below k has distance 0.  Exceeding the budget on a full-rank
+non-MDS code is reported as an explicit result, not an error.
 """
 
 from __future__ import annotations
@@ -104,18 +111,25 @@ def colex_subsets(n: int, k: int):
 def mds_by_minors(g: Matrix) -> MdsVerdict:
     """Exhaustive minor check; witness is the first singular column set.
 
-    G is reduced once to RREF A with pivot set I.  The minor on a column
-    set S vanishes exactly when the block of A on the columns S minus I
-    and the rows whose pivot is not in S is singular.  That block's
-    determinant expands along its last column c into the blocks of the
-    column sets S - c + p, p the pivot of a row with a nonzero entry in
-    c.  A row of A is zero left of its pivot, so p < c and S - c + p
-    comes earlier in colex order: the scan has already stored its block,
-    nonzero, in a dict keyed by the column-set mask (its pivot bits give
-    the row mask, its other bits the column mask).  So a block costs at
-    most k multiplications and no inverse.  A rank-deficient G has every
-    minor zero, so its witness is the first subset.  A matrix with more
-    rows than columns raises ValueError.
+    G is reduced once to RREF.  Its first k columns, the first colex
+    subset, are independent exactly when the pivots are columns 0..k-1;
+    otherwise (a G of rank below k included) that subset is the witness.
+    So every later minor works on [I | A]: the minor on a column set S
+    vanishes exactly when the block of A on the columns of S past k-1
+    and the rows i not in S is singular.  That block's determinant
+    expands along its last column c into the blocks of S - c + i, which
+    come earlier in colex order, so the scan has already stored them,
+    nonzero, in a dict keyed by the column-set mask.  The terms of each
+    set of rows are built once per scan as (row bit, row, cofactor
+    sign, + on the last row), and each column of A is kept beside its
+    negation, so a block costs one mul and one add per term, with no
+    sign flip and no inverse.  A zero entry A[i][c] makes the one-term
+    block of I - i + c vanish before any longer block with last column
+    c, so no row is skipped for a zero.  Colex order of k-subsets is
+    increasing bitmask order, so each mask is the last one's successor
+    by Gosper's hack; the column tuples, pulled from the colex table
+    alongside, name the witness.  A matrix with more rows than columns
+    raises ValueError.
     """
     f = g.field
     k, n = g.nrows, g.ncols
@@ -123,35 +137,31 @@ def mds_by_minors(g: Matrix) -> MdsVerdict:
         raise ValueError(f"a {k}x{n} matrix has no {k}-column minors")
     rows = [list(r) for r in g.rows]
     pivots, _ = _eliminate(f, rows, full=True)
-    if len(pivots) < k:
-        return MdsVerdict(False, tuple(range(k)), METHOD_MINORS)
-    add, sub, mul = f.add, f.sub, f.mul
-    columns = list(zip(*rows))
-    pivot_bits = [1 << c for c in pivots]
-    free_mask = (1 << n) - 1 - sum(pivot_bits)
-    # rows from last to first, with the pivot bit that marks a row as removed
-    row_order = [(i, pivot_bits[i]) for i in reversed(range(k))]
-    dets = {sum(pivot_bits): 1}
-    for cols in _colex_subsets(n, k):
-        mask = 0
-        for c in cols:
-            mask |= 1 << c
-        free = mask & free_mask
-        if not free:
-            continue  # S = I
-        last = free.bit_length() - 1
-        col = columns[last]
-        rest = mask ^ (1 << last)
+    subsets = iter(_colex_subsets(n, k))
+    first = next(subsets)
+    if pivots != list(range(k)):
+        return MdsVerdict(False, first, METHOD_MINORS)
+    add, mul, neg = f.add, f.mul, f.neg
+    signed = [[(a, neg(a)) for a in col] for col in zip(*rows)]  # each entry of A and its negation
+    unit = (1 << k) - 1  # the mask of I, the pivot columns
+    dets = {unit: 1}
+    terms = {}  # pivot columns in S -> [(row bit, row, 1 if the cofactor sign is -)]
+    mask = unit
+    for cols in subsets:
+        low = mask & -mask
+        high = mask + low
+        mask = high | ((high ^ mask) >> 2) // low  # Gosper: the next mask with k bits
+        last = mask.bit_length() - 1
+        removed = mask & unit
+        laplace = terms.get(removed)
+        if laplace is None:
+            free_rows = [i for i in reversed(range(k)) if not removed >> i & 1]
+            laplace = terms[removed] = [(1 << i, i, j % 2) for j, i in enumerate(free_rows)]
+        col = signed[last]
+        rest = mask ^ 1 << last
         total = 0
-        plus = True  # the last remaining row's cofactor sign
-        for i, bit in row_order:
-            if mask & bit:
-                continue
-            a = col[i]
-            if a:
-                term = mul(a, dets[rest | bit])
-                total = add(total, term) if plus else sub(total, term)
-            plus = not plus
+        for bit, i, minus in laplace:
+            total = add(total, mul(col[i][minus], dets[rest | bit]))
         if not total:
             return MdsVerdict(False, cols, METHOD_MINORS)
         dets[mask] = total
@@ -185,10 +195,12 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
     twist column is f(b) - lambda f(c), so with evaluation points W such
     a minor vanishes when prod(b - a) corr(W + b) == lambda prod(c - a)
     corr(W + c), where sigma_d(W + x) = sigma_d(W) + x sigma_(d-1)(W).
-    Extended codes with an interior hook have no such form; callers rule
-    them out.  Each category walks its subsets with symmetric_tables, whose
-    tables end with prod(b - a) and prod(c - a) in the twist categories;
-    the first compares sigma_r with 1/eta_r, which never holds at eta_r = 0.
+    Extended codes with an interior hook factor too, through
+    s_(2,1^m) = sigma_1 sigma_m - sigma_(m+1) with m = k-1-h, but this
+    checker does not cover them; closed_form_for rules them out.  Each
+    category walks its subsets with symmetric_tables, whose tables end
+    with prod(b - a) and prod(c - a) in the twist categories; the first
+    compares sigma_r with 1/eta_r, which never holds at eta_r = 0.
     """
     f = spec.field
     al = spec.alphas
@@ -311,6 +323,12 @@ def _enumerate_min_weight(m: Matrix) -> int:
     nonzero coefficient 1); for each prefix a, the best s zeroes the most
     frequent value a takes on those columns, and the columns with r_j = 0
     vanish when a_j does.  The multiples of r cover the zero prefix.
+    A prefix with d distinct values on the N columns with r_j != 0
+    repeats its mode at most N - d + 1 times, so its exact mode is
+    counted only when that bound plus its zeros where r_j = 0 could beat
+    the best so far.  Head row 0 only leads prefixes, so only rows
+    1..k-2 have their q - 1 multiples tabled: a k = 2 code scores its one
+    prefix at once.
     """
     f = m.field
     q = f.q
@@ -327,19 +345,23 @@ def _enumerate_min_weight(m: Matrix) -> int:
         [row[j] for j in fixed] + [mul(s, row[j]) for j, s in moving]
         for row in m.rows[:-1]
     ]
-    multiples = [[[mul(s, x) for x in row] for s in range(1, q)] for row in head]
+    # multiples[i - 1] holds the q - 1 multiples of head row i
+    multiples = [[[mul(s, x) for x in row] for s in range(1, q)] for row in head[1:]]
+    spare = len(moving) + 1  # d distinct values repeat the mode at most spare - d times
     most_zeros = nfixed  # the zeros of r itself
     # Depth-first over (level, partial prefix); a prefix is complete at k-1.
     stack = [(lead + 1, head[lead]) for lead in range(k - 1)]
     while stack:
         level, acc = stack.pop()
         if level == k - 1:
-            zeros = acc[:nfixed].count(0) + max(Counter(acc[nfixed:]).values())
-            if zeros > most_zeros:
-                most_zeros = zeros
+            tail = acc[nfixed:]
+            values = set(tail)
+            zeros = acc[:nfixed].count(0)
+            if zeros + spare - len(values) > most_zeros:
+                most_zeros = max(most_zeros, zeros + max(Counter(tail).values()))
             continue
         stack.append((level + 1, acc))
-        stack.extend((level + 1, [add(a, x) for a, x in zip(acc, row)]) for row in multiples[level])
+        stack.extend((level + 1, list(map(add, acc, row))) for row in multiples[level - 1])
     return m.ncols - most_zeros
 
 

@@ -5,12 +5,11 @@ distance computation and the Schur-square distinguishers on it, then
 bundles everything into a line-oriented report.  Reports are fully
 deterministic for a given spec and budget.  analyze() enumerates within
 the budget it is passed, 2^24 by default; only the command line reads
-RCTRS_DISTANCE_BUDGET, through distance_budget().
+RCTRS_DISTANCE_BUDGET.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .codes import CodeSpec, generator_matrix
@@ -23,22 +22,6 @@ from .mds import (
     min_distance,
 )
 from .schur import SchurReport, schur_report
-
-BUDGET_ENV_VAR = "RCTRS_DISTANCE_BUDGET"
-
-
-def distance_budget(explicit: int | None = None) -> int:
-    """Enumeration budget: explicit argument, else environment, else default."""
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
-    return DEFAULT_DISTANCE_BUDGET
-
 
 @dataclass(frozen=True)
 class AnalysisReport:

@@ -220,6 +220,23 @@ def test_a_large_twist_finishes(tmp_path, capsys):
         assert big.rows == rctrs.generator_matrix(codespec_from_text(text.format(t=small))).rows
 
 
+def test_distance_with_two_rows_over_a_large_field_finishes(tmp_path, capsys):
+    # q^2 is about 1.1e12 and within the budget, but with k = 2 there is
+    # one prefix to score, so enumeration must not build the q - 1
+    # multiples of the leading row.
+    text = "field 1031^2\nfamily GRS\nn 10\nk 2\nalphas 1,2,3,4,5,6,7,8,9,10\n"
+    path = write_spec(tmp_path, text, "k2.spec")
+    q_2 = 1031**4
+    started = time.monotonic()
+    result = rctrs.min_distance(rctrs.generator_matrix(codespec_from_text(text)), budget=1 << 41)
+    assert (result.value, result.method, result.enumerated) == (9, "enumeration", q_2 - 1)
+    assert main(["distance", path, "--budget", str(1 << 41)]) == 0
+    assert capsys.readouterr().out == (
+        f"distance=9 distance_method=enumeration codewords_enumerated={q_2 - 1}\n"
+    )
+    assert time.monotonic() - started < 5.0
+
+
 def test_export_import_round_trip(tmp_path, capsys):
     path = write_spec(tmp_path, SPEC_17)
     matrix_path = tmp_path / "gen.matrix"

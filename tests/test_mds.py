@@ -421,14 +421,18 @@ def test_minor_scan_matches_brute_force():
             corners.add("rank-deficient")
             assert verdict.witness == tuple(range(k))
         else:
-            corners |= {"pivots not the first k columns"} if pivots != list(range(k)) else set()
+            if pivots != list(range(k)):
+                corners.add("pivots not the first k columns")
+            elif any(not x for row in rref(g).rows for x in row[k:]):
+                corners.add("zero in the block beside the pivots")  # a zero Laplace term
             if not verdict.is_mds:
                 has_pivot = set(verdict.witness) & set(pivots)
                 corners.add("witness with pivot column" if has_pivot else "witness without pivot column")
         seen |= corners
     wanted = {f"p={p},m={m}" for p, m in MINOR_FIELDS} | {
         "k=1", "k=N", "zero row", "repeated row", "rank-deficient",
-        "pivots not the first k columns", "witness with pivot column", "witness without pivot column",
+        "pivots not the first k columns", "zero in the block beside the pivots",
+        "witness with pivot column", "witness without pivot column",
     }
     assert wanted <= seen, wanted - seen
 
@@ -504,9 +508,12 @@ def test_enumeration_matches_brute_force():
         assert result.value == brute_min_weight(f, g), (f, g.rows)
         if "zero last row" in corners or "repeated row" in corners:
             assert result.value == 0
+        # fixed columns (zero in the last row) beside moving ones
+        corners |= {"last row partly zero"} if 0 in g.rows[-1] and any(g.rows[-1]) else set()
         seen |= corners
     wanted = {f"p={p},m={m}" for p, m in ENUM_FIELDS}
-    wanted |= {"k=1", "k=n", "extended", "b,c among points", "zero last row", "repeated row"}
+    wanted |= {"k=1", "k=2", "k=n", "extended", "b,c among points", "zero last row", "repeated row"}
+    wanted |= {"last row partly zero"}
     assert wanted <= seen, wanted - seen
     # no rows, no nonzero codeword, no minimum distance
     with pytest.raises(ValueError):

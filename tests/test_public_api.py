@@ -20,7 +20,7 @@ def test_all_lists_every_public_name_that_is_not_a_module():
     exec("from rctrs import *", star)
     del star["__builtins__"]
     assert sorted(star) == sorted(rctrs.__all__)
-    assert len(star) == 73
+    assert len(star) == 71
     assert {"gf", "mds", "golden", *rctrs.__all__} <= set(dir(rctrs))
 
 
