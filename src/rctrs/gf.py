@@ -35,7 +35,9 @@ Arithmetic depends on the shape of the field:
 Addition has four shapes.  Prime fields add modulo p.  For p = 2 and
 m > 1, with or without tables, add and sub are XOR on the index and neg
 is the identity.  Odd p with tables add through a Zech logarithm table
-of q - 1 entries (about 0.5 MB at GF(3^10)), with -1 = g^((q-1)/2).
+of q - 1 entries (about 0.5 MB at GF(3^10)), with -1 = g^((q-1)/2);
+the field keeps that table, and the minor scan in mds reads it to sum
+on logs.
 Odd p without tables add digit by digit on the index.  The primitive
 element is the smallest index g with g^((q-1)/r) != 1 for every prime r
 dividing q - 1; one search finds it for every shape, and the tables are
@@ -327,6 +329,7 @@ class Field:
         "__dict__",  # add, sub, neg, mul and inv, once bound
         "_exp",
         "_log",
+        "_zech",
         "_gen",
     )
 
@@ -356,6 +359,7 @@ class Field:
             self.modulus = tuple(coeffs)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._zech: list[int | None] | None = None
         self._gen: int | None = None
 
     add = _Arithmetic()
@@ -413,6 +417,7 @@ class Field:
         zech = [log[e - pm1 if e % p == pm1 else e + 1] for e in islice(exp, qm1)]
         half = qm1 // 2  # -1 = g^half
         zech[half] = None
+        self._zech = zech  # also read by the minor scan, which sums on logs
 
         def add(a: int, b: int) -> int:
             if not a:
@@ -673,9 +678,9 @@ def field_create(p: int, m: int = 1, modulus: Iterable[int] | None = None) -> Fi
 class FieldElement:
     """A single field element, identified by its index.
 
-    Arithmetic accepts either another element of the same field or a raw
-    integer index.  Note that in extension fields an integer operand is
-    interpreted as an index, not as a repeated sum of ones.
+    It is a value, not an arithmetic type: the only operator is ** (an
+    int exponent), and sums and products go through the Field's index
+    ops (f.add(a.index, b.index), ...).
 
     An element equals the int with the same index, and hashes as that
     index; elements of different fields never compare equal.  Equality is
@@ -690,38 +695,6 @@ class FieldElement:
             raise ElementIndexError(f"element index {index} outside [0, {field.q})")
         self.field = field
         self.index = index
-
-    def _coerce(self, other: ElementLike) -> int:
-        return self.field.to_index(other)
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.index, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.index, self._coerce(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.field, self.field.sub(self._coerce(other), self.index))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.index, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(
-            self.field, self.field.mul(self.index, self.field.inv(self._coerce(other)))
-        )
-
-    def __rtruediv__(self, other):
-        return FieldElement(
-            self.field, self.field.mul(self._coerce(other), self.field.inv(self.index))
-        )
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.index))
 
     def __pow__(self, e: int):
         return FieldElement(self.field, self.field.pow(self.index, e))

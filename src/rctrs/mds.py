@@ -10,8 +10,13 @@ Two independent routes decide whether a code is MDS:
   take, whose determinant expands along its last column into memoized
   sub-minors.  The expansion's terms are built once per set of
   remaining rows, and each column of A is kept beside its negation, so
-  with the cofactor signs folded in a minor costs one multiplication
-  and one addition per term and no field inverse.
+  with the cofactor signs folded in a term needs no inverse.  Over the
+  fields that keep a Zech table (odd p, m > 1, q <= 2^20) the
+  expansion runs on discrete logs, exactly, since no stored minor is
+  zero: a term is one integer add and each sum one Zech lookup.  Other
+  fields take one multiplication and one addition per term on indices:
+  prime fields and fields above 2^20 have no log tables, and p = 2 adds
+  by XOR, so a Zech table would cost more to build than it saves.
 * one closed-form checker replays the determinant factorizations for
   RCTRS codes with t = 1.  Each k-subset of columns either consists of
   evaluation columns only, or swaps in the twist and/or coefficient
@@ -120,12 +125,19 @@ def mds_by_minors(g: Matrix) -> MdsVerdict:
     expands along its last column c into the blocks of S - c + i, which
     come earlier in colex order, so the scan has already stored them,
     nonzero, in a dict keyed by the column-set mask.  The terms of each
-    set of rows are built once per scan as (row bit, row, cofactor
-    sign, + on the last row), and each column of A is kept beside its
-    negation, so a block costs one mul and one add per term, with no
-    sign flip and no inverse.  A zero entry A[i][c] makes the one-term
-    block of I - i + c vanish before any longer block with last column
-    c, so no row is skipped for a zero.  Colex order of k-subsets is
+    set of rows are built once per scan as (row bit, position of the
+    entry with its cofactor sign), and each column of A is kept beside
+    its negation, so a term needs no sign flip and no inverse.  A zero
+    entry A[i][c] makes the one-term block of I - i + c vanish before
+    any longer block with last column c reads it, so no row is skipped
+    for a zero.  Where the field keeps a Zech table (odd p, m > 1,
+    q <= 2^20) the sums run on discrete logs, exactly, since no stored
+    minor is zero and a zero entry ends the scan in its one-term block:
+    the columns hold log a and log -a = log a + (q-1)/2 (None for 0),
+    the dict the minors' logs, a term is one integer add, and a sum is
+    log x + Z(log y - log x) mod q-1, None when zero, which the next
+    term restarts.  Other fields (prime, p = 2, q > 2^20) take one mul
+    and one add per term on indices.  Colex order of k-subsets is
     increasing bitmask order, so each mask is the last one's successor
     by Gosper's hack; the column tuples, pulled from the colex table
     alongside, name the witness.  A matrix with more rows than columns
@@ -141,11 +153,18 @@ def mds_by_minors(g: Matrix) -> MdsVerdict:
     first = next(subsets)
     if pivots != list(range(k)):
         return MdsVerdict(False, first, METHOD_MINORS)
-    add, mul, neg = f.add, f.mul, f.neg
-    signed = [[(a, neg(a)) for a in col] for col in zip(*rows)]  # each entry of A and its negation
+    add, mul, neg = f.add, f.mul, f.neg  # the first read builds the tables
+    zech = f._zech
+    if zech is None:  # each entry of A beside its negation
+        signed = [[x for a in col for x in (a, neg(a))] for col in zip(*rows)]
+    else:  # their logs, None for a zero entry; -1 = g^half
+        log, qm1 = f._log, f.q - 1
+        half = qm1 // 2
+        signed = [[x for a in col for x in ((log[a], (log[a] + half) % qm1) if a else (None, None))]
+                  for col in zip(*rows)]
     unit = (1 << k) - 1  # the mask of I, the pivot columns
-    dets = {unit: 1}
-    terms = {}  # pivot columns in S -> [(row bit, row, 1 if the cofactor sign is -)]
+    dets = {unit: 1 if zech is None else 0}  # det(I) = 1 = g^0
+    terms = {}  # pivot columns in S -> [(row bit, position of +-A[row] in a column)]
     mask = unit
     for cols in subsets:
         low = mask & -mask
@@ -156,16 +175,35 @@ def mds_by_minors(g: Matrix) -> MdsVerdict:
         laplace = terms.get(removed)
         if laplace is None:
             free_rows = [i for i in reversed(range(k)) if not removed >> i & 1]
-            laplace = terms[removed] = [(1 << i, i, j % 2) for j, i in enumerate(free_rows)]
+            laplace = terms[removed] = [(1 << i, 2 * i + j % 2) for j, i in enumerate(free_rows)]
         col = signed[last]
         rest = mask ^ 1 << last
-        total = 0
-        for bit, i, minus in laplace:
-            total = add(total, mul(col[i][minus], dets[rest | bit]))
-        if not total:
-            return MdsVerdict(False, cols, METHOD_MINORS)
+        if zech is None:
+            total = 0
+            for bit, at in laplace:
+                total = add(total, mul(col[at], dets[rest | bit]))
+            if not total:
+                break
+        else:
+            # log(x + y) = log x + zech[log y - log x]; None is a zero sum,
+            # which the next term restarts.  The logs are left unreduced.
+            total = None
+            for bit, at in laplace:
+                try:
+                    term = col[at] + dets[rest | bit]
+                except TypeError:  # None: a zero entry, so a zero term
+                    continue
+                if total is None:
+                    total = term
+                else:
+                    z = zech[(term - total) % qm1]
+                    total = None if z is None else total + z
+            if total is None:
+                break
         dets[mask] = total
-    return MdsVerdict(True, None, METHOD_MINORS)
+    else:
+        return MdsVerdict(True, None, METHOD_MINORS)
+    return MdsVerdict(False, cols, METHOD_MINORS)
 
 
 # ---------------------------------------------------------------------------

@@ -328,7 +328,7 @@ def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
     with pytest.raises(ZeroDivisionError):
-        f.element(3) / f.element(0)
+        f.inv(f.element(0).index)
 
 
 def test_pow_and_order():
@@ -372,15 +372,10 @@ def test_to_index_range_checks():
 
 def test_element_operators():
     f = field_create(13)
-    a, b = f.element(5), f.element(9)
-    assert (a + b).index == 1
-    assert (a - b).index == 9
-    assert (a * b).index == 6
-    assert (a / b).index == f.mul(5, f.inv(9))
-    assert (-a).index == 8
-    assert (a**3).index == f.pow(5, 3)
+    a = f.element(5)
+    assert (a**3).index == f.pow(5, 3) == 8
+    assert a**3 == f.element(8)
     assert a == 5 and a != 6
-    assert a + 9 == 1  # int operands are indices
 
 
 def test_element_hash_agrees_with_int_equality():

@@ -364,8 +364,9 @@ def brute_mds_by_minors(g):
     return MdsVerdict(True, None, "minors")
 
 
-# GF(2), GF(4), GF(8), odd characteristic, and GF(1031^2), which has no tables
-MINOR_FIELDS = ((2, 1), (2, 2), (2, 3), (3, 1), (5, 1), (3, 2), (13, 1), (3, 3), (1031, 2))
+# GF(2), GF(4), GF(8), prime fields, GF(9), GF(27) and GF(49), which sum on
+# logs, and GF(1031^2), which has no tables
+MINOR_FIELDS = ((2, 1), (2, 2), (2, 3), (3, 1), (5, 1), (3, 2), (13, 1), (3, 3), (7, 2), (1031, 2))
 
 
 def minor_cases(rng):
@@ -433,6 +434,82 @@ def test_minor_scan_matches_brute_force():
         "k=1", "k=N", "zero row", "repeated row", "rank-deficient",
         "pivots not the first k columns", "zero in the block beside the pivots",
         "witness with pivot column", "witness without pivot column",
+    }
+    assert wanted <= seen, wanted - seen
+
+
+# odd-p extensions with a Zech table, on which mds_by_minors sums on logs
+LOG_FIELDS = ((5, 2), (3, 3), (7, 2), (3, 5), (31, 2))
+
+
+class CountingZech(list):
+    """A Zech table that counts its reads and the zero sums it returns."""
+
+    reads = zeros = 0
+
+    def __getitem__(self, d):
+        z = super().__getitem__(d)
+        self.reads += 1
+        self.zeros += z is None
+        return z
+
+
+def log_sum_cases(rng):
+    """Seeded matrices over LOG_FIELDS, most of them [I | A]."""
+    for p, m in LOG_FIELDS:
+        f = field_create(p, m)
+        for _ in range(30):
+            k = rng.randint(1, 6)
+            n = rng.randint(k, 14)
+            zeros = rng.choice((0.0, 0.0, 0.05, 0.3))
+            rows = [[0 if rng.random() < zeros else rng.randrange(1, f.q) for _ in range(n)]
+                    for _ in range(k)]
+            shape = rng.randrange(6)
+            if shape < 4:
+                for i, row in enumerate(rows):
+                    row[:k] = [int(i == j) for j in range(k)]
+            elif shape == 4 and k >= 2:
+                rows[-1] = [f.mul(x, 2) for x in rows[0]]
+            yield f, Matrix(f, rows)
+    # An MDS scan sums to zero only before the last term of a block of three
+    # or more terms, about once in 50 [I | A] with a 3x3 A over GF(25).
+    f = field_create(5, 2)
+    for _ in range(300):
+        yield f, Matrix(f, [[int(i == j) for j in range(3)] + [rng.randrange(1, f.q) for _ in range(3)]
+                            for i in range(3)])
+
+
+def test_log_sum_matches_index_sum(monkeypatch):
+    """The log sum of mds_by_minors against the index sum, its oracle."""
+    seen = set()
+    for f, g in log_sum_cases(random.Random(1700)):
+        f.add  # the first read builds the tables
+        assert f._zech is not None
+        counting = CountingZech(f._zech)
+        with monkeypatch.context() as mp:
+            mp.setattr(f, "_zech", counting)
+            verdict = mds_by_minors(g)
+            mp.setattr(f, "_zech", None)
+            assert mds_by_minors(g) == verdict, (f, g.rows)
+        k = g.nrows
+        reduced = rref(g).rows
+        pivots = [next(j for j, x in enumerate(row) if x) for row in reduced if any(row)]
+        corners = {f"p={f.p},m={f.m}"}
+        corners |= {"k=1"} if k == 1 else set()
+        corners |= {"k=N"} if k == g.ncols else set()
+        corners |= {"rank below k"} if len(pivots) < k else set()
+        corners |= {"log sums ran"} if counting.reads else set()
+        if pivots == list(range(k)):
+            if any(not x for row in reduced for x in row[k:]):
+                corners.add("zero entry of A")
+            if verdict.is_mds and counting.zeros:
+                corners.add("zero partial sum restarted")  # no block of an MDS scan sums to zero
+            if not verdict.is_mds and len(set(verdict.witness) & set(range(k))) <= k - 2:
+                corners.add("singular multi-term block")
+        seen |= corners
+    wanted = {f"p={p},m={m}" for p, m in LOG_FIELDS} | {
+        "k=1", "k=N", "rank below k", "log sums ran", "zero entry of A",
+        "zero partial sum restarted", "singular multi-term block",
     }
     assert wanted <= seen, wanted - seen
 
