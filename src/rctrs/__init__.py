@@ -29,7 +29,6 @@ _PUBLIC = {
         "DegenerateBCError",
         "DegreeMismatchError",
         "FieldMismatchError",
-        "HookOutOfRangeError",
         "InvalidSpecError",
         "LengthMismatchError",
         "MembershipViolationError",
@@ -53,14 +52,13 @@ _PUBLIC = {
         "prime_factors",
         "subgroup_of_order",
     ),
-    "linalg": ("Matrix", "det", "matrix_from_text", "matrix_to_text", "null_space", "rank", "rref"),
+    "linalg": ("Matrix", "det", "matrix_from_text", "matrix_to_text", "rank", "rref"),
     "codes": (
         "CodeFamily",
         "CodeSpec",
         "GeneratorMatrix",
         "encode",
         "generator_matrix",
-        "twist_space_basis",
     ),
     "mds": (
         "DEFAULT_DISTANCE_BUDGET",
@@ -82,7 +80,6 @@ _PUBLIC = {
         "schur_report",
         "schur_square_dim",
         "schur_square_rows",
-        "schur_vec",
     ),
     "construct": (
         "ConstructedCode",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import HookOutOfRangeError, InvalidSpecError, LengthMismatchError
+from .errors import InvalidSpecError, LengthMismatchError
 from .gf import ElementLike, Field, FieldElement
 from .linalg import Matrix
 
@@ -142,29 +142,6 @@ class CodeSpec:
 
     def multipliers(self) -> tuple[int, ...]:
         return self.v if self.v is not None else (1,) * self.n
-
-
-def twist_space_basis(
-    field: Field, k: int, t: int, h: int, eta: ElementLike
-) -> list[list[int]]:
-    """Coefficient vectors (length k+t, little-endian) of the basis
-    1, x, ..., x^h + eta*x^(k-1+t), ..., x^(k-1)."""
-    if k < 1:
-        raise InvalidSpecError(f"dimension k={k} must be positive")
-    if t < 1:
-        raise InvalidSpecError(f"twist amount t={t} must be at least 1")
-    if not 0 <= h < k:
-        raise HookOutOfRangeError(f"hook h={h} outside [0, k={k})")
-    eta_idx = field.to_index(eta)
-    deg = k - 1 + t
-    basis = []
-    for i in range(k):
-        coeffs = [0] * (deg + 1)
-        coeffs[i] = 1
-        if i == h:
-            coeffs[deg] = eta_idx
-        basis.append(coeffs)
-    return basis
 
 
 class GeneratorMatrix(Matrix):

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-Everything derives from ValueError so callers who do not care about the
-exact failure mode can catch one base class.  Division by zero reuses the
-builtin ZeroDivisionError; a bad element index is also an IndexError.
+Input errors derive from ValueError, so one base class catches them, and
+the command line exits 2; MethodDisagreementError, an analysis fault, is a
+RuntimeError, for which it exits 1.  Division by zero reuses the builtin
+ZeroDivisionError; a bad element index is also an IndexError.
 """
 
 
@@ -37,10 +38,6 @@ class OrderDoesNotDivideError(ValueError):
 
 class NotSquareError(ValueError):
     """Determinant requested for a non-square matrix."""
-
-
-class HookOutOfRangeError(ValueError):
-    """Hook position falls outside the valid row range."""
 
 
 class InvalidSpecError(ValueError):

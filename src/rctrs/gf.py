@@ -47,6 +47,9 @@ none of which can generate.
 
 Fields of order above 2^64 (_FIELD_LIMIT) are rejected with a
 DegreeMismatchError, before p^m is computed or p is tested for primality.
+
+field_create and Field.from_descriptor give one instance per field, with
+the modulus named or not, so a field in spec text builds its tables once.
 """
 
 from __future__ import annotations
@@ -596,12 +599,10 @@ class Field:
             raise ElementIndexError(f"element index {idx} outside [0, {self.q})")
         return idx
 
-    def element(self, x: ElementLike | Sequence[int]) -> "FieldElement":
+    def element(self, x: ElementLike) -> "FieldElement":
         if isinstance(x, FieldElement):
             self.to_index(x)
             return x
-        if isinstance(x, (list, tuple)):
-            return FieldElement(self, self.index_from_coeffs(x))
         return FieldElement(self, self.to_index(x))
 
     def elements(self) -> Iterator["FieldElement"]:
@@ -645,7 +646,7 @@ class Field:
             except ValueError as exc:
                 raise ParseError(f"bad modulus in field descriptor {text!r}") from exc
             modulus = list(reversed(big_endian))
-        return cls(p, m, modulus)
+        return field_create(p, m, modulus)
 
     def _key(self):
         return (self.p, self.m, self.modulus)
@@ -671,6 +672,7 @@ def field_create(p: int, m: int = 1, modulus: Iterable[int] | None = None) -> Fi
     f = _field_cache.get(key)
     if f is None:
         f = Field(p, m, modulus)
+        f = _field_cache.setdefault(f._key(), f)
         _field_cache[key] = f
     return f
 

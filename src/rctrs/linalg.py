@@ -1,9 +1,8 @@
 """Exact linear algebra over a finite field.
 
 Matrices are immutable row-major grids of element indices tied to a
-Field.  Rank, determinant, RREF and null space all run one Gaussian
-elimination loop (_eliminate) with exact field inverses; nothing here
-ever rounds.
+Field.  Rank, determinant and RREF all run one Gaussian elimination
+loop (_eliminate) with exact field inverses; nothing here ever rounds.
 
 Also hosts symmetric_tables, the elementary symmetric polynomials of
 point subsets that the closed-form MDS criteria read, by the standard
@@ -16,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import NotSquareError, ParseError
-from .gf import ElementLike, Field, FieldElement, _default_modulus, field_create
+from .gf import ElementLike, Field, FieldElement, field_create
 
 
 class Matrix:
@@ -130,23 +129,6 @@ def rref(m: Matrix) -> Matrix:
     return Matrix(m.field, rows, ncols=m.ncols)
 
 
-def null_space(m: Matrix) -> Matrix:
-    """Basis of the right kernel, one vector per row; 0 rows if trivial."""
-    f = m.field
-    rows = _mutable(m)
-    pivots, _ = _eliminate(f, rows, full=True)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [0] * m.ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = f.neg(rows[r][fc])
-        basis.append(vec)
-    return Matrix(f, basis, ncols=m.ncols)
-
-
 # ---------------------------------------------------------------------------
 # Elementary symmetric functions over colex subsets.
 
@@ -201,7 +183,7 @@ def symmetric_tables(
 
 def matrix_to_text(m: Matrix) -> str:
     f = m.field
-    modulus = "" if f.modulus == _default_modulus(f.p, f.m) else " " + f.descriptor().partition("/")[2]
+    modulus = "" if f.modulus == field_create(f.p, f.m).modulus else " " + f.descriptor().partition("/")[2]
     lines = [f"{f.p} {f.m} {m.nrows} {m.ncols}{modulus}"]
     lines.extend(" ".join(str(x) for x in row) for row in m.rows)
     return "\n".join(lines) + "\n"

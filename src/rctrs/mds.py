@@ -326,15 +326,13 @@ def check_mds(spec: CodeSpec, method: str = METHOD_BOTH, gen: Matrix | None = No
     applies) must agree; disagreement raises MethodDisagreementError
     rather than silently trusting either side.
     """
-    if gen is None:
-        gen = generator_matrix(spec)
-    if method == METHOD_MINORS:
-        return mds_by_minors(gen)
     if method == "closed":
         return _require_closed_form(spec, "closed form")(spec)
-    if method != METHOD_BOTH:
+    if method not in (METHOD_MINORS, METHOD_BOTH):
         raise ValueError(f"unknown method {method!r}")
-    minors = mds_by_minors(gen)
+    minors = mds_by_minors(generator_matrix(spec) if gen is None else gen)
+    if method == METHOD_MINORS:
+        return minors
     fn = closed_form_for(spec)
     if fn is None:
         return minors

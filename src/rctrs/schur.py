@@ -19,32 +19,10 @@ the preconditions fail):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .errors import LengthMismatchError
-from .gf import ElementLike, Field, FieldElement
 from .linalg import Matrix, rank
 from .mds import MdsVerdict
-
-
-def schur_vec(
-    x: Sequence[ElementLike], y: Sequence[ElementLike], field: Field | None = None
-) -> tuple[FieldElement, ...]:
-    """Componentwise product of two vectors."""
-    if field is None:
-        for entry in (*x, *y):
-            if isinstance(entry, FieldElement):
-                field = entry.field
-                break
-        else:
-            raise ValueError("cannot infer the field from plain indices")
-    if len(x) != len(y):
-        raise LengthMismatchError(f"vector lengths differ: {len(x)} vs {len(y)}")
-    mul = field.mul
-    return tuple(
-        FieldElement(field, mul(field.to_index(a), field.to_index(b)))
-        for a, b in zip(x, y)
-    )
 
 
 def schur_square_rows(g: Matrix) -> Matrix:

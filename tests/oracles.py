@@ -5,8 +5,8 @@ identity checks det and symmetric_tables; Hamming isometries (column
 permutations composed with nonzero column scalings) preserve distance,
 MDS-ness and the Schur-square dimension, so their images check
 schur_square_dim and check_mds; the rest are plain references for
-polynomial evaluation, row spaces, colex order, multiplicative orders
-and the generator search.
+the twisted polynomial basis, polynomial evaluation, row spaces, colex
+order, multiplicative orders and the generator search.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from rctrs.errors import HookOutOfRangeError
 from rctrs.gf import ElementLike, Field, FieldElement, prime_factors
 from rctrs.linalg import Matrix, rank, rref, symmetric_tables
 
@@ -65,6 +64,27 @@ def elementary_symmetric(field: Field, values: Sequence[ElementLike], r: int) ->
     return FieldElement(field, table[r])
 
 
+def twist_space_basis(field: Field, k: int, t: int, h: int, eta: ElementLike) -> list[list[int]]:
+    """Coefficient vectors (length k+t, little-endian) of the basis
+    1, x, ..., x^h + eta*x^(k-1+t), ..., x^(k-1) of V(k, t, h, eta)."""
+    if k < 1:
+        raise ValueError(f"dimension k={k} must be positive")
+    if t < 1:
+        raise ValueError(f"twist amount t={t} must be at least 1")
+    if not 0 <= h < k:
+        raise ValueError(f"hook h={h} outside [0, k={k})")
+    eta_idx = field.to_index(eta)
+    deg = k - 1 + t
+    basis = []
+    for i in range(k):
+        coeffs = [0] * (deg + 1)
+        coeffs[i] = 1
+        if i == h:
+            coeffs[deg] = eta_idx
+        basis.append(coeffs)
+    return basis
+
+
 def vandermonde_matrix(field: Field, points: Sequence[ElementLike], nrows: int | None = None) -> Matrix:
     """Rows are powers 0..nrows-1 of the points, one column per point."""
     pts = [field.to_index(x) for x in points]
@@ -98,7 +118,7 @@ def deleted_row_vandermonde_matrix(
     """Square matrix with power rows 0..n except skip_power, n = #points."""
     n = len(points)
     if not 1 <= skip_power <= n - 1:
-        raise HookOutOfRangeError(f"skipped power {skip_power} outside [1, {n - 1}]")
+        raise ValueError(f"skipped power {skip_power} outside [1, {n - 1}]")
     full = vandermonde_matrix(field, points, nrows=n + 1)
     return Matrix(field, [full.rows[e] for e in range(n + 1) if e != skip_power])
 
@@ -109,7 +129,7 @@ def deleted_row_vandermonde_det(
     """Closed form: sigma_(n-skip_power)(points) times the Vandermonde det."""
     n = len(points)
     if not 1 <= skip_power <= n - 1:
-        raise HookOutOfRangeError(f"skipped power {skip_power} outside [1, {n - 1}]")
+        raise ValueError(f"skipped power {skip_power} outside [1, {n - 1}]")
     sigma = elementary_symmetric(field, points, n - skip_power)
     return FieldElement(field, field.mul(sigma.index, vandermonde_det(field, points).index))
 

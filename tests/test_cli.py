@@ -1,6 +1,7 @@
 """End-to-end command-line checks: output contracts and exit codes."""
 
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -33,6 +34,23 @@ CHAIN_7_4 = [
     "--alphas", "0,1,2,3,4,5", "--b", "6", "--c", "5",
     "--lambda", "1531", "--eta", "12", "--k", "3",
 ]
+
+
+def test_readme_command_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    # Each rctrs line of the sh block under the README's "Command line"
+    # heading, continuations joined, runs in one directory and exits 0.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    lines = [line for line in block.splitlines() if line.strip() and not line.startswith("#")]
+    assert all(line.startswith("rctrs ") for line in lines)
+    commands = [shlex.split(line) for line in lines]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv[1:]) == 0, argv
+    assert argv[1:] == ["reproduce", "--example", "all"]
+    assert "reproduce=PASS cases=7/7" in capsys.readouterr().out
 
 
 def write_spec(tmp_path, text, name="code.spec"):

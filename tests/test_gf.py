@@ -578,12 +578,19 @@ def test_packed_table_build_matches_polynomial_walk(descriptor):
 
 # --- tables built on first arithmetic ----------------------------------------
 
+
+def fresh(descriptor: str) -> Field:
+    """A new instance of the described field, with no tables built yet."""
+    f = Field.from_descriptor(descriptor)
+    return Field(f.p, f.m, f.modulus)
+
+
 LAZY_FIELDS = ["3^10", "2^8", "31^2", "7^4", "5^6", "2^4/1,1,1,1,1"]
 
 
 @pytest.mark.parametrize("descriptor", LAZY_FIELDS)
 def test_field_inspection_builds_no_tables(descriptor, monkeypatch):
-    f = Field.from_descriptor(descriptor)
+    f = fresh(descriptor)
     g = f.primitive_element().index
     views = [f.subfield(d) for d in range(1, f.m + 1) if f.m % d == 0]
     sub_gens = [v.primitive_element().index for v in views]
@@ -605,7 +612,7 @@ def test_field_inspection_builds_no_tables(descriptor, monkeypatch):
 @pytest.mark.parametrize("op", ["add", "mul"])
 @pytest.mark.parametrize("descriptor", ["3^10", "2^8", "31^2", "5^3/1,0,1,1"])
 def test_first_arithmetic_builds_the_walked_tables(descriptor, op):
-    f = Field.from_descriptor(descriptor)
+    f = fresh(descriptor)
     assert f._log is None
     getattr(f, op)(1, 1)  # no generator search before this one
     assert f._log is not None

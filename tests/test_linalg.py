@@ -7,14 +7,13 @@ import sys
 
 import pytest
 
-from rctrs.errors import HookOutOfRangeError, NotSquareError, ParseError
+from rctrs.errors import NotSquareError, ParseError
 from rctrs.gf import field_create
 from rctrs.linalg import (
     Matrix,
     det,
     matrix_from_text,
     matrix_to_text,
-    null_space,
     rank,
     rref,
     symmetric_tables,
@@ -105,7 +104,7 @@ def test_matrix_rows_do_not_pile_up_in_tuple_free_lists():
     assert grown < 500
 
 
-# --- rank, determinant, rref, null space --------------------------------------
+# --- rank, determinant, rref --------------------------------------------------
 
 
 def test_det_hand_values():
@@ -198,10 +197,6 @@ def test_rank_transpose_and_nullity():
             assert r == minor_rank(f, m.rows)
             assert r == rank(transpose(m))
             deficient += r < min(nrows, ncols)
-            ns = null_space(m)
-            assert ns.nrows == ncols - r
-            for v in ns.rows:  # every basis vector is annihilated
-                assert all(_dot(f, row, v) == 0 for row in m.rows)
     assert deficient
 
 
@@ -351,9 +346,9 @@ def test_deleted_row_vandermonde_closed_form_value():
 
 
 def test_deleted_row_skip_bounds():
-    with pytest.raises(HookOutOfRangeError):
+    with pytest.raises(ValueError):
         deleted_row_vandermonde_matrix(F7, [1, 2, 3], 0)
-    with pytest.raises(HookOutOfRangeError):
+    with pytest.raises(ValueError):
         deleted_row_vandermonde_matrix(F7, [1, 2, 3], 3)
 
 

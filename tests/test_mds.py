@@ -326,6 +326,12 @@ def test_check_mds_both_method_label():
     assert check_mds(spec).method == "both"
 
 
+def test_check_mds_closed_builds_no_generator_matrix(monkeypatch):
+    spec = rctrs_spec(F13, (1, 2, 3, 4), 5, 6, 7, 8, k=3, h=0)
+    monkeypatch.setattr(rctrs.mds, "generator_matrix", lambda s: pytest.fail("matrix built"))
+    assert check_mds(spec, method="closed").method == "closed_form_h0"
+
+
 def test_check_mds_unknown_method():
     spec = rctrs_spec(F13, (1, 2, 3, 4), 5, 6, 7, 8, k=3, h=0)
     with pytest.raises(ValueError):

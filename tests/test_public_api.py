@@ -1,6 +1,8 @@
 """The package's public names: one table, each name listed once and used."""
 
 import ast
+import builtins
+import re
 from collections import Counter
 from pathlib import Path
 from types import ModuleType
@@ -20,8 +22,19 @@ def test_all_lists_every_public_name_that_is_not_a_module():
     exec("from rctrs import *", star)
     del star["__builtins__"]
     assert sorted(star) == sorted(rctrs.__all__)
-    assert len(star) == 71
+    assert len(star) == 67
     assert {"gf", "mds", "golden", *rctrs.__all__} <= set(dir(rctrs))
+
+
+def test_readme_python_api_names_every_public_name():
+    """The README's Python API section backticks each name in __all__ and
+    no other identifier of the package, builtins aside."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    quoted = set(re.findall(r"`([^`]+)`", section))
+    assert set(rctrs.__all__) <= quoted
+    stale = {name for name in quoted if name.isidentifier() and not hasattr(builtins, name)}
+    assert stale <= {*rctrs.__all__, *rctrs._PUBLIC}
 
 
 # Definitions that nothing else in src/rctrs names, and why each stays.
@@ -29,15 +42,12 @@ KEPT = {
     "num_columns": "public API: the length of the code a spec describes; read by perfbench",
     "encode": "public API: a message times the generator matrix",
     "corollary_witness_codes": "public API: one witness code per corollary length",
-    "element": "public API: the FieldElement view of an index or coefficient vector",
+    "element": "public API: the FieldElement view of an index",
     "elements": "public API: every element of a field, as FieldElements",
     "det": "public API; read by perfbench",
     "rref": "public API; read by perfbench",
-    "null_space": "public API: the right kernel of a matrix",
     "colex_subsets": "public API: the order of the minor scan; read by perfbench",
-    "schur_vec": "public API: the componentwise product of two vectors",
     "matrix": "read by perfbench/probes.py as generator_matrix(spec).matrix; deleted with the benchmark PR",
-    "twist_space_basis": "public API: the basis of V(k, t, h, eta); generator_matrix's test oracle",
 }
 
 

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from rctrs.codes import CodeFamily, CodeSpec, generator_matrix
-from rctrs.errors import LengthMismatchError
 from rctrs.gf import field_create
 from rctrs.linalg import Matrix
 from rctrs.mds import MdsVerdict, check_mds, mds_by_minors
@@ -15,7 +14,6 @@ from rctrs.schur import (
     schur_report,
     schur_square_dim,
     schur_square_rows,
-    schur_vec,
 )
 
 from oracles import (
@@ -42,21 +40,6 @@ def random_grs(f, rng, half=True):
 
 
 # --- schur products -------------------------------------------------------------
-
-
-def test_schur_vec():
-    f = field_create(7)
-    out = schur_vec([1, 2, 3], [4, 5, 6], field=f)
-    assert tuple(x.index for x in out) == (4, 3, 4)
-    with pytest.raises(LengthMismatchError):
-        schur_vec([1, 2], [1, 2, 3], field=f)
-
-
-def test_schur_vec_infers_field_from_elements():
-    f = field_create(7)
-    x = [f.element(2), f.element(3)]
-    y = [f.element(4), f.element(5)]
-    assert tuple(e.index for e in schur_vec(x, y)) == (1, 1)
 
 
 def test_schur_square_rows_count():

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from rctrs import gf
 from rctrs.codes import CodeFamily, CodeSpec
 from rctrs.errors import InvalidSpecError, ParseError
 from rctrs.gf import field_create
 from rctrs.golden import GOLDEN_KEYS, golden_cases
+from rctrs.report import analyze
 from rctrs.specfile import codespec_from_text, codespec_read, codespec_to_text
 
 SAMPLE = """\
@@ -56,6 +58,23 @@ def test_golden_specs_round_trip():
             again = codespec_from_text(text)
             assert again == case.code.spec
             assert codespec_to_text(again) == text
+
+
+def test_a_field_named_in_text_builds_its_tables_once(monkeypatch):
+    # The text names the modulus in full; field_create(3, 10) names the
+    # default.  Both are one instance, whose tables one walk builds.
+    monkeypatch.setattr(gf, "_field_cache", {})
+    walks = []
+    walk = gf.Field._walk_powers
+    monkeypatch.setattr(gf.Field, "_walk_powers", lambda self, g: walks.append(self) or walk(self, g))
+    f = field_create(3, 10)
+    text = codespec_to_text(CodeSpec(CodeFamily.GRS, f, 8, 3, tuple(range(8))))
+    assert "/" in text.splitlines()[0]
+    specs = [codespec_from_text(text) for _ in range(2)]
+    assert specs[0].field is specs[1].field is f
+    reports = [analyze(spec).render() for spec in specs]
+    assert reports[0] == reports[1]
+    assert walks == [f]
 
 
 def _random_spec(rng: random.Random) -> CodeSpec:
