@@ -13,9 +13,8 @@ library name as an attribute of _cli, this module, which resolves it
 through the package on first use, so a replacement set here (a tracing
 wrapper) is the one called.
 
-distance_budget gives analyze and distance the --budget flag, else
-RCTRS_DISTANCE_BUDGET, else 2^24; these two commands alone read the
-variable, so reproduce checks the worked examples at the default.
+analyze and distance enumerate within --budget, else 2^24.  analyze
+always cross-checks the MDS verdict; check-mds --method picks the route.
 
 Exit codes: 0 on success, 1 on analysis failure (a reproduction
 mismatch, a method disagreement, or an --expect gate that does not
@@ -25,7 +24,6 @@ hold), 2 on usage, parse or validation errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -33,8 +31,6 @@ from . import GOLDEN_KEYS
 from .errors import MethodDisagreementError
 
 _cli = sys.modules[__name__]
-
-BUDGET_ENV_VAR = "RCTRS_DISTANCE_BUDGET"
 
 
 def __getattr__(name: str):
@@ -52,19 +48,6 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
-
-
-def distance_budget(flag: int | None) -> int:
-    """Enumeration budget: the --budget flag, else the environment, else the default."""
-    if flag is not None:
-        return flag
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
-    return _cli.DEFAULT_DISTANCE_BUDGET
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -142,7 +125,8 @@ def cmd_schur_dim(args) -> int:
 def cmd_distance(args) -> int:
     spec = _cli.codespec_read(args.spec)
     gen = _cli.generator_matrix(spec)
-    result = _cli.min_distance(gen, distance_budget(args.budget))
+    budget = _cli.DEFAULT_DISTANCE_BUDGET if args.budget is None else args.budget
+    result = _cli.min_distance(gen, budget)
     print(result.render(gen.ncols - gen.nrows + 1))
     return 0
 
@@ -212,7 +196,8 @@ def cmd_import(args) -> int:
 
 def cmd_analyze(args) -> int:
     spec = _cli.codespec_read(args.spec)
-    report = _cli.analyze(spec, method=args.method, budget=distance_budget(args.budget))
+    budget = _cli.DEFAULT_DISTANCE_BUDGET if args.budget is None else args.budget
+    report = _cli.analyze(spec, budget=budget)
     sys.stdout.write(report.render())
     return 0
 
@@ -289,7 +274,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full report for a spec file")
     p.add_argument("spec")
-    p.add_argument("--method", choices=("minors", "both"), default="both")
     p.add_argument("--budget", type=int)
     p.set_defaults(func=cmd_analyze)
 

@@ -48,8 +48,8 @@ none of which can generate.
 Fields of order above 2^64 (_FIELD_LIMIT) are rejected with a
 DegreeMismatchError, before p^m is computed or p is tested for primality.
 
-field_create and Field.from_descriptor give one instance per field, with
-the modulus named or not, so a field in spec text builds its tables once.
+field_create and Field.from_descriptor share one instance per live field,
+modulus named or not, so a field in spec text builds its tables once.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from itertools import chain, count, islice
 from math import gcd
 from operator import xor
 from typing import Iterable, Iterator, Sequence, Union
+from weakref import WeakValueDictionary
 
 from .errors import (
     DegreeMismatchError,
@@ -334,6 +335,7 @@ class Field:
         "_log",
         "_zech",
         "_gen",
+        "__weakref__",  # for _field_cache
     )
 
     def __init__(self, p: int, m: int = 1, modulus: Iterable[int] | None = None):
@@ -663,7 +665,7 @@ class Field:
         return f"GF({self.p}^{self.m})"
 
 
-_field_cache: dict[tuple, Field] = {}
+_field_cache: WeakValueDictionary[tuple, Field] = WeakValueDictionary()
 
 
 def field_create(p: int, m: int = 1, modulus: Iterable[int] | None = None) -> Field:

@@ -189,8 +189,8 @@ def matrix_to_text(m: Matrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def matrix_from_text(text: str, field: Field | None = None) -> Matrix:
-    """Parse matrix text; reconstructs the header's field unless one is given."""
+def matrix_from_text(text: str) -> Matrix:
+    """Parse matrix text over the field its header names."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ParseError("empty matrix text")
@@ -202,11 +202,7 @@ def matrix_from_text(text: str, field: Field | None = None) -> Matrix:
         modulus = [int(c) for c in reversed(head[4].split(","))] if len(head) == 5 else None
     except ValueError as exc:
         raise ParseError(f"bad matrix header {lines[0]!r}") from exc
-    named = field_create(p, m, modulus)
-    if field is None:
-        field = named
-    elif field != named:
-        raise ParseError(f"matrix header names field {named.descriptor()}, got {field.descriptor()}")
+    field = field_create(p, m, modulus)
     if len(lines) - 1 != nrows:
         raise ParseError(f"expected {nrows} rows, found {len(lines) - 1}")
     rows = []

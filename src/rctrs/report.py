@@ -4,8 +4,8 @@ analyze() builds the generator matrix once and runs the MDS check, the
 distance computation and the Schur-square distinguishers on it, then
 bundles everything into a line-oriented report.  Reports are fully
 deterministic for a given spec and budget.  analyze() enumerates within
-the budget it is passed, 2^24 by default; only the command line reads
-RCTRS_DISTANCE_BUDGET.
+the budget it is passed, 2^24 by default, and always checks the minor
+scan against the closed form where one applies.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .codes import CodeSpec, generator_matrix
 from .mds import (
     DEFAULT_DISTANCE_BUDGET,
-    METHOD_BOTH,
     DistanceResult,
     MdsVerdict,
     check_mds,
@@ -76,7 +75,7 @@ def _spec_warnings(spec: CodeSpec) -> list[str]:
     return out
 
 
-def analyze(source, method: str = METHOD_BOTH, budget: int = DEFAULT_DISTANCE_BUDGET) -> AnalysisReport:
+def analyze(source, budget: int = DEFAULT_DISTANCE_BUDGET) -> AnalysisReport:
     """Report on a CodeSpec, or on a ConstructedCode with its guarantees and warnings."""
     if isinstance(source, CodeSpec):
         spec = source
@@ -88,7 +87,7 @@ def analyze(source, method: str = METHOD_BOTH, budget: int = DEFAULT_DISTANCE_BU
         warnings = list(source.warnings)
     warnings.extend(_spec_warnings(spec))
     gen = generator_matrix(spec)
-    verdict = check_mds(spec, method=method, gen=gen)
+    verdict = check_mds(spec, gen=gen)
     dist = min_distance(gen, budget, mds_verdict=verdict)
     schur = schur_report(gen, verdict)
     return AnalysisReport(

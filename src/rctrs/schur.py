@@ -42,21 +42,17 @@ def schur_square_dim(g: Matrix) -> int:
     return rank(schur_square_rows(g))
 
 
-def is_non_rs(g: Matrix, mds: MdsVerdict, dim: int | None = None) -> Optional[bool]:
-    """True when the Schur square certifies the code is not GRS."""
+def is_non_rs(g: Matrix, mds: MdsVerdict, dim: int) -> Optional[bool]:
+    """True when the Schur square, of dimension dim, certifies the code is not GRS."""
     if not mds.is_mds or 2 * g.nrows > g.ncols:
         return None
-    if dim is None:
-        dim = schur_square_dim(g)
     return dim != 2 * g.nrows - 1
 
 
-def ctrs_distinguisher(g: Matrix, mds: MdsVerdict, dim: int | None = None) -> Optional[bool]:
-    """True when the Schur square rules out any one-twist CTRS structure."""
+def ctrs_distinguisher(g: Matrix, mds: MdsVerdict, dim: int) -> Optional[bool]:
+    """True when the Schur square, of dimension dim, rules out one-twist CTRS structure."""
     if not mds.is_mds or 2 * g.nrows > g.ncols - 1:
         return None
-    if dim is None:
-        dim = schur_square_dim(g)
     return dim == 2 * g.nrows + 1
 
 

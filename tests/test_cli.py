@@ -218,6 +218,13 @@ def test_analyze_report_lines_follow_the_family(tmp_path, capsys):
     assert lines[-1] == "warning=twist points b and c coincide"
     assert not any(line.startswith(("hook=", "eta=")) for line in lines)
 
+    on_points = ctrs.replace("b 7\nc 7", "b 1\nc 2")
+    assert main(["analyze", write_spec(tmp_path, on_points, "on_points.spec")]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "warning=twist point b coincides with an evaluation point",
+        "warning=twist point c coincides with an evaluation point",
+    ]
+
 
 def test_a_large_twist_finishes(tmp_path, capsys):
     # Only the hook term a^(k-1+t) sees t.  Over GF(13) a nonzero point has
@@ -363,23 +370,18 @@ def test_field_info_factors_group_order_with_two_large_primes(capsys):
     assert "order=136501194702142" in capsys.readouterr().out
 
 
-def test_distance_budget_from_environment(tmp_path, capsys, monkeypatch):
+def test_the_budget_variable_changes_nothing(tmp_path, capsys, monkeypatch):
+    # The budget comes from --budget or the default; the environment is not read.
     path = write_spec(tmp_path, SPEC_17)
-    for command in ("distance", "analyze"):
-        monkeypatch.setenv("RCTRS_DISTANCE_BUDGET", "10")
-        assert main([command, path]) == 0
-        assert "distance=5 distance_method=minors" in capsys.readouterr().out
-
-        assert main([command, path, "--budget", "100000"]) == 0
-        assert "distance_method=enumeration" in capsys.readouterr().out
-
-        monkeypatch.setenv("RCTRS_DISTANCE_BUDGET", "lots")
-        assert main([command, path]) == 2
-        assert capsys.readouterr().err == (
-            "error: RCTRS_DISTANCE_BUDGET must be an integer, got 'lots'\n"
-        )
-        assert main([command, path, "--budget", "100000"]) == 0
-        assert "distance_method=enumeration" in capsys.readouterr().out
+    runs = (["distance", path], ["analyze", path], ["reproduce", "--example", "17"])
+    plain = [(main(argv), capsys.readouterr()) for argv in runs]
+    assert [code for code, _ in plain] == [0, 0, 0]
+    for value in ("10", "lots"):
+        monkeypatch.setenv("RCTRS_DISTANCE_BUDGET", value)
+        assert [(main(argv), capsys.readouterr()) for argv in runs] == plain
+        for command in ("distance", "analyze"):
+            assert main([command, path, "--budget", "100000"]) == 0
+            assert "distance_method=enumeration" in capsys.readouterr().out
 
 
 def test_reproduce_and_library_analysis_ignore_the_budget_variable(capsys, monkeypatch):

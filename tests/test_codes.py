@@ -110,6 +110,12 @@ def test_spec_validation_errors():
         rctrs_spec(F7, [0, 1, 2], 5, 6, 2, 1, k=5)
     with pytest.raises(InvalidSpecError):  # hook at k
         rctrs_spec(F7, [0, 1, 2], 5, 6, 2, 1, k=3, h=3)
+    with pytest.raises(InvalidSpecError, match="^twist amount t=0 must be at least 1$"):
+        CodeSpec(CodeFamily.TRS, F7, 3, 2, (0, 1, 2), t=0, eta=1)
+    with pytest.raises(InvalidSpecError, match="^GRS spec does not take hook or twist$"):
+        CodeSpec(CodeFamily.GRS, F7, 3, 2, (0, 1, 2), h=1)
+    with pytest.raises(InvalidSpecError, match="^CTRS spec does not take hook or twist$"):
+        CodeSpec(CodeFamily.CTRS, F7, 4, 2, (0, 1, 2), t=2, b=3, c=4, lam=5)
     with pytest.raises(InvalidSpecError, match="^CTRS spec needs b$"):
         CodeSpec(CodeFamily.CTRS, F7, 4, 2, (0, 1, 2))
     with pytest.raises(InvalidSpecError, match="^TRS spec needs eta$"):
@@ -122,6 +128,8 @@ def test_spec_validation_errors():
         CodeSpec(CodeFamily.TRS, F7, 3, 2, (0, 1, 2), v=(1, 1, 1), eta=1)
     with pytest.raises(InvalidSpecError):  # zero multiplier
         CodeSpec(CodeFamily.GRS, F7, 3, 2, (0, 1, 2), v=(1, 0, 1))
+    with pytest.raises(InvalidSpecError, match="^need 3 column multipliers, got 2$"):
+        CodeSpec(CodeFamily.GRS, F7, 3, 2, (0, 1, 2), v=(1, 1))
     with pytest.raises(InvalidSpecError):  # wrong point count
         CodeSpec(CodeFamily.GRS, F7, 3, 2, (0, 1))
     with pytest.raises(InvalidSpecError):  # n beyond q for GRS

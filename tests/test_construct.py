@@ -17,6 +17,7 @@ from rctrs.construct import (
 )
 from rctrs.errors import (
     DegenerateBCError,
+    InvalidSpecError,
     MembershipViolationError,
     NotADivisorError,
     UnsupportedExtendedGeneralHError,
@@ -156,6 +157,9 @@ def test_subgroup_membership_gates():
         subgroup_23(b=7, c=7)
     with pytest.raises(MembershipViolationError):  # b outside F_23
         subgroup_23(b=f.primitive_element().index)
+    for h in (-1, 4):
+        with pytest.raises(InvalidSpecError, match=rf"^hook h={h} outside \[0, k=4\)$"):
+            subgroup_23(h=h)
 
 
 def test_subgroup_eta_zero_allowed_and_ctrs_flag_dropped():
@@ -393,10 +397,12 @@ def test_corollary_witnesses():
     assert plain.guaranteed_mds and ext.guaranteed_mds
     assert mds_by_minors(generator_matrix(plain.spec)).is_mds
     assert mds_by_minors(generator_matrix(ext.spec)).is_mds
+    with pytest.raises(ValueError, match="^15 is not a prime power$"):
+        corollary_witness_codes(15, 7)
 
 
 def test_corollary_witnesses_all_prime_divisors():
-    for q in (17, 29):
+    for q in (17, 29, 25):  # 25 = 5^2: the ambient field is GF(5^4), the subfield F_25
         for p in prime_factors(q - 1):
             plain, ext = corollary_witness_codes(q, p)
             want = (q - 1) // p

@@ -1,4 +1,5 @@
-"""The package has no runtime dependencies beyond the standard library."""
+"""The package has no runtime dependencies beyond the standard library,
+and its settings come in as arguments, never from the environment."""
 
 import ast
 import sys
@@ -25,6 +26,17 @@ def test_package_imports_only_stdlib_or_itself():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_package_reads_no_environment_variable():
+    sources = sorted((ROOT / "src" / "rctrs").glob("*.py"))
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+                if name in ("environ", "getenv"):
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
 
 
 def test_pyproject_declares_no_dependencies():

@@ -356,13 +356,13 @@ def test_deleted_row_skip_bounds():
 
 
 def test_matrix_text_round_trip():
-    f = field_create(23, 2)
     rng = random.Random(71)
-    m = random_matrix(f, 3, 5, rng)
-    text = matrix_to_text(m)
-    assert text.splitlines()[0] == "23 2 3 5"
-    back = matrix_from_text(text)
-    assert back == m and back.field == f
+    for f, header in ((field_create(23, 2), "23 2 3 5"), (F7, "7 1 3 5")):
+        m = random_matrix(f, 3, 5, rng)
+        text = matrix_to_text(m)
+        assert text.splitlines()[0] == header
+        back = matrix_from_text(text)
+        assert back == m and back.field == f
 
 
 def test_matrix_text_round_trip_keeps_a_non_default_modulus():
@@ -374,17 +374,8 @@ def test_matrix_text_round_trip_keeps_a_non_default_modulus():
     assert text.splitlines()[0] == "3 2 3 3 1,2,2"
     back = matrix_from_text(text)
     assert back == m and back.field == f and rank(back) == 3
-    assert matrix_from_text(text, field=f) == m
-    with pytest.raises(ParseError):
-        matrix_from_text(text, field=field_create(3, 2))
-    with pytest.raises(ParseError):
-        matrix_from_text(matrix_to_text(Matrix(field_create(3, 2), m.rows)), field=f)
-
-
-def test_matrix_text_explicit_field():
-    m = Matrix(F7, [[1, 2], [3, 4]])
-    back = matrix_from_text(matrix_to_text(m), field=F7)
-    assert back == m
+    default = matrix_from_text(matrix_to_text(Matrix(field_create(3, 2), m.rows)))
+    assert default.field == field_create(3, 2) != f
 
 
 def test_matrix_text_parse_errors():
@@ -398,3 +389,5 @@ def test_matrix_text_parse_errors():
         matrix_from_text("7 1 2 2\n1 2\n3 x\n")
     with pytest.raises(ParseError):
         matrix_from_text("7 1 1 2\n1 2 3\n")  # long row
+    with pytest.raises(ParseError):
+        matrix_from_text("7 1 1 2\n1 7\n")  # entry outside GF(7)

@@ -87,18 +87,20 @@ MDS_FALSE = MdsVerdict(False, (0,), "minors")
 def test_is_non_rs_on_grs_is_false():
     spec = grs_spec(F13, (1, 2, 3, 4, 5, 6, 7, 8), 3)
     gen = generator_matrix(spec)
-    assert is_non_rs(gen, mds_by_minors(gen)) is False
+    assert is_non_rs(gen, mds_by_minors(gen), schur_square_dim(gen)) is False
 
 
 def test_distinguishers_undetermined_when_preconditions_fail():
     spec = grs_spec(F13, (1, 2, 3, 4, 5), 3)  # 2k > n
     gen = generator_matrix(spec)
-    assert is_non_rs(gen, MDS_TRUE) is None
-    assert is_non_rs(gen, MDS_FALSE) is None
+    dim = schur_square_dim(gen)
+    assert is_non_rs(gen, MDS_TRUE, dim) is None
+    assert is_non_rs(gen, MDS_FALSE, dim) is None
     boundary = grs_spec(F13, (1, 2, 3, 4, 5, 6), 3)  # 2k = n: rs ok, ctrs not
     gen = generator_matrix(boundary)
-    assert is_non_rs(gen, MDS_TRUE) is False
-    assert ctrs_distinguisher(gen, MDS_TRUE) is None
+    dim = schur_square_dim(gen)
+    assert is_non_rs(gen, MDS_TRUE, dim) is False
+    assert ctrs_distinguisher(gen, MDS_TRUE, dim) is None
 
 
 def test_ctrs_distinguisher_values():
@@ -110,8 +112,8 @@ def test_ctrs_distinguisher_values():
     gen = generator_matrix(code.spec)
     verdict = check_mds(code.spec, gen=gen)
     assert schur_square_dim(gen) == 9
-    assert ctrs_distinguisher(gen, verdict) is True
-    assert is_non_rs(gen, verdict) is True
+    assert ctrs_distinguisher(gen, verdict, 9) is True
+    assert is_non_rs(gen, verdict, 9) is True
 
 
 def test_plain_ctrs_code_is_not_flagged():
@@ -125,8 +127,8 @@ def test_plain_ctrs_code_is_not_flagged():
     gen = generator_matrix(code.spec)
     verdict = check_mds(code.spec, gen=gen)
     assert schur_square_dim(gen) == 8
-    assert ctrs_distinguisher(gen, verdict) is False
-    assert is_non_rs(gen, verdict) is True
+    assert ctrs_distinguisher(gen, verdict, 8) is False
+    assert is_non_rs(gen, verdict, 8) is True
 
 
 def test_schur_report_render():

@@ -1,6 +1,8 @@
 """Text round trips and rejection paths for plain-text code specs."""
 
+import gc
 import random
+from weakref import WeakValueDictionary
 
 import pytest
 
@@ -63,7 +65,7 @@ def test_golden_specs_round_trip():
 def test_a_field_named_in_text_builds_its_tables_once(monkeypatch):
     # The text names the modulus in full; field_create(3, 10) names the
     # default.  Both are one instance, whose tables one walk builds.
-    monkeypatch.setattr(gf, "_field_cache", {})
+    monkeypatch.setattr(gf, "_field_cache", WeakValueDictionary())
     walks = []
     walk = gf.Field._walk_powers
     monkeypatch.setattr(gf.Field, "_walk_powers", lambda self, g: walks.append(self) or walk(self, g))
@@ -75,6 +77,23 @@ def test_a_field_named_in_text_builds_its_tables_once(monkeypatch):
     reports = [analyze(spec).render() for spec in specs]
     assert reports[0] == reports[1]
     assert walks == [f]
+
+
+def test_the_field_cache_frees_a_field_once_nothing_uses_it():
+    # Two GF(3^6) moduli other than the default, so no other test holds them.
+    moduli = ((1, 0, 0, 0, 1, 1, 1), (1, 0, 0, 0, 1, 2, 1))
+    fields = [field_create(3, 6, modulus) for modulus in moduli]
+    assert fields[0] is not fields[1]
+    texts = [codespec_to_text(CodeSpec(CodeFamily.GRS, f, 8, 3, tuple(range(8)))) for f in fields]
+    specs = [codespec_from_text(text) for text in texts]
+    assert all(spec.field is f for spec, f in zip(specs, fields))
+    assert all(field_create(3, 6, modulus) is f for modulus, f in zip(moduli, fields))
+    assert all(analyze(spec).mds.is_mds for spec in specs)  # builds the tables
+    keys = [(3, 6, modulus) for modulus in moduli]
+    assert all(gf._field_cache[key] is f for key, f in zip(keys, fields))
+    del fields, specs
+    gc.collect()
+    assert not any(key in gf._field_cache for key in keys)
 
 
 def _random_spec(rng: random.Random) -> CodeSpec:
