@@ -36,8 +36,8 @@ Addition has four shapes.  Prime fields add modulo p.  For p = 2 and
 m > 1, with or without tables, add and sub are XOR on the index and neg
 is the identity.  Odd p with tables add through a Zech logarithm table
 of q - 1 entries (about 0.5 MB at GF(3^10)), with -1 = g^((q-1)/2);
-the field keeps that table, and the minor scan in mds reads it to sum
-on logs.
+the field keeps that table, and in mds the minor scan and the closed
+form read it to sum on logs.
 Odd p without tables add digit by digit on the index.  The primitive
 element is the smallest index g with g^((q-1)/r) != 1 for every prime r
 dividing q - 1; one search finds it for every shape, and the tables are
@@ -54,6 +54,7 @@ modulus named or not, so a field in spec text builds its tables once.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, count, islice
 from math import gcd
 from operator import xor
@@ -286,7 +287,10 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
     return power == x
 
 
+@lru_cache(maxsize=64)
 def _default_modulus(p: int, m: int) -> tuple[int, ...]:
+    # Cached apart from the fields: the field cache is weak, and asking
+    # whether a modulus is the default must not search for it again.
     if m == 1:
         return (0, 1)
     for f in _monic_polys(m, p):
@@ -422,7 +426,7 @@ class Field:
         zech = [log[e - pm1 if e % p == pm1 else e + 1] for e in islice(exp, qm1)]
         half = qm1 // 2  # -1 = g^half
         zech[half] = None
-        self._zech = zech  # also read by the minor scan, which sums on logs
+        self._zech = zech  # also read by mds, whose minor scan and closed form sum on logs
 
         def add(a: int, b: int) -> int:
             if not a:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import NotSquareError, ParseError
-from .gf import ElementLike, Field, FieldElement, field_create
+from .gf import ElementLike, Field, FieldElement, _default_modulus, field_create
 
 
 class Matrix:
@@ -134,7 +134,8 @@ def rref(m: Matrix) -> Matrix:
 
 
 def symmetric_tables(
-    field: Field, points: Sequence[int], subsets: Iterable[Sequence[int]], lo: int, hi: int, factors=()
+    field: Field, points: Sequence[int], subsets: Iterable[Sequence[int]], lo: int, hi: int, factors=(),
+    logs: bool = False,
 ):
     """For each subset of positions into points, yield the subset and
     [sigma_0, ..., sigma_hi] of its points, exact in degrees lo..hi,
@@ -148,15 +149,24 @@ def symmetric_tables(
     cols[i] != i, so only bands[i] down to bands[0] are redone: at lo = hi
     = size a subset usually costs one multiplication.  Entries below lo
     are stale, and the yielded list is reused, so read it before the next.
+
+    With logs=True, on a field that keeps a Zech table (odd p, m > 1,
+    q <= 2^20), the points, the factors and the tables are discrete logs
+    reduced mod q-1, None for zero: a product is an integer add and a sum
+    log x + zech[(log y - log x) mod q-1], with no field-op call.  Prime
+    fields and fields above 2^20 keep no log tables, and p = 2 fields no
+    Zech table, so they walk on indices.
     """
-    add = field.add
+    add = field.add  # the first read builds the tables
     mul = field.mul
+    zech, qm1 = field._zech, field.q - 1
+    one, zero = (0, None) if logs else (1, 0)
     slots = list(enumerate(factors, hi + 1))
     steps = None
     for cols in subsets:
         if steps is None:
             n = len(cols)
-            bands = [[1] + [0] * hi + [1] * len(slots) for _ in range(n + 1)]
+            bands = [[one] + [zero] * hi + [one] * len(slots) for _ in range(n + 1)]
             steps = [(p, bands[p], bands[p + 1], range(min(hi, n - p), max(0, lo - p - 1), -1)) for p in range(n)]
             # the updates for positions i, i-1, ..., 0; none for the empty subset, at i = -1
             steps = [steps[i::-1] for i in range(n)] + [[]]
@@ -165,13 +175,31 @@ def symmetric_tables(
             i = 0
             while cols[i] == i:
                 i += 1
+        if not logs:
+            for p, band, above, degrees in steps[i]:
+                x = points[cols[p]]
+                for j in degrees:
+                    y = mul(x, above[j - 1])
+                    band[j] = add(above[j], y) if above[j] else y
+                for s, values in slots:
+                    band[s] = mul(above[s], values[cols[p]])
+            yield cols, bands[0]
+            continue
         for p, band, above, degrees in steps[i]:
-            x = points[cols[p]]
+            at = cols[p]
+            x = points[at]
             for j in degrees:
-                y = mul(x, above[j - 1])
-                band[j] = add(above[j], y) if above[j] else y
+                t, y = above[j], above[j - 1]
+                if x is None or y is None:
+                    band[j] = t
+                elif t is None:
+                    band[j] = (x + y) % qm1
+                else:
+                    z = zech[(x + y - t) % qm1]
+                    band[j] = None if z is None else (t + z) % qm1
             for s, values in slots:
-                band[s] = mul(above[s], values[cols[p]])
+                y = values[at]
+                band[s] = None if y is None or above[s] is None else (above[s] + y) % qm1
         yield cols, bands[0]
 
 
@@ -183,7 +211,7 @@ def symmetric_tables(
 
 def matrix_to_text(m: Matrix) -> str:
     f = m.field
-    modulus = "" if f.modulus == field_create(f.p, f.m).modulus else " " + f.descriptor().partition("/")[2]
+    modulus = "" if f.modulus == _default_modulus(f.p, f.m) else " " + f.descriptor().partition("/")[2]
     lines = [f"{f.p} {f.m} {m.nrows} {m.ncols}{modulus}"]
     lines.extend(" ".join(str(x) for x in row) for row in m.rows)
     return "\n".join(lines) + "\n"

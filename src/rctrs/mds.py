@@ -24,10 +24,14 @@ Two independent routes decide whether a code is MDS:
   1 - eta_r sigma_r of the points, r = k - h, or a hook-0 variant for
   the coefficient column.  Consecutive colex subsets share their highest
   points, whose sigma bands and twist products carry over, so a subset
-  costs a few multiplications.  closed_form_for alone decides where it
-  applies; its three entry points, mds_closed_form_h0, _hk1 and
-  _general, differ only in the hook they take within that (h = 0,
-  h = k-1, any) and the method label they report.
+  costs a few multiplications.  On the fields with a Zech table, as for
+  the minor scan, the bands, products and tests run on discrete logs:
+  a multiplication is an integer add and a sum one Zech lookup.  Prime
+  fields, p = 2 and fields above 2^20 stay on indices, for the same
+  reasons.  closed_form_for alone decides where it applies; its three
+  entry points, mds_closed_form_h0, _hk1 and _general, differ only in
+  the hook they take within that (h = 0, h = k-1, any) and the method
+  label they report.
 
 mds_by_minors scans column subsets in colexicographic order, which for
 bitmasks is increasing order, so it steps each mask to the next by
@@ -222,6 +226,41 @@ def _require_closed_form(spec: CodeSpec, method: str):
     return fn
 
 
+def _arithmetic(f, logs: bool):
+    """(one, zero, reps, neg, mul, add) for the closed form's tests.
+
+    reps maps a list of element indices into the representation.  On
+    indices the rest are the field's own ops.  On logs every value is a
+    discrete log reduced mod q-1, or None for zero, so == compares
+    elements on either path (0 == 0 becomes None == None): -x is
+    log x + (q-1)/2, a product is an integer add and a sum one Zech
+    lookup.
+    """
+    if not logs:
+        return 1, 0, lambda xs: xs, f.neg, f.mul, f.add
+    log, zech, qm1 = f._log, f._zech, f.q - 1
+    half = qm1 // 2  # -1 = g^half
+
+    def reps(xs):
+        return [log[x] if x else None for x in xs]
+
+    def neg(a):
+        return None if a is None else (a + half) % qm1
+
+    def mul(a, b):
+        return None if a is None or b is None else (a + b) % qm1
+
+    def add(a, b):
+        if a is None:
+            return b
+        if b is None:
+            return a
+        z = zech[(b - a) % qm1]
+        return None if z is None else (a + z) % qm1
+
+    return 0, None, reps, neg, mul, add
+
+
 def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
     """Scan the minors of a t = 1 RCTRS code through their factorizations.
 
@@ -238,50 +277,84 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
     checker does not cover them; closed_form_for rules them out.  Each
     category walks its subsets with symmetric_tables, whose tables end
     with prod(b - a) and prod(c - a) in the twist categories; the first
-    compares sigma_r with 1/eta_r, which never holds at eta_r = 0.
+    compares sigma_r with 1/eta_r, which does not exist at eta_r = 0.
+
+    Over the fields that keep a Zech table (odd p, m > 1, q <= 2^20) the
+    walks and the tests run on discrete logs (see _arithmetic): a product
+    is an integer add and a sum one Zech lookup, and a twist-category
+    subset whose two sides are both zero (None) is a witness, as 0 == 0
+    is on indices.  There the twist test first takes its corrections as
+    g^u and g^u + g^(v_x), which share u, so it takes at most three Zech
+    lookups and one difference of logs mod q-1; a zero in the table raises
+    TypeError and sends the subset through the general test, which every
+    subset takes when eta_r, b, c or lambda is zero.  Prime fields and
+    fields above 2^20 keep no log tables, and p = 2 adds by XOR, so a
+    Zech table would cost more to build than it saves: they stay on
+    indices.
     """
     f = spec.field
     al = spec.alphas
     npts = len(al)
     k, h = spec.k, spec.h
     r = k - h
-    b, c, lam = spec.b, spec.c, spec.lam
-    add, sub, mul = f.add, f.sub, f.mul
+    b, c = spec.b, spec.c
+    sub = f.sub  # the first read builds the tables
+    logs = f._zech is not None
+    zech, qm1 = f._zech, f.q - 1
+    one, zero, reps, neg, mul, add = _arithmetic(f, logs)
     eta_r = f.neg(spec.eta) if r % 2 else spec.eta
+    e_r, lam, lb, lc, inv_eta = reps([eta_r, spec.lam, b, c, f.inv(eta_r) if eta_r else 1])
+    if not eta_r:
+        inv_eta = -1  # no 1/eta_r: -1 is neither an index nor a reduced log, so no sigma_r matches
+    # 1 - eta_r sigma_r - eta_r x sigma_(r-1), the twist-column correction, is a sum
+    minus_e, minus_eb, minus_ec = neg(e_r), neg(mul(e_r, lb)), neg(mul(e_r, lc))
+    pts = reps(al)
+    diffs = (reps([sub(b, a) for a in al]), reps([sub(c, a) for a in al]))
     twist, coeff = npts, npts + 1
-    diffs = ([sub(b, a) for a in al], [sub(c, a) for a in al])
 
-    def coeff_corr(top: int, one: int) -> int:
+    def coeff_corr(top, first):
         """The hook-0 coefficient-column correction from sigma_(k-1) and sigma_1."""
-        return add(1, mul(eta_r, mul(top, one)))
+        return add(one, mul(e_r, mul(top, first)))
 
-    inv_eta = f.inv(eta_r) if eta_r else None
-    for cols, table in symmetric_tables(f, al, _colex_subsets(npts, k), r, r):
+    for cols, table in symmetric_tables(f, pts, _colex_subsets(npts, k), r, r, logs=logs):
         if table[r] == inv_eta:
             return MdsVerdict(False, cols, method)
 
     if spec.extended and not h:
         # at k = 1 the table still needs sigma_1, which is 0
-        for cols, table in symmetric_tables(f, al, _colex_subsets(npts, k - 1), 1, max(k - 1, 1)):
-            if not coeff_corr(table[k - 1], table[1]):
+        for cols, table in symmetric_tables(f, pts, _colex_subsets(npts, k - 1), 1, max(k - 1, 1), logs=logs):
+            if coeff_corr(table[k - 1], table[1]) == zero:
                 return MdsVerdict(False, cols + (coeff,), method)
 
-    eta_b, eta_c = mul(eta_r, b), mul(eta_r, c)
-    for cols, table in symmetric_tables(f, al, _colex_subsets(npts, k - 1), r - 1, r, diffs):
-        corr = sub(1, mul(eta_r, table[r]))
-        corr_b = sub(corr, mul(eta_b, table[r - 1]))
-        corr_c = sub(corr, mul(eta_c, table[r - 1]))
+    fast = logs and None not in (lam, minus_eb, minus_ec)  # no zero eta_r, b, c or lambda
+    for cols, table in symmetric_tables(f, pts, _colex_subsets(npts, k - 1), r - 1, r, diffs, logs):
+        if fast:
+            try:  # u = log(1 - eta_r sigma_r), v_x = log(-eta_r x sigma_(r-1))
+                s0, s1 = table[r - 1], table[r]
+                u = 0 if s1 is None else zech[(minus_e + s1) % qm1]
+                corr_b = corr_c = u
+                if s0 is not None:
+                    corr_b = u + zech[(minus_eb + s0 - u) % qm1]
+                    corr_c = u + zech[(minus_ec + s0 - u) % qm1]
+                if (table[-2] + corr_b - lam - table[-1] - corr_c) % qm1:
+                    continue
+                return MdsVerdict(False, cols + (twist,), method)
+            except TypeError:  # a zero past sigma_r
+                pass
+        corr = add(one, mul(minus_e, table[r]))
+        corr_b = add(corr, mul(minus_eb, table[r - 1]))
+        corr_c = add(corr, mul(minus_ec, table[r - 1]))
         if mul(table[-2], corr_b) == mul(lam, mul(table[-1], corr_c)):
             return MdsVerdict(False, cols + (twist,), method)
 
     if spec.extended and k >= 2:
         # at hook k-1 the coefficient-column correction is 1, so no sigma is needed
         top = 0 if h else k - 1
-        for cols, table in symmetric_tables(f, al, _colex_subsets(npts, k - 2), min(top, 1), top, diffs):
-            corr_b = corr_c = 1
+        for cols, table in symmetric_tables(f, pts, _colex_subsets(npts, k - 2), min(top, 1), top, diffs, logs):
+            corr_b = corr_c = one
             if not h:
-                corr_b = coeff_corr(add(table[top], mul(b, table[top - 1])), add(table[1], b))
-                corr_c = coeff_corr(add(table[top], mul(c, table[top - 1])), add(table[1], c))
+                corr_b = coeff_corr(add(table[top], mul(lb, table[top - 1])), add(table[1], lb))
+                corr_c = coeff_corr(add(table[top], mul(lc, table[top - 1])), add(table[1], lc))
             if mul(table[-2], corr_b) == mul(lam, mul(table[-1], corr_c)):
                 return MdsVerdict(False, cols + (twist, coeff), method)
 

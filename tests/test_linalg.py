@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from rctrs.errors import NotSquareError, ParseError
+from rctrs import gf
 from rctrs.gf import field_create
 from rctrs.linalg import (
     Matrix,
@@ -262,10 +263,14 @@ def tables_one_by_one(f, points, subsets, lo, hi):
 def test_symmetric_tables_walk_matches_tables_one_by_one():
     """Every table of the walk, degrees lo..hi and both carried products,
     equals the oracle's and the products taken directly, on points with
-    zeros and repeats, over every subset size 0..6 and every lo <= hi."""
+    zeros and repeats, over every subset size 0..6 and every lo <= hi.
+    Over the fields with a Zech table the walk on logs runs beside it,
+    and each of its entries, read back through exp, equals the index walk's."""
     rng = random.Random(4096)
     seen = set()
-    for f in (field_create(2, 3), field_create(3, 3), F13, field_create(1031, 2)):
+    for f in (field_create(2, 3), field_create(3, 3), F13, field_create(1031, 2), field_create(5, 2)):
+        f.add  # the first read builds the tables
+        zech = f._zech is not None
         for size in range(7):
             npts = size + rng.randrange(4)
             pool = [0, 1] + [rng.randrange(2, f.q) for _ in range(npts)]
@@ -278,6 +283,11 @@ def test_symmetric_tables_walk_matches_tables_one_by_one():
                 for lo in range(hi + 1):
                     walk = symmetric_tables(f, points, iter(subsets), lo, hi, factors)
                     oracle = tables_one_by_one(f, points, subsets, lo, hi)
+                    if zech:
+                        log_walk = symmetric_tables(
+                            f, to_logs(f, points), iter(subsets), lo, hi,
+                            [to_logs(f, values) for values in factors], logs=True,
+                        )
                     count = 0
                     for (cols, table), (want_cols, want) in zip(walk, oracle):
                         assert cols == want_cols
@@ -287,14 +297,30 @@ def test_symmetric_tables_walk_matches_tables_one_by_one():
                             products = [f.mul(x, values[i]) for x, values in zip(products, factors)]
                         assert table[hi + 1 :] == products
                         seen |= {"zero product"} if 0 in products else set()
+                        if zech:
+                            log_cols, logs = next(log_walk)
+                            assert log_cols == cols
+                            back = [f._exp[x] if x is not None else 0 for x in logs]
+                            assert back[lo : hi + 1] == table[lo : hi + 1], (f, points, cols, lo, hi)
+                            assert back[hi + 1 :] == products
+                            seen |= {"log walk"} | ({"log walk zero product"} if 0 in products else set())
+                            seen |= {"log walk zero sigma"} if 0 in table[max(lo, 1) : hi + 1] else set()
                         count += 1
                     assert count == len(subsets)
+                    assert not zech or next(log_walk, None) is None
                     seen |= {f"size={size}"} | ({"lo=0"} if lo == 0 else set())
                     seen |= {"size=npts"} if size == npts else set()
             seen |= {"zero point"} if 0 in points else set()
+            seen |= {"log walk zero point"} if zech and 0 in points else set()
             seen |= {"repeated point"} if len(set(points)) < npts else set()
     wanted = {f"size={s}" for s in range(7)} | {"size=npts", "lo=0", "zero product", "zero point", "repeated point"}
+    wanted |= {"log walk", "log walk zero point", "log walk zero product", "log walk zero sigma"}
     assert wanted <= seen, wanted - seen
+
+
+def to_logs(f, values):
+    """Discrete logs of field elements, None for zero, as the log walk takes them."""
+    return [f._log[x] if x else None for x in values]
 
 
 # --- Vandermonde ----------------------------------------------------------------
@@ -376,6 +402,23 @@ def test_matrix_text_round_trip_keeps_a_non_default_modulus():
     assert back == m and back.field == f and rank(back) == 3
     default = matrix_from_text(matrix_to_text(Matrix(field_create(3, 2), m.rows)))
     assert default.field == field_create(3, 2) != f
+
+
+def test_matrix_text_searches_the_default_modulus_once(monkeypatch):
+    """Exporting over a non-default field compares its modulus with the
+    default one, which only the first export may search for, though the
+    weak field cache lets the default field go between exports."""
+    f = field_create(2, 16, [1, 1, 0, 1] + [0] * 8 + [1, 0, 0, 0, 1])  # x^16 + x^12 + x^3 + x + 1
+    m = Matrix(f, [[0, 1, 2, 3]])
+    calls = []
+    real = gf._is_irreducible
+    monkeypatch.setattr(gf, "_is_irreducible", lambda poly, p: calls.append(poly) or real(poly, p))
+    counts = []
+    for _ in range(5):
+        assert matrix_to_text(m).splitlines()[0] == "2 16 1 4 1,0,0,0,1,0,0,0,0,0,0,0,0,1,0,1,1"
+        gc.collect()
+        counts.append(len(calls))
+    assert counts == counts[:1] * 5, counts
 
 
 def test_matrix_text_parse_errors():

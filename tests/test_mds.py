@@ -520,6 +520,42 @@ def test_log_sum_matches_index_sum(monkeypatch):
     assert wanted <= seen, wanted - seen
 
 
+def test_closed_form_on_logs_matches_index_path(monkeypatch):
+    """The closed form on discrete logs against itself on indices, its
+    oracle: the same verdict, witness and method label on every spec."""
+    rng = random.Random(2020)
+    seen = set()
+    for p, m in ((3, 2),) + LOG_FIELDS:
+        f = field_create(p, m)
+        f.add  # the first read builds the tables
+        assert f._zech is not None
+        for _ in range(150):
+            spec, corners = corner_spec(f, rng)
+            fn = closed_form_for(spec)
+            if fn is None:
+                continue
+            verdict = fn(spec)
+            with monkeypatch.context() as mp:
+                mp.setattr(f, "_zech", None)
+                assert fn(spec) == verdict, spec
+            npts = len(spec.alphas)
+            corners |= {"zero evaluation point"} if 0 in spec.alphas else set()
+            corners |= {"k=2 extended"} if spec.k == 2 and spec.extended else set()
+            if verdict.witness is not None:
+                extra = tuple(col - npts for col in verdict.witness if col >= npts)
+                corners.add("witness with " + WITNESS_KINDS[extra])
+                if 0 in extra and spec.b in (spec.alphas[col] for col in verdict.witness if col < npts):
+                    corners.add("twist witness with both sides zero")  # prod(b - a) = 0
+            seen |= corners
+    wanted = {f"q={p ** m}" for p, m in ((3, 2),) + LOG_FIELDS} | {
+        "plain", "extended", "k=1", "k=2 extended", "h=0", "h=k-1", "interior hook",
+        "zero evaluation point", "b or c among points", "b=c", "lambda=0", "eta=0",
+        "witness with evaluations only", "witness with coefficient", "witness with twist",
+        "witness with twist and coefficient", "twist witness with both sides zero",
+    }
+    assert wanted <= seen, wanted - seen
+
+
 def test_minor_scan_rejects_more_rows_than_columns():
     # no 3-column subset of 2 columns: the scan would have nothing to test
     with pytest.raises(ValueError):
