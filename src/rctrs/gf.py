@@ -23,9 +23,9 @@ Arithmetic depends on the shape of the field:
 * Extensions with m > 1 and q <= 2^20 get exp/log tables, so
   multiplication and inversion are table lookups.  The tables are built
   on first arithmetic, not by the constructor: the first read of add,
-  sub, neg, mul or inv binds all five.  Until then pow, the generator
-  search, primitive_element and subfield membership take the table-free
-  path, with the same results.  The tables come from one walk over the
+  sub, neg, mul, inv or _zech binds all six.  Until then pow, the
+  generator search, primitive_element and subfield membership take the
+  table-free path, with the same results.  The tables come from one walk over the
   powers of the primitive element; each step multiplies by it on a
   packed index, one digit per bit lane, with two lookups of precomputed
   half-index products, one integer add and a lane-wise reduction mod p
@@ -34,16 +34,25 @@ Arithmetic depends on the shape of the field:
 
 Addition has four shapes.  Prime fields add modulo p.  For p = 2 and
 m > 1, with or without tables, add and sub are XOR on the index and neg
-is the identity.  Odd p with tables add through a Zech logarithm table
-of q - 1 entries (about 0.5 MB at GF(3^10)), with -1 = g^((q-1)/2);
-the field keeps that table, and in mds the minor scan and the closed
-form read it to sum on logs.
-Odd p without tables add digit by digit on the index.  The primitive
-element is the smallest index g with g^((q-1)/r) != 1 for every prime r
-dividing q - 1; one search finds it for every shape, and the tables are
-built from it, reusing it when primitive_element has already found it.
-For m > 1 the search starts at index p, past the constants of GF(p),
-none of which can generate.
+is the identity.  Odd p with tables add through the Zech table below.
+Odd p without tables add digit by digit on the index.
+
+The log domain, the one rule every log path follows.  A field keeps a
+Zech table, read as _zech, exactly when p is odd, m > 1 and q <= 2^20;
+every other field's _zech is None.  Where the table is kept, the minor
+scan and the closed form in mds, and linalg.symmetric_tables, run on
+discrete logs to the primitive element g: a nonzero x is log_g x
+reduced mod q - 1, and zero is None.  A product is an integer add, and
+a sum log x + zech[(log y - log x) mod (q - 1)], where
+zech[d] = log(1 + g^d) has q - 1 entries (about 0.5 MB at GF(3^10))
+and is None at d = (q-1)/2, since -1 = g^((q-1)/2); so -x is
+log x + (q-1)/2.  Elsewhere they run on indices through the field's ops.
+
+The primitive element is the smallest index g with g^((q-1)/r) != 1 for
+every prime r dividing q - 1; one search finds it for every shape, and
+the tables are built from it, reusing it when primitive_element has
+already found it.  For m > 1 the search starts at index p, past the
+constants of GF(p), none of which can generate.
 
 Fields of order above 2^64 (_FIELD_LIMIT) are rejected with a
 DegreeMismatchError, before p^m is computed or p is tested for primality.
@@ -300,12 +309,12 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
 
 
 class _Arithmetic:
-    """One of a Field's add, sub, neg, mul and inv before its first read.
+    """One of a Field's add, sub, neg, mul, inv and _zech before its first read.
 
-    That read binds all five in the instance dict, with the tables where
-    the field has them, and the dict entries then shadow this non-data
-    descriptor.  The other attributes stay slots, whose reads CPython
-    specializes; a class __getattr__ would cost every read of them.
+    That read binds all six in the instance dict (_bind_ops), with the
+    tables where the field has them, and the dict entries then shadow this
+    non-data descriptor.  The other attributes stay slots, whose reads
+    CPython specializes; a class __getattr__ would cost every read of them.
     """
 
     def __set_name__(self, owner, name: str) -> None:
@@ -315,8 +324,6 @@ class _Arithmetic:
         if field is None:
             return self
         field._bind_ops()
-        if field.m > 1 and field.q <= _TABLE_LIMIT:
-            field._build_tables()
         return field.__dict__[self.name]
 
 
@@ -334,10 +341,9 @@ class Field:
         "m",
         "q",
         "modulus",
-        "__dict__",  # add, sub, neg, mul and inv, once bound
+        "__dict__",  # add, sub, neg, mul, inv and _zech, once bound
         "_exp",
         "_log",
-        "_zech",
         "_gen",
         "__weakref__",  # for _field_cache
     )
@@ -368,7 +374,6 @@ class Field:
             self.modulus = tuple(coeffs)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        self._zech: list[int | None] | None = None
         self._gen: int | None = None
 
     add = _Arithmetic()
@@ -376,11 +381,14 @@ class Field:
     neg = _Arithmetic()
     mul = _Arithmetic()
     inv = _Arithmetic()
+    _zech = _Arithmetic()  # the Zech table, or None: see the module docstring
 
     # -- construction helpers -------------------------------------------------
 
     def _bind_ops(self) -> None:
+        """Bind add, sub, neg, mul, inv and _zech for the field's shape."""
         p = self.p
+        self._zech = None  # _build_tables keeps the table where there is one
         if self.m == 1:
             self.add = lambda a, b: (a + b) % p
             self.sub = lambda a, b: (a - b) % p
@@ -388,16 +396,20 @@ class Field:
             self.mul = lambda a, b: a * b % p
             self.inv = self._inv_prime
             return
+        tables = self.q <= _TABLE_LIMIT
         if p == 2:
             self.add = self.sub = xor
             self.neg = lambda a: a
-        else:
+        elif not tables:
             digits = self._add_digits
             self.add = digits
             self.sub = lambda a, b: digits(a, b, -1)
             self.neg = lambda a: digits(0, a, -1)
-        self.mul = self._mul_poly
-        self.inv = self._inv_poly
+        if tables:
+            self._build_tables()  # for odd p also add, sub and neg, through the Zech table
+        else:
+            self.mul = self._mul_poly
+            self.inv = self._inv_poly
 
     def _build_tables(self) -> None:
         p, qm1 = self.p, self.q - 1
@@ -426,7 +438,7 @@ class Field:
         zech = [log[e - pm1 if e % p == pm1 else e + 1] for e in islice(exp, qm1)]
         half = qm1 // 2  # -1 = g^half
         zech[half] = None
-        self._zech = zech  # also read by mds, whose minor scan and closed form sum on logs
+        self._zech = zech
 
         def add(a: int, b: int) -> int:
             if not a:

@@ -135,7 +135,6 @@ def rref(m: Matrix) -> Matrix:
 
 def symmetric_tables(
     field: Field, points: Sequence[int], subsets: Iterable[Sequence[int]], lo: int, hi: int, factors=(),
-    logs: bool = False,
 ):
     """For each subset of positions into points, yield the subset and
     [sigma_0, ..., sigma_hi] of its points, exact in degrees lo..hi,
@@ -150,17 +149,13 @@ def symmetric_tables(
     = size a subset usually costs one multiplication.  Entries below lo
     are stale, and the yielded list is reused, so read it before the next.
 
-    With logs=True, on a field that keeps a Zech table (odd p, m > 1,
-    q <= 2^20), the points, the factors and the tables are discrete logs
-    reduced mod q-1, None for zero: a product is an integer add and a sum
-    log x + zech[(log y - log x) mod q-1], with no field-op call.  Prime
-    fields and fields above 2^20 keep no log tables, and p = 2 fields no
-    Zech table, so they walk on indices.
+    The points, the factors and the tables are in the field's log domain
+    (see the rctrs.gf docstring): discrete logs where field._zech is a
+    table, with no field-op call, and indices otherwise.
     """
-    add = field.add  # the first read builds the tables
-    mul = field.mul
     zech, qm1 = field._zech, field.q - 1
-    one, zero = (0, None) if logs else (1, 0)
+    add, mul = field.add, field.mul
+    one, zero = (1, 0) if zech is None else (0, None)
     slots = list(enumerate(factors, hi + 1))
     steps = None
     for cols in subsets:
@@ -175,7 +170,7 @@ def symmetric_tables(
             i = 0
             while cols[i] == i:
                 i += 1
-        if not logs:
+        if zech is None:
             for p, band, above, degrees in steps[i]:
                 x = points[cols[p]]
                 for j in degrees:

@@ -10,13 +10,9 @@ Two independent routes decide whether a code is MDS:
   take, whose determinant expands along its last column into memoized
   sub-minors.  The expansion's terms are built once per set of
   remaining rows, and each column of A is kept beside its negation, so
-  with the cofactor signs folded in a term needs no inverse.  Over the
-  fields that keep a Zech table (odd p, m > 1, q <= 2^20) the
-  expansion runs on discrete logs, exactly, since no stored minor is
-  zero: a term is one integer add and each sum one Zech lookup.  Other
-  fields take one multiplication and one addition per term on indices:
-  prime fields and fields above 2^20 have no log tables, and p = 2 adds
-  by XOR, so a Zech table would cost more to build than it saves.
+  with the cofactor signs folded in a term needs no inverse.  The
+  expansion runs in the field's log domain (see the rctrs.gf
+  docstring), exactly, since no stored minor is zero.
 * one closed-form checker replays the determinant factorizations for
   RCTRS codes with t = 1.  Each k-subset of columns either consists of
   evaluation columns only, or swaps in the twist and/or coefficient
@@ -24,14 +20,11 @@ Two independent routes decide whether a code is MDS:
   1 - eta_r sigma_r of the points, r = k - h, or a hook-0 variant for
   the coefficient column.  Consecutive colex subsets share their highest
   points, whose sigma bands and twist products carry over, so a subset
-  costs a few multiplications.  On the fields with a Zech table, as for
-  the minor scan, the bands, products and tests run on discrete logs:
-  a multiplication is an integer add and a sum one Zech lookup.  Prime
-  fields, p = 2 and fields above 2^20 stay on indices, for the same
-  reasons.  closed_form_for alone decides where it applies; its three
-  entry points, mds_closed_form_h0, _hk1 and _general, differ only in
-  the hook they take within that (h = 0, h = k-1, any) and the method
-  label they report.
+  costs a few multiplications.  The bands, products and tests run in
+  the field's log domain too.  closed_form_for alone decides where it
+  applies; its three entry points, mds_closed_form_h0, _hk1 and
+  _general, differ only in the hook they take within that (h = 0,
+  h = k-1, any) and the method label they report.
 
 mds_by_minors scans column subsets in colexicographic order, which for
 bitmasks is increasing order, so it steps each mask to the next by
@@ -134,18 +127,16 @@ def mds_by_minors(g: Matrix) -> MdsVerdict:
     its negation, so a term needs no sign flip and no inverse.  A zero
     entry A[i][c] makes the one-term block of I - i + c vanish before
     any longer block with last column c reads it, so no row is skipped
-    for a zero.  Where the field keeps a Zech table (odd p, m > 1,
-    q <= 2^20) the sums run on discrete logs, exactly, since no stored
-    minor is zero and a zero entry ends the scan in its one-term block:
-    the columns hold log a and log -a = log a + (q-1)/2 (None for 0),
-    the dict the minors' logs, a term is one integer add, and a sum is
-    log x + Z(log y - log x) mod q-1, None when zero, which the next
-    term restarts.  Other fields (prime, p = 2, q > 2^20) take one mul
-    and one add per term on indices.  Colex order of k-subsets is
-    increasing bitmask order, so each mask is the last one's successor
-    by Gosper's hack; the column tuples, pulled from the colex table
-    alongside, name the witness.  A matrix with more rows than columns
-    raises ValueError.
+    for a zero.  The sums run in the field's log domain (see the rctrs.gf
+    docstring).  On logs that is exact, since no stored minor is zero
+    and a zero entry ends the scan in its one-term block: the columns
+    hold log a and log -a (None for 0), the dict the minors' logs, a
+    term is one integer add and a sum one Zech lookup, None when zero,
+    which the next term restarts.  On indices a term is one mul and one
+    add.  Colex order of k-subsets is increasing bitmask order, so each
+    mask is the last one's successor by Gosper's hack; the column
+    tuples, pulled from the colex table alongside, name the witness.  A
+    matrix with more rows than columns raises ValueError.
     """
     f = g.field
     k, n = g.nrows, g.ncols
@@ -157,8 +148,8 @@ def mds_by_minors(g: Matrix) -> MdsVerdict:
     first = next(subsets)
     if pivots != list(range(k)):
         return MdsVerdict(False, first, METHOD_MINORS)
-    add, mul, neg = f.add, f.mul, f.neg  # the first read builds the tables
     zech = f._zech
+    add, mul, neg = f.add, f.mul, f.neg
     if zech is None:  # each entry of A beside its negation
         signed = [[x for a in col for x in (a, neg(a))] for col in zip(*rows)]
     else:  # their logs, None for a zero entry; -1 = g^half
@@ -226,19 +217,18 @@ def _require_closed_form(spec: CodeSpec, method: str):
     return fn
 
 
-def _arithmetic(f, logs: bool):
-    """(one, zero, reps, neg, mul, add) for the closed form's tests.
+def _arithmetic(f):
+    """(one, zero, reps, neg, mul, add) for the closed form's tests, in the
+    field's log domain (see the rctrs.gf docstring).
 
-    reps maps a list of element indices into the representation.  On
-    indices the rest are the field's own ops.  On logs every value is a
-    discrete log reduced mod q-1, or None for zero, so == compares
-    elements on either path (0 == 0 becomes None == None): -x is
-    log x + (q-1)/2, a product is an integer add and a sum one Zech
-    lookup.
+    reps maps a list of element indices into the domain.  On indices the
+    rest are the field's own ops.  On logs every value is reduced, so ==
+    compares elements on either path (0 == 0 becomes None == None).
     """
-    if not logs:
+    zech = f._zech
+    if zech is None:
         return 1, 0, lambda xs: xs, f.neg, f.mul, f.add
-    log, zech, qm1 = f._log, f._zech, f.q - 1
+    log, qm1 = f._log, f.q - 1
     half = qm1 // 2  # -1 = g^half
 
     def reps(xs):
@@ -278,19 +268,17 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
     category walks its subsets with symmetric_tables, whose tables end
     with prod(b - a) and prod(c - a) in the twist categories; the first
     compares sigma_r with 1/eta_r, which does not exist at eta_r = 0.
+    At hook 0 the twist category's sigma_r is sigma_k of k-1 points,
+    which is 0, so its correction 1 - eta_r sigma_r is 1.
 
-    Over the fields that keep a Zech table (odd p, m > 1, q <= 2^20) the
-    walks and the tests run on discrete logs (see _arithmetic): a product
-    is an integer add and a sum one Zech lookup, and a twist-category
-    subset whose two sides are both zero (None) is a witness, as 0 == 0
-    is on indices.  There the twist test first takes its corrections as
-    g^u and g^u + g^(v_x), which share u, so it takes at most three Zech
+    The walks and the tests run in the field's log domain (see the
+    rctrs.gf docstring and _arithmetic), where a twist-category subset
+    whose two sides are both zero (None) is a witness, as 0 == 0 is on
+    indices.  On logs the twist test first takes its corrections as g^u
+    and g^u + g^(v_x), which share u, so it takes at most three Zech
     lookups and one difference of logs mod q-1; a zero in the table raises
     TypeError and sends the subset through the general test, which every
-    subset takes when eta_r, b, c or lambda is zero.  Prime fields and
-    fields above 2^20 keep no log tables, and p = 2 adds by XOR, so a
-    Zech table would cost more to build than it saves: they stay on
-    indices.
+    subset takes when eta_r, b, c or lambda is zero.
     """
     f = spec.field
     al = spec.alphas
@@ -298,10 +286,9 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
     k, h = spec.k, spec.h
     r = k - h
     b, c = spec.b, spec.c
-    sub = f.sub  # the first read builds the tables
-    logs = f._zech is not None
     zech, qm1 = f._zech, f.q - 1
-    one, zero, reps, neg, mul, add = _arithmetic(f, logs)
+    one, zero, reps, neg, mul, add = _arithmetic(f)
+    sub = f.sub
     eta_r = f.neg(spec.eta) if r % 2 else spec.eta
     e_r, lam, lb, lc, inv_eta = reps([eta_r, spec.lam, b, c, f.inv(eta_r) if eta_r else 1])
     if not eta_r:
@@ -316,18 +303,18 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
         """The hook-0 coefficient-column correction from sigma_(k-1) and sigma_1."""
         return add(one, mul(e_r, mul(top, first)))
 
-    for cols, table in symmetric_tables(f, pts, _colex_subsets(npts, k), r, r, logs=logs):
+    for cols, table in symmetric_tables(f, pts, _colex_subsets(npts, k), r, r):
         if table[r] == inv_eta:
             return MdsVerdict(False, cols, method)
 
     if spec.extended and not h:
         # at k = 1 the table still needs sigma_1, which is 0
-        for cols, table in symmetric_tables(f, pts, _colex_subsets(npts, k - 1), 1, max(k - 1, 1), logs=logs):
+        for cols, table in symmetric_tables(f, pts, _colex_subsets(npts, k - 1), 1, max(k - 1, 1)):
             if coeff_corr(table[k - 1], table[1]) == zero:
                 return MdsVerdict(False, cols + (coeff,), method)
 
-    fast = logs and None not in (lam, minus_eb, minus_ec)  # no zero eta_r, b, c or lambda
-    for cols, table in symmetric_tables(f, pts, _colex_subsets(npts, k - 1), r - 1, r, diffs, logs):
+    fast = zech is not None and None not in (lam, minus_eb, minus_ec)  # no zero eta_r, b, c or lambda
+    for cols, table in symmetric_tables(f, pts, _colex_subsets(npts, k - 1), r - 1, r, diffs):
         if fast:
             try:  # u = log(1 - eta_r sigma_r), v_x = log(-eta_r x sigma_(r-1))
                 s0, s1 = table[r - 1], table[r]
@@ -341,7 +328,7 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
                 return MdsVerdict(False, cols + (twist,), method)
             except TypeError:  # a zero past sigma_r
                 pass
-        corr = add(one, mul(minus_e, table[r]))
+        corr = add(one, mul(minus_e, table[r])) if h else one
         corr_b = add(corr, mul(minus_eb, table[r - 1]))
         corr_c = add(corr, mul(minus_ec, table[r - 1]))
         if mul(table[-2], corr_b) == mul(lam, mul(table[-1], corr_c)):
@@ -350,7 +337,7 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
     if spec.extended and k >= 2:
         # at hook k-1 the coefficient-column correction is 1, so no sigma is needed
         top = 0 if h else k - 1
-        for cols, table in symmetric_tables(f, pts, _colex_subsets(npts, k - 2), min(top, 1), top, diffs, logs):
+        for cols, table in symmetric_tables(f, pts, _colex_subsets(npts, k - 2), min(top, 1), top, diffs):
             corr_b = corr_c = one
             if not h:
                 corr_b = coeff_corr(add(table[top], mul(lb, table[top - 1])), add(table[1], lb))

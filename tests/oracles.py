@@ -1,11 +1,11 @@
 """Test oracles: independent references the suite checks the library against.
 
 None of these run in the library.  The deleted-power-row Vandermonde
-identity checks det and symmetric_tables; Hamming isometries (column
-permutations composed with nonzero column scalings) preserve distance,
-MDS-ness and the Schur-square dimension, so their images check
-schur_square_dim and check_mds; the rest are plain references for
-the twisted polynomial basis, polynomial evaluation, row spaces, colex
+identity checks det; Hamming isometries (column permutations composed
+with nonzero column scalings) preserve distance, MDS-ness and the
+Schur-square dimension, so their images check schur_square_dim and
+check_mds; the rest are plain references for the twisted polynomial
+basis, polynomial evaluation, symmetric functions, row spaces, colex
 order, multiplicative orders and the generator search.
 """
 
@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Sequence
 
 from rctrs.gf import ElementLike, Field, FieldElement, prime_factors
-from rctrs.linalg import Matrix, rank, rref, symmetric_tables
+from rctrs.linalg import Matrix, rank, rref
 
 
 # ---------------------------------------------------------------------------
@@ -56,12 +56,17 @@ def eval_poly(field: Field, coeffs: Sequence[ElementLike], x: ElementLike) -> Fi
 
 
 def elementary_symmetric(field: Field, values: Sequence[ElementLike], r: int) -> FieldElement:
-    """Degree-r elementary symmetric polynomial of the values."""
+    """Degree-r elementary symmetric polynomial of the values, by
+    sigma_j += x * sigma_(j-1) on indices, independent of the
+    symmetric_tables walk it checks."""
     if r < 0:
         raise ValueError("degree must be nonnegative")
-    vals = [field.to_index(v) for v in values]
-    _, table = next(symmetric_tables(field, vals, [range(len(vals))], r, r))
-    return FieldElement(field, table[r])
+    sigma = [1] + [0] * r
+    for x in values:
+        x = field.to_index(x)
+        for j in range(r, 0, -1):
+            sigma[j] = field.add(sigma[j], field.mul(x, sigma[j - 1]))
+    return FieldElement(field, sigma[r])
 
 
 def twist_space_basis(field: Field, k: int, t: int, h: int, eta: ElementLike) -> list[list[int]]:

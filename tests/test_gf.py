@@ -619,6 +619,24 @@ def test_first_arithmetic_builds_the_walked_tables(descriptor, op):
     assert (f._exp, f._log) == walked_tables(f)
 
 
+def test_reading_zech_first_binds_it_with_the_ops(monkeypatch):
+    """_zech is bound with the ops: read before any of them, it is the Zech
+    table where the field keeps one and None on every other shape, and a
+    field with tables never binds the table-free ops."""
+    for name in ("_add_digits", "_mul_poly", "_inv_poly"):
+        monkeypatch.setattr(Field, name, property(lambda self, name=name: pytest.fail(f"{name} bound")))
+    for descriptor in ("5^2", "3^5"):
+        f = fresh(descriptor)
+        assert len(f._zech) == f.q - 1
+        assert f._zech[(f.q - 1) // 2] is None  # 1 + g^((q-1)/2) = 0
+        assert {"add", "sub", "neg", "mul", "inv"} <= vars(f).keys()
+    for descriptor in ("31", "2^8"):
+        assert fresh(descriptor)._zech is None
+    monkeypatch.undo()
+    for descriptor in ("1031^2", "2^21"):  # q > 2^20: no tables
+        assert fresh(descriptor)._zech is None
+
+
 @pytest.mark.parametrize("p,m", [(17, 1), (31, 2), (7, 4), (2, 8)])
 def test_pow_is_the_same_before_and_after_the_tables(p, m):
     f = Field(p, m)

@@ -8,7 +8,7 @@ import pytest
 import rctrs.mds
 from rctrs.codes import CodeFamily, CodeSpec, generator_matrix
 from rctrs.errors import MethodDisagreementError, WrongHookTwistError
-from rctrs.gf import field_create
+from rctrs.gf import Field, field_create
 from rctrs.linalg import Matrix, det, rref
 from rctrs.mds import (
     DEFAULT_DISTANCE_BUDGET,
@@ -489,7 +489,6 @@ def test_log_sum_matches_index_sum(monkeypatch):
     """The log sum of mds_by_minors against the index sum, its oracle."""
     seen = set()
     for f, g in log_sum_cases(random.Random(1700)):
-        f.add  # the first read builds the tables
         assert f._zech is not None
         counting = CountingZech(f._zech)
         with monkeypatch.context() as mp:
@@ -520,6 +519,29 @@ def test_log_sum_matches_index_sum(monkeypatch):
     assert wanted <= seen, wanted - seen
 
 
+def test_scans_on_a_fresh_field_sum_through_its_zech_table(monkeypatch):
+    """On a field none of whose ops was read before, mds_by_minors and the
+    closed form bind the Zech table with their first read and sum through it."""
+    bind = Field._bind_ops
+
+    def bind_counting(f):
+        bind(f)
+        f._zech = CountingZech(f._zech)
+
+    monkeypatch.setattr(Field, "_bind_ops", bind_counting)
+    for p, m in ((5, 2), (3, 5)):
+        f = Field(p, m)
+        g = Matrix(f, [[1, 0, 0, 2, 3], [0, 1, 0, 4, 5], [0, 0, 1, 6, 7]])
+        assert not vars(f)  # no op read yet
+        mds_by_minors(g)
+        assert f._zech.reads
+        f = Field(p, m)
+        spec = rctrs_spec(f, [1, 2, 3, 4, 5], b=6, c=7, lam=1, eta=1, k=2, h=1)
+        assert not vars(f)
+        closed_form_for(spec)(spec)
+        assert f._zech.reads
+
+
 def test_closed_form_on_logs_matches_index_path(monkeypatch):
     """The closed form on discrete logs against itself on indices, its
     oracle: the same verdict, witness and method label on every spec."""
@@ -527,7 +549,6 @@ def test_closed_form_on_logs_matches_index_path(monkeypatch):
     seen = set()
     for p, m in ((3, 2),) + LOG_FIELDS:
         f = field_create(p, m)
-        f.add  # the first read builds the tables
         assert f._zech is not None
         for _ in range(150):
             spec, corners = corner_spec(f, rng)
