@@ -40,10 +40,10 @@ Odd p without tables add digit by digit on the index.
 The log domain, the one rule every log path follows.  A field keeps a
 Zech table, read as _zech, exactly when p is odd, m > 1 and q <= 2^20;
 every other field's _zech is None.  Where the table is kept, the minor
-scan and the closed form in mds, and linalg.symmetric_tables, run on
-discrete logs to the primitive element g: a nonzero x is log_g x
-reduced mod q - 1, and zero is None.  A product is an integer add, and
-a sum log x + zech[(log y - log x) mod (q - 1)], where
+scan and the closed form in mds run on discrete logs to the primitive
+element g: a nonzero x is log_g x reduced mod q - 1, and zero is None.
+A product is an integer add, and a sum
+log x + zech[(log y - log x) mod (q - 1)], where
 zech[d] = log(1 + g^d) has q - 1 entries (about 0.5 MB at GF(3^10))
 and is None at d = (q-1)/2, since -1 = g^((q-1)/2); so -x is
 log x + (q-1)/2.  Elsewhere they run on indices through the field's ops.

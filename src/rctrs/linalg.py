@@ -3,16 +3,12 @@
 Matrices are immutable row-major grids of element indices tied to a
 Field.  Rank, determinant and RREF all run one Gaussian elimination
 loop (_eliminate) with exact field inverses; nothing here ever rounds.
-
-Also hosts symmetric_tables, the elementary symmetric polynomials of
-point subsets that the closed-form MDS criteria read, by the standard
-one-pass recurrence banded to the degrees asked for, and the plain-text
-matrix format.
+Also hosts the plain-text matrix format.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import NotSquareError, ParseError
 from .gf import ElementLike, Field, FieldElement, _default_modulus, field_create
@@ -130,75 +126,6 @@ def rref(m: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Elementary symmetric functions over colex subsets.
-
-
-def symmetric_tables(
-    field: Field, points: Sequence[int], subsets: Iterable[Sequence[int]], lo: int, hi: int, factors=(),
-):
-    """For each subset of positions into points, yield the subset and
-    [sigma_0, ..., sigma_hi] of its points, exact in degrees lo..hi,
-    followed by the product over the subset of each sequence in factors.
-
-    The subsets are the k-subsets of a range in colex order, as from
-    _colex_subsets, or a prefix of them.  bands[p] is the table of the
-    points at positions p and above, built by sigma_j += x * sigma_(j-1)
-    from the top position down and banded to the degrees that can still
-    reach lo.  The next subset keeps the positions above the first i with
-    cols[i] != i, so only bands[i] down to bands[0] are redone: at lo = hi
-    = size a subset usually costs one multiplication.  Entries below lo
-    are stale, and the yielded list is reused, so read it before the next.
-
-    The points, the factors and the tables are in the field's log domain
-    (see the rctrs.gf docstring): discrete logs where field._zech is a
-    table, with no field-op call, and indices otherwise.
-    """
-    zech, qm1 = field._zech, field.q - 1
-    add, mul = field.add, field.mul
-    one, zero = (1, 0) if zech is None else (0, None)
-    slots = list(enumerate(factors, hi + 1))
-    steps = None
-    for cols in subsets:
-        if steps is None:
-            n = len(cols)
-            bands = [[one] + [zero] * hi + [one] * len(slots) for _ in range(n + 1)]
-            steps = [(p, bands[p], bands[p + 1], range(min(hi, n - p), max(0, lo - p - 1), -1)) for p in range(n)]
-            # the updates for positions i, i-1, ..., 0; none for the empty subset, at i = -1
-            steps = [steps[i::-1] for i in range(n)] + [[]]
-            i = n - 1
-        else:
-            i = 0
-            while cols[i] == i:
-                i += 1
-        if zech is None:
-            for p, band, above, degrees in steps[i]:
-                x = points[cols[p]]
-                for j in degrees:
-                    y = mul(x, above[j - 1])
-                    band[j] = add(above[j], y) if above[j] else y
-                for s, values in slots:
-                    band[s] = mul(above[s], values[cols[p]])
-            yield cols, bands[0]
-            continue
-        for p, band, above, degrees in steps[i]:
-            at = cols[p]
-            x = points[at]
-            for j in degrees:
-                t, y = above[j], above[j - 1]
-                if x is None or y is None:
-                    band[j] = t
-                elif t is None:
-                    band[j] = (x + y) % qm1
-                else:
-                    z = zech[(x + y - t) % qm1]
-                    band[j] = None if z is None else (t + z) % qm1
-            for s, values in slots:
-                y = values[at]
-                band[s] = None if y is None or above[s] is None else (above[s] + y) % qm1
-        yield cols, bands[0]
-
-
-# ---------------------------------------------------------------------------
 # Plain text serialization: header "p m rows cols", then index rows.  A field
 # whose modulus is not the default adds it to the header as in the field
 # descriptor, leading coefficient first: "p m rows cols c_m,...,c_0".
@@ -222,6 +149,8 @@ def matrix_from_text(text: str) -> Matrix:
         if len(head) not in (4, 5):
             raise ValueError
         p, m, nrows, ncols = (int(tok) for tok in head[:4])
+        if nrows < 0 or ncols < 0:
+            raise ValueError
         modulus = [int(c) for c in reversed(head[4].split(","))] if len(head) == 5 else None
     except ValueError as exc:
         raise ParseError(f"bad matrix header {lines[0]!r}") from exc

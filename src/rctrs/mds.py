@@ -4,39 +4,30 @@ Two independent routes decide whether a code is MDS:
 
 * mds_by_minors checks every k-subset of columns for an invertible
   k-by-k minor.  It works on any generator matrix and is the oracle the
-  closed forms are measured against.  G is reduced to RREF once; unless
-  its first k columns are dependent (then they are the witness), it is
-  [I | A], and each minor is decided on the block of A its columns
-  take, whose determinant expands along its last column into memoized
-  sub-minors.  The expansion's terms are built once per set of
-  remaining rows, and each column of A is kept beside its negation, so
-  with the cofactor signs folded in a term needs no inverse.  The
-  expansion runs in the field's log domain (see the rctrs.gf
-  docstring), exactly, since no stored minor is zero.
+  closed forms are measured against; its docstring gives the scan.
 * one closed-form checker replays the determinant factorizations for
   RCTRS codes with t = 1.  Each k-subset of columns either consists of
   evaluation columns only, or swaps in the twist and/or coefficient
   column; every case reduces to a product of point differences times
   1 - eta_r sigma_r of the points, r = k - h, or a hook-0 variant for
-  the coefficient column.  Consecutive colex subsets share their highest
-  points, whose sigma bands and twist products carry over, so a subset
-  costs a few multiplications.  The bands, products and tests run in
-  the field's log domain too.  closed_form_for alone decides where it
+  the coefficient column.  closed_form_for alone decides where it
   applies; its three entry points, mds_closed_form_h0, _hk1 and
   _general, differ only in the hook they take within that (h = 0,
   h = k-1, any) and the method label they report.
 
-mds_by_minors scans column subsets in colexicographic order, which for
-bitmasks is increasing order, so it steps each mask to the next by
-Gosper's hack while it reads the column tuples alongside.  The closed
-form scans category by category, each in colexicographic order: subsets
-of evaluation columns only, then (when extended, at hook 0) k-1
-evaluations plus the coefficient column, then k-1 evaluations plus the
-twist column, then (when extended) k-2 evaluations plus both.  Both
-read one cached table of colex subsets per (n, k), built from
-itertools.combinations.  Either way a failing witness is deterministic.
-Witness column indices are 0-based with the twist column at position
-n-1 and, when extended, the coefficient column at position n.
+Both routes visit column subsets in colexicographic order, read from one
+cached table per (n, k), so a failing witness is deterministic, and both
+run in the field's log domain (see the rctrs.gf docstring), whose
+constants _arithmetic sets up.  The closed form scans category by
+category: subsets of evaluation columns only, then (when extended, at
+hook 0) k-1 evaluations plus the coefficient column, then k-1
+evaluations plus the twist column, then (when extended) k-2 evaluations
+plus both.  Each category walks its subsets with _symmetric_tables, and
+colex order is what makes that walk cheap: consecutive subsets share
+their highest points, whose sigma bands and twist products carry over,
+so a subset costs a few multiplications.  Witness column indices are
+0-based with the twist column at position n-1 and, when extended, the
+coefficient column at position n.
 
 Minimum distance is exact when q^k fits the budget.  The first k-1 rows
 are enumerated projectively, and each resulting prefix covers all q
@@ -59,7 +50,7 @@ from typing import Optional
 
 from .codes import CodeFamily, CodeSpec, generator_matrix
 from .errors import MethodDisagreementError, WrongHookTwistError
-from .linalg import Matrix, _eliminate, rank, symmetric_tables
+from .linalg import Matrix, _eliminate, rank
 
 DEFAULT_DISTANCE_BUDGET = 1 << 24
 
@@ -148,17 +139,12 @@ def mds_by_minors(g: Matrix) -> MdsVerdict:
     first = next(subsets)
     if pivots != list(range(k)):
         return MdsVerdict(False, first, METHOD_MINORS)
-    zech = f._zech
-    add, mul, neg = f.add, f.mul, f.neg
-    if zech is None:  # each entry of A beside its negation
-        signed = [[x for a in col for x in (a, neg(a))] for col in zip(*rows)]
-    else:  # their logs, None for a zero entry; -1 = g^half
-        log, qm1 = f._log, f.q - 1
-        half = qm1 // 2
-        signed = [[x for a in col for x in ((log[a], (log[a] + half) % qm1) if a else (None, None))]
-                  for col in zip(*rows)]
+    zech, qm1 = f._zech, f.q - 1
+    one, _, reps, neg, mul, add = _arithmetic(f)
+    # each entry of A beside its negation
+    signed = [[x for a in reps(col) for x in (a, neg(a))] for col in zip(*rows)]
     unit = (1 << k) - 1  # the mask of I, the pivot columns
-    dets = {unit: 1 if zech is None else 0}  # det(I) = 1 = g^0
+    dets = {unit: one}  # det(I) = 1
     terms = {}  # pivot columns in S -> [(row bit, position of +-A[row] in a column)]
     mask = unit
     for cols in subsets:
@@ -218,8 +204,8 @@ def _require_closed_form(spec: CodeSpec, method: str):
 
 
 def _arithmetic(f):
-    """(one, zero, reps, neg, mul, add) for the closed form's tests, in the
-    field's log domain (see the rctrs.gf docstring).
+    """(one, zero, reps, neg, mul, add) in the field's log domain (see the
+    rctrs.gf docstring): the one set-up of the domain for both scans.
 
     reps maps a list of element indices into the domain.  On indices the
     rest are the field's own ops.  On logs every value is reduced, so ==
@@ -251,6 +237,71 @@ def _arithmetic(f):
     return 0, None, reps, neg, mul, add
 
 
+def _symmetric_tables(f, points, size: int, lo: int, hi: int, factors=()):
+    """For each size-subset of positions into points, in colex order, yield
+    the subset and [sigma_0, ..., sigma_hi] of its points, exact in degrees
+    lo..hi, followed by the product over the subset of each sequence in
+    factors.
+
+    bands[p] is the table of the points at positions p and above, built by
+    sigma_j += x * sigma_(j-1) from the top position down and banded to the
+    degrees that can still reach lo.  The first subset, 0..size-1, fills
+    every band.  Each later one keeps the positions above the first i with
+    cols[i] != i, so only bands[i] down to bands[0] are redone: at lo = hi
+    = size a subset usually costs one multiplication.  Entries below lo are
+    stale, and the yielded list is reused, so read it before the next.
+    The points, the factors and the tables are in the log domain of
+    _arithmetic.
+    """
+    zech, qm1 = f._zech, f.q - 1
+    one, zero, _, _, mul, add = _arithmetic(f)
+    slots = list(enumerate(factors, hi + 1))
+    bands = [[one] + [zero] * hi + [one] * len(slots) for _ in range(size + 1)]
+    updates = [(p, bands[p], bands[p + 1], range(min(hi, size - p), max(0, lo - p - 1), -1))
+               for p in range(size)]
+    steps = [updates[i::-1] for i in range(size)]  # the updates for positions i, i-1, ..., 0
+    subsets = iter(_colex_subsets(len(points), size))
+    first = next(subsets, None)
+    if first is None:
+        return
+    for p, band, above, degrees in reversed(updates):
+        for j in degrees:
+            band[j] = add(above[j], mul(points[p], above[j - 1]))
+        for s, values in slots:
+            band[s] = mul(above[s], values[p])
+    yield first, bands[0]
+    for cols in subsets:
+        i = 0
+        while cols[i] == i:
+            i += 1
+        if zech is None:
+            for p, band, above, degrees in steps[i]:
+                x = points[cols[p]]
+                for j in degrees:
+                    y = mul(x, above[j - 1])
+                    band[j] = add(above[j], y) if above[j] else y
+                for s, values in slots:
+                    band[s] = mul(above[s], values[cols[p]])
+            yield cols, bands[0]
+            continue
+        for p, band, above, degrees in steps[i]:
+            at = cols[p]
+            x = points[at]
+            for j in degrees:
+                t, y = above[j], above[j - 1]
+                if x is None or y is None:
+                    band[j] = t
+                elif t is None:
+                    band[j] = (x + y) % qm1
+                else:
+                    z = zech[(x + y - t) % qm1]
+                    band[j] = None if z is None else (t + z) % qm1
+            for s, values in slots:
+                y = values[at]
+                band[s] = None if y is None or above[s] is None else (above[s] + y) % qm1
+        yield cols, bands[0]
+
+
 def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
     """Scan the minors of a t = 1 RCTRS code through their factorizations.
 
@@ -265,7 +316,7 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
     Extended codes with an interior hook factor too, through
     s_(2,1^m) = sigma_1 sigma_m - sigma_(m+1) with m = k-1-h, but this
     checker does not cover them; closed_form_for rules them out.  Each
-    category walks its subsets with symmetric_tables, whose tables end
+    category walks its subsets with _symmetric_tables, whose tables end
     with prod(b - a) and prod(c - a) in the twist categories; the first
     compares sigma_r with 1/eta_r, which does not exist at eta_r = 0.
     At hook 0 the twist category's sigma_r is sigma_k of k-1 points,
@@ -282,7 +333,6 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
     """
     f = spec.field
     al = spec.alphas
-    npts = len(al)
     k, h = spec.k, spec.h
     r = k - h
     b, c = spec.b, spec.c
@@ -297,24 +347,24 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
     minus_e, minus_eb, minus_ec = neg(e_r), neg(mul(e_r, lb)), neg(mul(e_r, lc))
     pts = reps(al)
     diffs = (reps([sub(b, a) for a in al]), reps([sub(c, a) for a in al]))
-    twist, coeff = npts, npts + 1
+    twist, coeff = len(al), len(al) + 1
 
     def coeff_corr(top, first):
         """The hook-0 coefficient-column correction from sigma_(k-1) and sigma_1."""
         return add(one, mul(e_r, mul(top, first)))
 
-    for cols, table in symmetric_tables(f, pts, _colex_subsets(npts, k), r, r):
+    for cols, table in _symmetric_tables(f, pts, k, r, r):
         if table[r] == inv_eta:
             return MdsVerdict(False, cols, method)
 
     if spec.extended and not h:
         # at k = 1 the table still needs sigma_1, which is 0
-        for cols, table in symmetric_tables(f, pts, _colex_subsets(npts, k - 1), 1, max(k - 1, 1)):
+        for cols, table in _symmetric_tables(f, pts, k - 1, 1, max(k - 1, 1)):
             if coeff_corr(table[k - 1], table[1]) == zero:
                 return MdsVerdict(False, cols + (coeff,), method)
 
     fast = zech is not None and None not in (lam, minus_eb, minus_ec)  # no zero eta_r, b, c or lambda
-    for cols, table in symmetric_tables(f, pts, _colex_subsets(npts, k - 1), r - 1, r, diffs):
+    for cols, table in _symmetric_tables(f, pts, k - 1, r - 1, r, diffs):
         if fast:
             try:  # u = log(1 - eta_r sigma_r), v_x = log(-eta_r x sigma_(r-1))
                 s0, s1 = table[r - 1], table[r]
@@ -337,7 +387,7 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
     if spec.extended and k >= 2:
         # at hook k-1 the coefficient-column correction is 1, so no sigma is needed
         top = 0 if h else k - 1
-        for cols, table in symmetric_tables(f, pts, _colex_subsets(npts, k - 2), min(top, 1), top, diffs):
+        for cols, table in _symmetric_tables(f, pts, k - 2, min(top, 1), top, diffs):
             corr_b = corr_c = one
             if not h:
                 corr_b = coeff_corr(add(table[top], mul(lb, table[top - 1])), add(table[1], lb))

@@ -296,6 +296,42 @@ def test_matrix_file_keeps_a_non_default_modulus(tmp_path, capsys):
     assert "reducible" in capsys.readouterr().err
 
 
+def test_matrix_header_with_a_negative_count_is_a_bad_header(tmp_path, capsys):
+    matrix_path = tmp_path / "gen.matrix"
+    for text in ("3 1 -1 2\n", "3 1 1 -1\n1\n"):
+        matrix_path.write_text(text)
+        assert main(["import", str(matrix_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad matrix header {text.splitlines()[0]!r}\n"
+    matrix_path.write_text("3 1 0 0\n")  # zero columns: not a bad header, but no matrix
+    assert main(["import", str(matrix_path)]) == 2
+    assert capsys.readouterr().err == "error: matrix must have at least one column\n"
+
+
+def test_non_integer_alphas_are_a_usage_error(capsys):
+    argv = CHAIN_7_4[:]
+    argv[argv.index("--alphas") + 1] = "1,x"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --alphas: expected comma-separated integers, got '1,x'" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_reproduce_verbose_adds_each_generator_matrix(capsys):
+    assert main(["reproduce", "--example", "all"]) == 0
+    blocks = capsys.readouterr().out.split("result=PASS\n")
+    cases = [case for key in rctrs.GOLDEN_KEYS for case in rctrs.golden.golden_cases(key)]
+    assert len(blocks) == len(cases) + 1
+    want = ""
+    for block, case in zip(blocks, cases):
+        assert block.lstrip("\n").startswith(f"example={case.label}\n")
+        want += block + rctrs.matrix_to_text(rctrs.generator_matrix(case.code.spec)) + "result=PASS\n"
+    assert main(["reproduce", "--example", "all", "-v"]) == 0
+    assert capsys.readouterr().out == want + blocks[-1]
+
+
 def test_usage_and_validation_exit_codes(tmp_path, capsys):
     assert main([]) == 2
     capsys.readouterr()

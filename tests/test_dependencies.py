@@ -1,5 +1,6 @@
 """The package has no runtime dependencies beyond the standard library,
-and its settings come in as arguments, never from the environment."""
+its settings come in as arguments, never from the environment, and only
+the modules that own a field's log tables read them."""
 
 import ast
 import sys
@@ -35,6 +36,25 @@ def test_package_reads_no_environment_variable():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
                 if name in ("environ", "getenv"):
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
+
+
+def test_only_gf_and_mds_reach_into_the_log_domain_and_colex_table():
+    """A field's log tables (_zech, _log, _exp) are read only in gf, which
+    builds them, and in mds, whose scans set up their log domain in one
+    place; the colex subset table is named only in mds, whose walks rely
+    on its order."""
+    owners = {"_zech": {"gf.py", "mds.py"}, "_log": {"gf.py", "mds.py"},
+              "_exp": {"gf.py", "mds.py"}, "_colex_subsets": {"mds.py"}}
+    sources = sorted((ROOT / "src" / "rctrs").glob("*.py"))
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            # a name, an attribute, an import or definition, or a getattr string
+            for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None),
+                         node.value if isinstance(node, ast.Constant) else None):
+                if name in owners and path.name not in owners[name]:
                     found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []
 

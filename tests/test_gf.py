@@ -1,6 +1,7 @@
 """Finite field arithmetic, subfields and subgroups."""
 
 import itertools
+import math
 import operator
 import random
 import time
@@ -131,6 +132,41 @@ def test_prime_factors_gives_up_past_the_rho_cap(monkeypatch):
     monkeypatch.setattr(gf, "_RHO_STEPS", 0)
     with pytest.raises(ValueError, match="cannot factor 68250597351071: Pollard rho"):
         prime_factors(136501194702142)
+
+
+def rho_one_gcd_per_step(n: int) -> int:
+    """Brent's rho as _rho_divisor walks it, but with one gcd per step; the
+    oracle for its batched gcds."""
+    for c in itertools.count(1):
+        y, r, d = 2, 1, 1
+        while d == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for _ in range(r):
+                y = (y * y + c) % n
+                d = math.gcd(x - y, n)
+                if d != 1:
+                    break
+            r *= 2
+        if d != n:
+            return d
+
+
+def test_rho_divisor_retakes_an_overshot_batch():
+    """Each odd composite n below 4000 splits, and its divisor is a multiple
+    of the first step's gcd above 1, under the same c, as one gcd per step
+    finds it.  A batch of steps shares one gcd, which may take in more
+    primes, and when it takes in all of n (153 of these n, from 25 on), the
+    batch is retaken one gcd at a time, which must find that first step."""
+    import rctrs.gf as gf
+
+    for n in range(9, 4000, 2):
+        if is_prime(n):
+            continue
+        d = gf._rho_divisor(n)
+        assert d is not None and 1 < d < n and n % d == 0, n
+        assert d % rho_one_gcd_per_step(n) == 0, n
 
 
 def trial_then_rho_factors(n: int) -> list[int]:

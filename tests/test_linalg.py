@@ -17,7 +17,6 @@ from rctrs.linalg import (
     matrix_to_text,
     rank,
     rref,
-    symmetric_tables,
 )
 
 from oracles import (
@@ -243,90 +242,6 @@ def test_elementary_symmetric_against_subset_enumeration():
     assert elementary_symmetric(f, [5], 2) == 0
 
 
-def tables_one_by_one(f, points, subsets, lo, hi):
-    """Each subset's banded table from scratch, points in position order;
-    the oracle for the shared-suffix walk of symmetric_tables."""
-    add, mul = f.add, f.mul
-    start = [1] + [0] * hi
-    steps = None
-    for cols in subsets:
-        if steps is None:
-            n = len(cols)
-            steps = [(p, j) for p in range(n) for j in range(min(hi, p + 1), max(0, lo - n + p), -1)]
-        table = start[:]
-        for p, j in steps:
-            y = mul(points[cols[p]], table[j - 1])
-            table[j] = add(table[j], y) if table[j] else y
-        yield cols, table
-
-
-def test_symmetric_tables_walk_matches_tables_one_by_one(monkeypatch):
-    """Every table of the walk on indices, degrees lo..hi and both carried
-    products, equals the oracle's and the products taken directly, on
-    points with zeros and repeats, over every subset size 0..6 and every
-    lo <= hi.  Over the fields with a Zech table, where the index walk
-    runs with _zech = None, the walk on logs runs beside it, and each of
-    its entries, read back through exp, equals the index walk's."""
-    rng = random.Random(4096)
-    seen = set()
-    for f in (field_create(2, 3), field_create(3, 3), F13, field_create(1031, 2), field_create(5, 2)):
-        zech = f._zech is not None
-        for size in range(7):
-            npts = size + rng.randrange(4)
-            pool = [0, 1] + [rng.randrange(2, f.q) for _ in range(npts)]
-            points = [rng.choice(pool) for _ in range(npts)]
-            b, c = rng.choice(points) if npts else 0, rng.randrange(f.q)
-            factors = ([f.sub(b, a) for a in points], [f.sub(c, a) for a in points])
-            subsets = list(itertools.combinations(range(npts), size))
-            subsets.sort(key=lambda cols: cols[::-1])  # colex
-            for hi in range(size + 2):
-                for lo in range(hi + 1):
-                    with monkeypatch.context() as mp:
-                        mp.setattr(f, "_zech", None)
-                        # the walk reuses its yielded list, so each table is copied
-                        walk = [(cols, table[:]) for cols, table in
-                                symmetric_tables(f, points, iter(subsets), lo, hi, factors)]
-                    oracle = tables_one_by_one(f, points, subsets, lo, hi)
-                    if zech:
-                        log_walk = symmetric_tables(
-                            f, to_logs(f, points), iter(subsets), lo, hi,
-                            [to_logs(f, values) for values in factors],
-                        )
-                    count = 0
-                    for (cols, table), (want_cols, want) in zip(walk, oracle):
-                        assert cols == want_cols
-                        assert table[lo : hi + 1] == want[lo : hi + 1], (f, points, cols, lo, hi)
-                        products = [1, 1]
-                        for i in cols:
-                            products = [f.mul(x, values[i]) for x, values in zip(products, factors)]
-                        assert table[hi + 1 :] == products
-                        seen |= {"zero product"} if 0 in products else set()
-                        if zech:
-                            log_cols, logs = next(log_walk)
-                            assert log_cols == cols
-                            back = [f._exp[x] if x is not None else 0 for x in logs]
-                            assert back[lo : hi + 1] == table[lo : hi + 1], (f, points, cols, lo, hi)
-                            assert back[hi + 1 :] == products
-                            seen |= {"log walk"} | ({"log walk zero product"} if 0 in products else set())
-                            seen |= {"log walk zero sigma"} if 0 in table[max(lo, 1) : hi + 1] else set()
-                        count += 1
-                    assert count == len(subsets)
-                    assert not zech or next(log_walk, None) is None
-                    seen |= {f"size={size}"} | ({"lo=0"} if lo == 0 else set())
-                    seen |= {"size=npts"} if size == npts else set()
-            seen |= {"zero point"} if 0 in points else set()
-            seen |= {"log walk zero point"} if zech and 0 in points else set()
-            seen |= {"repeated point"} if len(set(points)) < npts else set()
-    wanted = {f"size={s}" for s in range(7)} | {"size=npts", "lo=0", "zero product", "zero point", "repeated point"}
-    wanted |= {"log walk", "log walk zero point", "log walk zero product", "log walk zero sigma"}
-    assert wanted <= seen, wanted - seen
-
-
-def to_logs(f, values):
-    """Discrete logs of field elements, None for zero, as the log walk takes them."""
-    return [f._log[x] if x else None for x in values]
-
-
 # --- Vandermonde ----------------------------------------------------------------
 
 
@@ -430,6 +345,9 @@ def test_matrix_text_parse_errors():
         matrix_from_text("")
     with pytest.raises(ParseError):
         matrix_from_text("7 1 2\n1 2\n3 4\n")  # short header
+    for header in ("7 1 -1 2", "7 1 1 -2"):  # negative counts
+        with pytest.raises(ParseError, match="bad matrix header"):
+            matrix_from_text(header + "\n1\n")
     with pytest.raises(ParseError):
         matrix_from_text("7 1 2 2\n1 2\n")  # missing row
     with pytest.raises(ParseError):
