@@ -13,8 +13,9 @@ library name as an attribute of _cli, this module, which resolves it
 through the package on first use, so a replacement set here (a tracing
 wrapper) is the one called.
 
-analyze and distance enumerate within --budget, else 2^24.  analyze
-always cross-checks the MDS verdict; check-mds --method picks the route.
+analyze and distance enumerate within --budget, a non-negative integer,
+else 2^24.  analyze always cross-checks the MDS verdict; check-mds
+--method picks the route.
 
 Exit codes: 0 on success, 1 on analysis failure (a reproduction
 mismatch, a method disagreement, or an --expect gate that does not
@@ -48,6 +49,12 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
+
+
+def _budget(text: str) -> int:
+    if int(text) < 0:  # a non-integer is argparse's "invalid _budget value"
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -114,11 +121,17 @@ def cmd_check_mds(args) -> int:
     return 0
 
 
-def cmd_schur_dim(args) -> int:
+def cmd_schur(args) -> int:
+    """schur-dim prints the Schur line; distinguish prints its dimension and its --target's
+    verdict, one a line."""
     spec = _cli.codespec_read(args.spec)
     gen = _cli.generator_matrix(spec)
     verdict = _cli.check_mds(spec, gen=gen)
-    print(_cli.schur_report(gen, verdict).render())
+    line = _cli.schur_report(gen, verdict).render()
+    if args.target is not None:
+        dim, non_rs, ctrs_incompatible = line.split()
+        line = f"{dim}\n{non_rs if args.target == 'rs' else ctrs_incompatible}"
+    print(line)
     return 0
 
 
@@ -128,19 +141,6 @@ def cmd_distance(args) -> int:
     budget = _cli.DEFAULT_DISTANCE_BUDGET if args.budget is None else args.budget
     result = _cli.min_distance(gen, budget)
     print(result.render(gen.ncols - gen.nrows + 1))
-    return 0
-
-
-def cmd_distinguish(args) -> int:
-    spec = _cli.codespec_read(args.spec)
-    gen = _cli.generator_matrix(spec)
-    verdict = _cli.check_mds(spec, gen=gen)
-    rep = _cli.schur_report(gen, verdict)
-    print(f"schur_dim={rep.dim}")
-    if args.target == "rs":
-        print(f"non_rs={_cli.schur.tri(rep.non_rs)}")
-    else:
-        print(f"ctrs_incompatible={_cli.schur.tri(rep.ctrs_incompatible)}")
     return 0
 
 
@@ -255,17 +255,17 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schur-dim", help="Schur-square dimension and distinguishers")
     p.add_argument("spec")
-    p.set_defaults(func=cmd_schur_dim)
+    p.set_defaults(func=cmd_schur, target=None)
 
     p = sub.add_parser("distance", help="minimum distance, enumerated within budget")
     p.add_argument("spec")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_budget)
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("distinguish", help="test inequivalence to RS or CTRS codes")
     p.add_argument("spec")
     p.add_argument("--target", choices=("rs", "ctrs"), required=True)
-    p.set_defaults(func=cmd_distinguish)
+    p.set_defaults(func=cmd_schur)
 
     p = sub.add_parser("reproduce", help="run the built-in worked examples")
     p.add_argument("--example", choices=GOLDEN_KEYS + ("all",), default="all")
@@ -274,7 +274,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full report for a spec file")
     p.add_argument("spec")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_budget)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("export", help="write the generator matrix or canonical spec")

@@ -21,7 +21,8 @@ class ReducibleError(ValueError):
 
 class DegreeMismatchError(ValueError):
     """Extension degree out of range (a field order above 2^64 included),
-    or a modulus whose degree or shape does not match it."""
+    or a modulus whose degree or shape does not match it, or with a
+    coefficient outside [0, p)."""
 
 
 class FieldMismatchError(ValueError):

@@ -34,8 +34,9 @@ Arithmetic depends on the shape of the field:
 
 Addition has four shapes.  Prime fields add modulo p.  For p = 2 and
 m > 1, with or without tables, add and sub are XOR on the index and neg
-is the identity.  Odd p with tables add through the Zech table below.
-Odd p without tables add digit by digit on the index.
+is the identity.  Odd p with tables add through the Zech table below
+and subtract by adding the negation, a - b = a + g^((q-1)/2) b.  Odd p
+without tables add digit by digit on the index.
 
 The log domain, the one rule every log path follows.  A field keeps a
 Zech table, read as _zech, exactly when p is odd, m > 1 and q <= 2^20;
@@ -364,10 +365,10 @@ class Field:
         if modulus is None:
             self.modulus = _default_modulus(p, m)
         else:
-            coeffs = [int(c) % p for c in modulus]
-            if len(coeffs) != m + 1 or coeffs[-1] != 1:
+            coeffs = [int(c) for c in modulus]
+            if len(coeffs) != m + 1 or coeffs[-1] != 1 or not all(0 <= c < p for c in coeffs):
                 raise DegreeMismatchError(
-                    f"modulus must be monic of degree {m}, got coefficients {list(modulus)!r}"
+                    f"modulus must be monic of degree {m} with coefficients in [0, {p}), got {coeffs!r}"
                 )
             if m > 1 and not _is_irreducible(coeffs, p):
                 raise ReducibleError(f"modulus {coeffs!r} is reducible over GF({p})")
@@ -433,7 +434,7 @@ class Field:
             return
         # Zech logarithms: a + b = g^la (1 + g^(lb - la)) with zech[d] =
         # log(1 + g^d), None where g^d = -1.  Adding 1 to an index changes
-        # only its constant digit.  a - b adds -b = g^half b.
+        # only its constant digit.  -b = g^half b.
         pm1 = p - 1
         zech = [log[e - pm1 if e % p == pm1 else e + 1] for e in islice(exp, qm1)]
         half = qm1 // 2  # -1 = g^half
@@ -449,21 +450,12 @@ class Field:
             z = zech[log[b] - la]  # a negative difference wraps: len(zech) = q - 1
             return 0 if z is None else exp[la + z]
 
-        def sub(a: int, b: int) -> int:
-            if not b:
-                return a
-            if not a:
-                return exp[log[b] + half]
-            la = log[a]
-            d = log[b] + half - la
-            if d >= qm1:
-                d -= qm1
-            z = zech[d]
-            return 0 if z is None else exp[la + z]
+        def neg(a: int) -> int:
+            return exp[log[a] + half] if a else 0
 
         self.add = add
-        self.sub = sub
-        self.neg = lambda a: exp[log[a] + half] if a else 0
+        self.sub = lambda a, b: add(a, neg(b))
+        self.neg = neg
 
     def _walk_powers(self, gen: int) -> tuple[list[int], list[int]]:
         """exp (two periods, less one entry) and log tables of gen's powers.

@@ -61,12 +61,14 @@ def _eliminate(field: Field, rows: list[list[int]], full: bool = False) -> tuple
 
     Echelon mode clears each pivot column below the pivot; full mode
     clears it above as well and scales each pivot row to 1, leaving the
-    reduced row echelon form.  Row updates start right of the pivot
-    column.  The pivot product carries the sign of the row swaps, so on
-    a square matrix of full rank it is the determinant.
+    reduced row echelon form.  Each cleared row adds a negated multiple
+    of the pivot row, -lead/pivot times it, so the loop calls the field's
+    add and never its sub; the updates start right of the pivot column.
+    The pivot product carries the sign of the row swaps, so on a square
+    matrix of full rank it is the determinant.
     """
     mul = field.mul
-    sub = field.sub
+    add = field.add
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -86,15 +88,16 @@ def _eliminate(field: Field, rows: list[list[int]], full: bool = False) -> tuple
         pval = prow[col]
         detval = mul(detval, pval)
         pinv = field.inv(pval)
+        minus = field.neg(pinv)
         for i in range(0 if full else r + 1, nrows):
             ri = rows[i]
             lead = ri[col]
             if lead and i != r:
-                f = mul(lead, pinv)
+                f = mul(lead, minus)
                 ri[col] = 0
                 for j in range(col + 1, ncols):
                     if prow[j]:
-                        ri[j] = sub(ri[j], mul(f, prow[j]))
+                        ri[j] = add(ri[j], mul(f, prow[j]))
         if full and pval != 1:
             rows[r] = [mul(x, pinv) for x in prow]
         pivots.append(col)

@@ -245,10 +245,11 @@ def _symmetric_tables(f, points, size: int, lo: int, hi: int, factors=()):
 
     bands[p] is the table of the points at positions p and above, built by
     sigma_j += x * sigma_(j-1) from the top position down and banded to the
-    degrees that can still reach lo.  The first subset, 0..size-1, fills
-    every band.  Each later one keeps the positions above the first i with
-    cols[i] != i, so only bands[i] down to bands[0] are redone: at lo = hi
-    = size a subset usually costs one multiplication.  Entries below lo are
+    degrees that can still reach lo.  Each subset keeps the positions
+    above the first i with cols[i] != i, so only bands[i] down to bands[0]
+    are redone: at lo = hi = size a subset usually costs one
+    multiplication.  The first subset, 0..size-1, enters the same loop;
+    it has no such i, so it redoes every band.  Entries below lo are
     stale, and the yielded list is reused, so read it before the next.
     The points, the factors and the tables are in the log domain of
     _arithmetic.
@@ -259,21 +260,15 @@ def _symmetric_tables(f, points, size: int, lo: int, hi: int, factors=()):
     bands = [[one] + [zero] * hi + [one] * len(slots) for _ in range(size + 1)]
     updates = [(p, bands[p], bands[p + 1], range(min(hi, size - p), max(0, lo - p - 1), -1))
                for p in range(size)]
-    steps = [updates[i::-1] for i in range(size)]  # the updates for positions i, i-1, ..., 0
-    subsets = iter(_colex_subsets(len(points), size))
-    first = next(subsets, None)
-    if first is None:
-        return
-    for p, band, above, degrees in reversed(updates):
-        for j in degrees:
-            band[j] = add(above[j], mul(points[p], above[j - 1]))
-        for s, values in slots:
-            band[s] = mul(above[s], values[p])
-    yield first, bands[0]
-    for cols in subsets:
-        i = 0
-        while cols[i] == i:
-            i += 1
+    # the updates for positions i, i-1, ..., 0; one empty entry at size 0
+    steps = [updates[i::-1] for i in range(max(size, 1))]
+    for cols in _colex_subsets(len(points), size):
+        try:
+            i = 0
+            while cols[i] == i:
+                i += 1
+        except IndexError:  # the first subset, 0..size-1: redo every band
+            i = size - 1
         if zech is None:
             for p, band, above, degrees in steps[i]:
                 x = points[cols[p]]

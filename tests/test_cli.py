@@ -134,13 +134,29 @@ def test_distance_and_distinguish(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "distance=5 distance_method=enumeration codewords_enumerated=83520" in out
 
+    # distinguish prints the schur-dim line's first field and its target's, one a line
+    assert main(["schur-dim", path]) == 0
+    assert capsys.readouterr().out == "schur_dim=8 non_rs=true ctrs_incompatible=undetermined\n"
+
     assert main(["distinguish", path, "--target", "rs"]) == 0
-    out = capsys.readouterr().out
-    assert "schur_dim=8" in out and "non_rs=true" in out
+    assert capsys.readouterr().out == "schur_dim=8\nnon_rs=true\n"
 
     assert main(["distinguish", path, "--target", "ctrs"]) == 0
-    out = capsys.readouterr().out
-    assert "ctrs_incompatible=undetermined" in out
+    assert capsys.readouterr().out == "schur_dim=8\nctrs_incompatible=undetermined\n"
+
+
+def test_budget_must_be_a_non_negative_integer(tmp_path, capsys):
+    path = write_spec(tmp_path, SPEC_17)
+    for command in ("distance", "analyze"):
+        for bad, message in (("-5", "expected a non-negative integer, got '-5'"),
+                             ("x", "invalid _budget value: 'x'")):
+            assert main([command, path, "--budget", bad]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.endswith(f"error: argument --budget: {message}\n"), captured.err
+        # a zero budget enumerates nothing, and this MDS code takes the minors route
+        assert main([command, path, "--budget", "0"]) == 0
+        assert "distance=5 distance_method=minors\n" in capsys.readouterr().out
 
 
 def test_distance_minors_shortcut_under_budget(tmp_path, capsys):
@@ -369,6 +385,30 @@ def test_element_index_out_of_range_is_usage_error(tmp_path, capsys):
     ]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: element index 99 outside [0, 17)\n"
+
+
+def test_bad_field_descriptors_exit_2(tmp_path, capsys):
+    # A modulus coefficient outside [0, p) is refused as given, not reduced
+    # mod p: each of these would otherwise name x^2 + 1 over GF(3).
+    matrix = tmp_path / "m.matrix"
+    matrix.write_text("3 2 1 1 1,0,-1\n0\n")
+    for argv, message in (
+        (["field-info", "7^0"], "extension degree must be a positive integer, got 0"),
+        (["field-info", "3^2/1,0,4"], "with coefficients in [0, 3), got [4, 0, 1]"),
+        (["field-info", "3^2/1,0,-2"], "with coefficients in [0, 3), got [-2, 0, 1]"),
+        (["import", str(matrix)], "with coefficients in [0, 3), got [-1, 0, 1]"),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.endswith(f"{message}\n"), captured.err
+        assert captured.err.count("\n") == 1
+
+
+def test_unknown_example_key_lists_the_four_keys():
+    with pytest.raises(ValueError) as excinfo:
+        rctrs.golden_cases("nope")
+    assert str(excinfo.value) == "unknown example 'nope'; choose from 7_4, 23_2, 17, 29_2"
 
 
 def test_field_info_rejects_unfactorable_group_order(capsys):

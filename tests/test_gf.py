@@ -4,12 +4,14 @@ import itertools
 import math
 import operator
 import random
+import re
 import time
 
 import pytest
 
 from rctrs.errors import (
     DegreeMismatchError,
+    ElementIndexError,
     FieldMismatchError,
     NotADivisorError,
     NotPrimeError,
@@ -309,6 +311,14 @@ def test_wrong_degree_modulus_rejected():
         Field(3, 2, [1, 1])
 
 
+def test_modulus_coefficients_outside_the_prime_field_rejected():
+    # Each reduces mod 3 to x^2 + 1, which is irreducible; none is reduced.
+    for coeffs in ([4, 0, 1], [-2, 0, 1], [1, 0, 4], [1, 3, 1]):
+        with pytest.raises(DegreeMismatchError, match=re.escape(f"in [0, 3), got {coeffs}")):
+            field_create(3, 2, coeffs)
+    assert field_create(3, 2, [1, 0, 1]).modulus == (1, 0, 1)
+
+
 # --- arithmetic axioms ------------------------------------------------------
 
 
@@ -365,6 +375,10 @@ def test_division_by_zero():
         f.inv(0)
     with pytest.raises(ZeroDivisionError):
         f.inv(f.element(0).index)
+    gf9 = field_create(3, 2)
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        gf9.inv(0)
+    assert gf9._log is not None  # the table inverse raised
 
 
 def test_pow_and_order():
@@ -373,6 +387,8 @@ def test_pow_and_order():
     assert f.pow(g, f.q - 1) == 1
     assert f.pow(g, 0) == 1
     assert f.pow(0, 5) == 0
+    with pytest.raises(ZeroDivisionError, match="zero to a negative power"):
+        f.pow(0, -1)
     assert order_of(f, g) == 48
     assert order_of(f, 1) == 1
 
@@ -393,6 +409,8 @@ def test_coeff_vector_to_index_example():
     f = field_create(7, 2)
     assert f.index_from_coeffs((3, 2)) == 17
     assert f.index_from_coeffs((-4, 9)) == 17  # coefficients are taken mod p
+    with pytest.raises(DegreeMismatchError, match="longer than extension degree 2"):
+        field_create(3, 2).index_from_coeffs([1, 2, 0])
 
 
 def test_to_index_range_checks():
@@ -404,6 +422,12 @@ def test_to_index_range_checks():
     g = field_create(7)
     with pytest.raises(FieldMismatchError):
         f.to_index(g.element(3))
+    e = f.element(3)
+    assert f.element(e) is e
+    with pytest.raises(FieldMismatchError):
+        f.element(g.element(3))
+    with pytest.raises(ElementIndexError, match=re.escape("element index 9 outside [0, 9)")):
+        FieldElement(field_create(3, 2), 9)
 
 
 def test_element_operators():
@@ -412,6 +436,8 @@ def test_element_operators():
     assert (a**3).index == f.pow(5, 3) == 8
     assert a**3 == f.element(8)
     assert a == 5 and a != 6
+    four = f.element(4)
+    assert (four == "4") is False and four != "4"
 
 
 def test_element_hash_agrees_with_int_equality():

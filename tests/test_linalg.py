@@ -83,6 +83,8 @@ def test_empty_matrix_needs_explicit_width():
     m = Matrix(F7, [], ncols=4)
     assert (m.nrows, m.ncols) == (0, 4)
     assert rank(m) == 0
+    with pytest.raises(ValueError, match="empty matrix needs an explicit column count"):
+        Matrix(F7, [])
 
 
 def test_matrix_rows_do_not_pile_up_in_tuple_free_lists():
@@ -197,6 +199,36 @@ def test_rank_transpose_and_nullity():
             assert r == minor_rank(f, m.rows)
             assert r == rank(transpose(m))
             deficient += r < min(nrows, ncols)
+    assert deficient
+
+
+# One field of each shape: prime, p = 2 and odd p with tables, odd p and
+# p = 2 without (q above 2^20).
+ELIMINATION_SHAPES = [(13, 1), (2, 8), (7, 4), (1031, 2), (2, 21)]
+
+
+@pytest.mark.parametrize("p,m", ELIMINATION_SHAPES)
+def test_elimination_adds_a_negated_multiple_and_never_subtracts(p, m):
+    shared = field_create(p, m)  # the oracles' field, its sub intact
+    f = gf.Field(p, m)  # an instance of its own, so the cached field keeps its sub
+    f.add(0, 0)  # the first arithmetic binds the ops, which would rebind sub
+
+    def no_sub(a, b):
+        raise AssertionError(f"elimination called sub({a}, {b})")
+
+    f.sub = no_sub
+    rng = random.Random(f"no-sub:{p}^{m}")
+    deficient = 0
+    for _ in range(12):
+        square = sparse_matrix(f, 4, 4, rng)
+        assert det(square) == cofactor_det(shared, [list(r) for r in square.rows])
+        wide = sparse_matrix(f, 3, 5, rng)
+        r = rank(wide)
+        assert r == minor_rank(shared, wide.rows)
+        reduced = rref(wide)
+        assert rank(reduced) == r == rank(Matrix(f, wide.rows + reduced.rows))
+        assert all(next(x for x in row if x) == 1 for row in reduced.rows[:r])
+        deficient += r < 3
     assert deficient
 
 
