@@ -297,6 +297,11 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
     return power == x
 
 
+def _descriptor(p: int, m: int, coeffs: Sequence[int]) -> str:
+    """The field descriptor p^m/c_m,...,c_0 of a modulus given constant term first."""
+    return f"{p}^{m}/" + ",".join(str(c) for c in reversed(coeffs))
+
+
 @lru_cache(maxsize=64)
 def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     # Cached apart from the fields: the field cache is weak, and asking
@@ -368,10 +373,11 @@ class Field:
             coeffs = [int(c) for c in modulus]
             if len(coeffs) != m + 1 or coeffs[-1] != 1 or not all(0 <= c < p for c in coeffs):
                 raise DegreeMismatchError(
-                    f"modulus must be monic of degree {m} with coefficients in [0, {p}), got {coeffs!r}"
+                    f"modulus must be monic of degree {m} with coefficients in [0, {p}), "
+                    f"got {_descriptor(p, m, coeffs)}"
                 )
             if m > 1 and not _is_irreducible(coeffs, p):
-                raise ReducibleError(f"modulus {coeffs!r} is reducible over GF({p})")
+                raise ReducibleError(f"modulus {_descriptor(p, m, coeffs)} is reducible over GF({p})")
             self.modulus = tuple(coeffs)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
@@ -632,8 +638,7 @@ class Field:
 
     def descriptor(self) -> str:
         """Text form p^m/c_m,...,c_0 with modulus coefficients leading first."""
-        coeffs = ",".join(str(c) for c in reversed(self.modulus))
-        return f"{self.p}^{self.m}/{coeffs}"
+        return _descriptor(self.p, self.m, self.modulus)
 
     @classmethod
     def from_descriptor(cls, text: str) -> "Field":

@@ -29,15 +29,20 @@ so a subset costs a few multiplications.  Witness column indices are
 0-based with the twist column at position n-1 and, when extended, the
 coefficient column at position n.
 
-Minimum distance is exact when q^k fits the budget.  The first k-1 rows
-are enumerated projectively, and each resulting prefix covers all q
+Minimum distance is exact when q^k fits the budget.  G is reduced once
+to RREF, whose pivot columns are unit vectors.  The first k-1 rows are
+enumerated projectively, and each resulting prefix covers all q
 codewords it forms with the last row in one pass over the columns; its
 exact mode is counted only when a bound from its distinct values could
-beat the best weight so far (see _enumerate_min_weight).  The result
-still counts the q^k - 1 nonzero codewords covered.  Past the budget it
-falls back to the Singleton bound through the minor check, and a G of
-rank below k has distance 0.  Exceeding the budget on a full-rank
-non-MDS code is reported as an explicit result, not an error.
+beat the best weight so far.  A prefix built from w rows is nonzero on
+their w pivot columns, so no codeword under it weighs less than w, and
+the walk drops it once w reaches the best weight (see
+_enumerate_min_weight).  The result counts the q^k - 1 nonzero
+codewords decided, pruned or not.  Past the budget it falls back to the
+Singleton bound through the minor check, and a G of rank below k has
+distance 0.  Exceeding the budget on a full-rank non-MDS code is
+reported as an explicit result, not an error.  A negative budget
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -457,53 +462,66 @@ def check_mds(spec: CodeSpec, method: str = METHOD_BOTH, gen: Matrix | None = No
 def _enumerate_min_weight(m: Matrix) -> int:
     """Minimum weight over all nonzero codewords of a matrix with rows, exact.
 
+    The rows are first reduced to RREF, and a codeword is a + s*r, where
+    r is the last row and the prefix a a combination of head rows
+    0..k-2.  Below full row rank r is zero, a nonzero message that
+    encodes to zero, so the best weight starts at 0 and the walk drops
+    every prefix.  On the pivot column of a head row a codeword equals
+    that row's coefficient, and r is zero there, so under a prefix built
+    from w rows it weighs exactly w on those columns: the walk counts w
+    and drops the columns.
+
     Weight does not change when a codeword or a column is scaled by a
-    nonzero constant.  So each column j where the last row r has r_j != 0
-    is scaled by -1/r_j, after which a + s*r vanishes there exactly when
-    a_j = s.  The first k-1 rows are enumerated projectively (first
-    nonzero coefficient 1); for each prefix a, the best s zeroes the most
-    frequent value a takes on those columns, and the columns with r_j = 0
-    vanish when a_j does.  The multiples of r cover the zero prefix.
-    A prefix with d distinct values on the N columns with r_j != 0
-    repeats its mode at most N - d + 1 times, so its exact mode is
-    counted only when that bound plus its zeros where r_j = 0 could beat
-    the best so far.  Head row 0 only leads prefixes, so only rows
-    1..k-2 have their q - 1 multiples tabled: a k = 2 code scores its one
-    prefix at once.
+    nonzero constant.  So each column j where r_j != 0 is scaled by
+    -1/r_j, after which a + s*r vanishes there exactly when a_j = s.
+    The head rows are enumerated projectively (first nonzero coefficient
+    1); for each prefix a, the best s zeroes the most frequent value a
+    takes on those columns, and the columns with r_j = 0 vanish when a_j
+    does.  The multiples of r cover the zero prefix.  A prefix with d
+    distinct values on the c columns with r_j != 0 repeats its mode at
+    most c - d + 1 times, so its exact mode is counted only when that
+    bound could beat the best so far.  Head row 0 only leads prefixes,
+    so only rows 1..k-2 have their q - 1 multiples tabled: a k = 2 code
+    scores its one prefix at once.
+
+    Since every codeword under a prefix of w rows weighs at least w, the
+    depth-first walk drops a prefix whose w reaches the best weight and
+    builds the q - 1 children that add a row only while w + 1 is below
+    it.  The child that skips a row is popped first, so the first leaf
+    is a single row: on an MDS code it sets the best weight to N - k + 1
+    at once.
     """
     f = m.field
-    q = f.q
+    add, mul = f.add, f.mul
     k = m.nrows
-    add = f.add
-    mul = f.mul
-    last = m.rows[-1]
-    fixed = [j for j, x in enumerate(last) if not x]
+    rows = [list(r) for r in m.rows]
+    pivots, _ = _eliminate(f, rows, full=True)
+    last = rows[-1]
+    fixed = [j for j, x in enumerate(last) if not x and j not in pivots]
     moving = [(j, f.neg(f.inv(x))) for j, x in enumerate(last) if x]
-    if not moving:
-        return 0
     nfixed = len(fixed)
-    head = [
-        [row[j] for j in fixed] + [mul(s, row[j]) for j, s in moving]
-        for row in m.rows[:-1]
-    ]
+    ncols = nfixed + len(moving)  # the columns left once the head rows' pivots go
+    head = [[row[j] for j in fixed] + [mul(s, row[j]) for j, s in moving] for row in rows[:-1]]
     # multiples[i - 1] holds the q - 1 multiples of head row i
-    multiples = [[[mul(s, x) for x in row] for s in range(1, q)] for row in head[1:]]
+    multiples = [[[mul(s, x) for x in row] for s in range(1, f.q)] for row in head[1:]]
     spare = len(moving) + 1  # d distinct values repeat the mode at most spare - d times
-    most_zeros = nfixed  # the zeros of r itself
-    # Depth-first over (level, partial prefix); a prefix is complete at k-1.
-    stack = [(lead + 1, head[lead]) for lead in range(k - 1)]
+    best = len(moving)  # the weight of r itself
+    # (level, w, prefix); a prefix is complete at level k-1
+    stack = [(lead + 1, 1, head[lead]) for lead in range(k - 1)]
     while stack:
-        level, acc = stack.pop()
+        level, weight, acc = stack.pop()
+        if weight >= best:
+            continue
         if level == k - 1:
             tail = acc[nfixed:]
-            values = set(tail)
-            zeros = acc[:nfixed].count(0)
-            if zeros + spare - len(values) > most_zeros:
-                most_zeros = max(most_zeros, zeros + max(Counter(tail).values()))
+            weight += ncols - acc[:nfixed].count(0)  # before the best s zeroes the columns of the mode
+            if weight - spare + len(set(tail)) < best:
+                best = min(best, weight - max(Counter(tail).values()))
             continue
-        stack.append((level + 1, acc))
-        stack.extend((level + 1, list(map(add, acc, row))) for row in multiples[level - 1])
-    return m.ncols - most_zeros
+        if weight + 1 < best:
+            stack.extend((level + 1, weight + 1, list(map(add, acc, row))) for row in multiples[level - 1])
+        stack.append((level + 1, weight, acc))
+    return best
 
 
 def min_distance(
@@ -513,11 +531,15 @@ def min_distance(
 ) -> DistanceResult:
     """Exact distance by enumeration within budget, else the minors route.
 
-    An enumerated result counts the q^k - 1 nonzero codewords it covers.
-    Past the budget, a G of rank below k (every k-minor is zero) has a
-    nonzero message that encodes to zero, so its distance is 0.  A matrix
-    with no rows has no nonzero codeword and raises ValueError.
+    An enumerated result counts the q^k - 1 nonzero codewords it decides,
+    those under prefixes that the pivot-weight bound drops included (see
+    _enumerate_min_weight).  Past the budget, a G of rank below k (every
+    k-minor is zero) has a nonzero message that encodes to zero, so its
+    distance is 0.  A matrix with no rows has no nonzero codeword, and a
+    negative budget is no budget; both raise ValueError.
     """
+    if budget < 0:
+        raise ValueError(f"distance budget must be non-negative, got {budget!r}")
     k = g.nrows
     if not k:
         raise ValueError("a code with no rows has no nonzero codeword, so no minimum distance")

@@ -6,6 +6,14 @@ row pairs already span it.  Its dimension separates code families:
 generalized Reed-Solomon codes of dimension k sit at 2k-1, while the
 twisted constructions here reach 2k or 2k+1.
 
+The dimension is read off the RREF [I | A] of G (columns permuted),
+with k' pivots: on the pivot columns g_i * g_j is e_i when i = j and 0
+otherwise, so the k' squares are independent of each other and of the
+off-diagonal products, and the dimension is k' plus the rank of the
+k'(k'-1)/2 products A_i * A_j, i < j, on the non-pivot columns.
+schur_square_rows keeps all k(k+1)/2 products on all columns, the
+direct form of the same span.
+
 Both distinguishers are one-sided and only meaningful on MDS codes in a
 dimension range, so they return True, False or None (undetermined when
 the preconditions fail):
@@ -21,12 +29,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .linalg import Matrix, rank
+from .linalg import Matrix, _eliminate
 from .mds import MdsVerdict
 
 
 def schur_square_rows(g: Matrix) -> Matrix:
-    """All row products g_i * g_j with i <= j, as a matrix."""
+    """All row products g_i * g_j with i <= j, as a matrix.
+
+    Its rank is the Schur dimension; schur_square_dim reads that off the
+    RREF instead, from fewer products on fewer columns.
+    """
     mul = g.field.mul
     rows = []
     for i in range(g.nrows):
@@ -38,8 +50,20 @@ def schur_square_rows(g: Matrix) -> Matrix:
 
 
 def schur_square_dim(g: Matrix) -> int:
-    """Dimension of the Schur square of the row space."""
-    return rank(schur_square_rows(g))
+    """Dimension of the Schur square of the row space.
+
+    With G reduced to RREF, the rows g_1..g_k' with pivots P and A the
+    rows on the other columns: on P, g_i * g_j is e_i when i = j and 0
+    otherwise.  So a combination of products that vanishes has no
+    square in it, and the dimension is k' + rank{A_i * A_j : i < j}, or
+    k' alone when there are no such products or no columns outside P.
+    """
+    rows = [list(r) for r in g.rows]
+    pivots, _ = _eliminate(g.field, rows, full=True)
+    a = [[x for j, x in enumerate(row) if j not in pivots] for row in rows[: len(pivots)]]
+    mul = g.field.mul
+    products = [list(map(mul, ai, aj)) for i, ai in enumerate(a) for aj in a[i + 1:]]
+    return len(pivots) + len(_eliminate(g.field, products)[0])
 
 
 def is_non_rs(g: Matrix, mds: MdsVerdict, dim: int) -> Optional[bool]:

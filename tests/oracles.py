@@ -6,7 +6,7 @@ with nonzero column scalings) preserve distance, MDS-ness and the
 Schur-square dimension, so their images check schur_square_dim and
 check_mds; the rest are plain references for the twisted polynomial
 basis, polynomial evaluation, symmetric functions, row spaces, colex
-order, multiplicative orders and the generator search.
+order, pivot columns, multiplicative orders and the generator search.
 """
 
 from __future__ import annotations
@@ -35,6 +35,11 @@ def identity(field: Field, n: int) -> Matrix:
 
 def transpose(m: Matrix) -> Matrix:
     return Matrix(m.field, zip(*m.rows)) if m.nrows else Matrix(m.field, [], ncols=1)
+
+
+def pivot_columns(m: Matrix) -> list[int]:
+    """The pivot columns of the RREF, one per independent row."""
+    return [next(j for j, x in enumerate(row) if x) for row in rref(m).rows if any(row)]
 
 
 def row_space_equal(a: Matrix, b: Matrix) -> bool:

@@ -309,7 +309,10 @@ def test_matrix_file_keeps_a_non_default_modulus(tmp_path, capsys):
 
     matrix_path.write_text("3 2 1 1 1,0,2\n1\n")  # x^2 + 2 = (x + 1)(x + 2)
     assert main(["import", str(matrix_path)]) == 2
-    assert "reducible" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: modulus 3^2/1,0,2 is reducible over GF(3)\n"
+    # the modulus is quoted as typed, leading coefficient first
+    assert main(["field-info", "3^2/1,2,0"]) == 2  # x^2 + 2x = x(x + 2)
+    assert capsys.readouterr().err == "error: modulus 3^2/1,2,0 is reducible over GF(3)\n"
 
 
 def test_matrix_header_with_a_negative_count_is_a_bad_header(tmp_path, capsys):
@@ -394,9 +397,9 @@ def test_bad_field_descriptors_exit_2(tmp_path, capsys):
     matrix.write_text("3 2 1 1 1,0,-1\n0\n")
     for argv, message in (
         (["field-info", "7^0"], "extension degree must be a positive integer, got 0"),
-        (["field-info", "3^2/1,0,4"], "with coefficients in [0, 3), got [4, 0, 1]"),
-        (["field-info", "3^2/1,0,-2"], "with coefficients in [0, 3), got [-2, 0, 1]"),
-        (["import", str(matrix)], "with coefficients in [0, 3), got [-1, 0, 1]"),
+        (["field-info", "3^2/1,0,4"], "with coefficients in [0, 3), got 3^2/1,0,4"),
+        (["field-info", "3^2/1,0,-2"], "with coefficients in [0, 3), got 3^2/1,0,-2"),
+        (["import", str(matrix)], "with coefficients in [0, 3), got 3^2/1,0,-1"),
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()

@@ -313,8 +313,9 @@ def test_wrong_degree_modulus_rejected():
 
 def test_modulus_coefficients_outside_the_prime_field_rejected():
     # Each reduces mod 3 to x^2 + 1, which is irreducible; none is reduced.
-    for coeffs in ([4, 0, 1], [-2, 0, 1], [1, 0, 4], [1, 3, 1]):
-        with pytest.raises(DegreeMismatchError, match=re.escape(f"in [0, 3), got {coeffs}")):
+    # The message quotes the modulus as a descriptor, leading coefficient first.
+    for coeffs, typed in (([4, 0, 1], "1,0,4"), ([-2, 0, 1], "1,0,-2"), ([1, 0, 4], "4,0,1"), ([1, 3, 1], "1,3,1")):
+        with pytest.raises(DegreeMismatchError, match=re.escape(f"in [0, 3), got 3^2/{typed}")):
             field_create(3, 2, coeffs)
     assert field_create(3, 2, [1, 0, 1]).modulus == (1, 0, 1)
 

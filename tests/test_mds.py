@@ -26,6 +26,7 @@ from rctrs.mds import (
 )
 
 from oracles import colex_subsets as colex_oracle
+from oracles import pivot_columns
 
 F13 = field_create(13)
 F9 = field_create(3, 2)
@@ -508,7 +509,7 @@ def test_minor_scan_matches_brute_force():
         verdict = mds_by_minors(g)
         assert verdict == brute_mds_by_minors(g), (g.field, g.rows)
         k = g.nrows
-        pivots = [next(j for j, x in enumerate(row) if x) for row in rref(g).rows if any(row)]
+        pivots = pivot_columns(g)
         corners |= {"k=1"} if k == 1 else set()
         corners |= {"k=N"} if k == g.ncols else set()
         corners |= {"zero row"} if any(not any(row) for row in g.rows) else set()
@@ -717,6 +718,18 @@ def enumeration_cases(rng):
                 corners |= {"extended"} if extended else set()
                 corners |= {"b,c among points"} if inside else set()
                 yield generator_matrix(spec).matrix, corners
+        # [n, n-1] and [n, n-2] codes: the best weight falls below k, so the walk prunes
+        for k in range(3, kmax + 1):
+            for n in (k + 1, k + 2):
+                if n > f.q:
+                    continue
+                pts = rng.sample(range(f.q), n)
+                yield generator_matrix(CodeSpec(CodeFamily.GRS, f, n, k, tuple(pts))).matrix, {"GRS n-k<=2"}
+                spec = rctrs_spec(
+                    f, pts[1:], pts[0], rng.randrange(f.q), rng.randrange(1, f.q), rng.randrange(f.q),
+                    k=k, h=rng.randrange(k),
+                )
+                yield generator_matrix(spec).matrix, {"RCTRS n-k<=2"}
         for k in range(2, kmax + 1):
             n = rng.randrange(k, k + 5)
             rows = [[rng.randrange(f.q) for _ in range(n)] for _ in range(k)]
@@ -725,6 +738,15 @@ def enumeration_cases(rng):
             repeated = [r[:] for r in rows]
             repeated[rng.randrange(k - 1)] = repeated[-1][:]
             yield Matrix(f, repeated), {"repeated row"}
+            # row 0 a multiple of row 1, so the dependent row is not the last
+            scaled = [r[:] for r in rows]
+            scale = rng.randrange(f.q)
+            scaled[0] = [f.mul(scale, x) for x in scaled[1]]
+            yield Matrix(f, scaled), {"dependent row not last"}
+            # a zero or repeated leading column moves a pivot past column k-1
+            wide = [r + [rng.randrange(f.q)] for r in rows]
+            yield Matrix(f, [[0] + r[1:] for r in wide]), {"zero leading column"}
+            yield Matrix(f, [[r[0]] + r[:-1] for r in wide]), {"repeated leading column"}
 
 
 def test_enumeration_matches_brute_force():
@@ -735,18 +757,37 @@ def test_enumeration_matches_brute_force():
         assert result.method == "enumeration"
         assert result.enumerated == f.q**k - 1
         assert result.value == brute_min_weight(f, g), (f, g.rows)
-        if "zero last row" in corners or "repeated row" in corners:
+        pivots = pivot_columns(g)
+        if corners & {"zero last row", "repeated row", "dependent row not last"}:
             assert result.value == 0
+            assert len(pivots) < k
         # fixed columns (zero in the last row) beside moving ones
         corners |= {"last row partly zero"} if 0 in g.rows[-1] and any(g.rows[-1]) else set()
+        if len(pivots) == k:
+            # the walk drops the prefixes of at least result.value rows
+            corners |= {"distance below k"} if result.value < k else set()
+            corners |= {"pivot past column k-1"} if pivots != list(range(k)) else set()
         seen |= corners
     wanted = {f"p={p},m={m}" for p, m in ENUM_FIELDS}
     wanted |= {"k=1", "k=2", "k=n", "extended", "b,c among points", "zero last row", "repeated row"}
-    wanted |= {"last row partly zero"}
+    wanted |= {"last row partly zero", "GRS n-k<=2", "RCTRS n-k<=2", "distance below k"}
+    wanted |= {"dependent row not last", "zero leading column", "repeated leading column"}
+    wanted |= {"pivot past column k-1"}
     assert wanted <= seen, wanted - seen
     # no rows, no nonzero codeword, no minimum distance
     with pytest.raises(ValueError):
         min_distance(Matrix(F13, [], ncols=4))
+
+
+def test_negative_budget_is_refused():
+    spec = CodeSpec(CodeFamily.GRS, F13, 6, 3, (1, 2, 3, 4, 5, 6))
+    g = generator_matrix(spec).matrix
+    for call in (lambda b: min_distance(g, budget=b), lambda b: rctrs.analyze(spec, budget=b)):
+        with pytest.raises(ValueError, match="distance budget must be non-negative, got -5"):
+            call(-5)
+    # a zero budget enumerates nothing: the MDS shortcut gives n - k + 1
+    assert min_distance(g, budget=0) == DistanceResult(4, "minors")
+    assert rctrs.analyze(spec, budget=0).distance == DistanceResult(4, "minors")
 
 
 def test_distance_minors_path_on_mds_code():

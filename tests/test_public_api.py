@@ -46,6 +46,7 @@ KEPT = {
     "elements": "public API: every element of a field, as FieldElements",
     "det": "public API; read by perfbench",
     "rref": "public API; read by perfbench",
+    "schur_square_rows": "public API: every row product of G, the oracle of schur_square_dim; read by perfbench",
     "colex_subsets": "public API: the order of the minor scan; read by perfbench",
     "matrix": "read by perfbench/probes.py as generator_matrix(spec).matrix; deleted with the benchmark PR",
 }

@@ -6,7 +6,7 @@ import pytest
 
 from rctrs.codes import CodeFamily, CodeSpec, generator_matrix
 from rctrs.gf import field_create
-from rctrs.linalg import Matrix
+from rctrs.linalg import Matrix, rank
 from rctrs.mds import MdsVerdict, check_mds, mds_by_minors
 from rctrs.schur import (
     ctrs_distinguisher,
@@ -20,6 +20,7 @@ from oracles import (
     Isometry,
     SizeMismatchError,
     apply_isometry,
+    pivot_columns,
     random_isometry,
     row_space_equal,
 )
@@ -47,6 +48,46 @@ def test_schur_square_rows_count():
     rows = schur_square_rows(generator_matrix(spec))
     assert rows.nrows == 3 * 4 // 2
     assert rows.ncols == 6
+
+
+# prime, m=2, m>=3 with odd p, p=2, and two fields with no tables
+SCHUR_FIELDS = ((13, 1), (2, 1), (7, 2), (3, 3), (2, 4), (2, 8), (1031, 2), (2, 21))
+
+
+def test_schur_square_dim_matches_the_rank_of_every_row_product():
+    """schur_square_dim reads the dimension off the RREF; the rank of all
+    k(k+1)/2 row products on all columns is its oracle."""
+    rng = random.Random(2400)
+    seen = set()
+    for p, m in SCHUR_FIELDS:
+        f = field_create(p, m)
+        for _ in range(40):
+            k = rng.randrange(1, 6)
+            n = rng.randrange(k, k + 5)
+            density = rng.random()
+            rows = [[rng.randrange(f.q) if rng.random() < density else 0 for _ in range(n)] for _ in range(k)]
+            shape = rng.randrange(4)
+            if shape == 1 and k > 1:
+                rows[0] = rows[-1][:]
+            elif shape == 2:
+                zero = rng.randrange(n)
+                for row in rows:
+                    row[zero] = 0
+            elif shape == 3 and n > 1:
+                for row in rows:
+                    row[1] = row[0]
+            g = Matrix(f, rows)
+            assert schur_square_dim(g) == rank(schur_square_rows(g)), (f, rows)
+            pivots = pivot_columns(g)
+            seen.add(f"p={p},m={m}")
+            seen |= {"k=1"} if k == 1 else set()
+            seen |= {"N=k"} if n == k else set()
+            seen |= {"rank below k"} if len(pivots) < k else set()
+            seen |= {"zero column"} if not all(any(col) for col in zip(*rows)) else set()
+            seen |= {"pivot past column k-1"} if pivots != list(range(len(pivots))) else set()
+    wanted = {f"p={p},m={m}" for p, m in SCHUR_FIELDS}
+    wanted |= {"k=1", "N=k", "rank below k", "zero column", "pivot past column k-1"}
+    assert wanted <= seen, wanted - seen
 
 
 # --- the GRS law ------------------------------------------------------------------
