@@ -3,7 +3,11 @@
 Matrices are immutable row-major grids of element indices tied to a
 Field.  Rank, determinant and RREF all run one Gaussian elimination
 loop (_eliminate) with exact field inverses; nothing here ever rounds.
-Also hosts the plain-text matrix format.
+A Matrix is reduced to RREF at most once: _reduced keeps the first full
+reduction on the Matrix, and the minor scan, the distance enumeration,
+the Schur dimension and rref() all read that one; rows never changes.
+Rank and determinant run their own echelon pass, which costs less than
+a full reduction.  Also hosts the plain-text matrix format.
 """
 
 from __future__ import annotations
@@ -15,9 +19,14 @@ from .gf import ElementLike, Field, FieldElement, _default_modulus, field_create
 
 
 class Matrix:
-    """Immutable matrix over a field; entries stored as element indices."""
+    """Immutable matrix over a field; entries stored as element indices.
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    rows is the matrix as built.  _rref, None until _reduced first reads
+    it, holds the RREF; equality, hashing and the text format never see
+    it.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "rows", "_rref")
 
     def __init__(self, field: Field, rows: Iterable[Iterable[ElementLike]], ncols: int | None = None):
         # Rows go through a list so each tuple is allocated at its final size;
@@ -36,6 +45,7 @@ class Matrix:
         self.rows = grid
         self.nrows = len(grid)
         self.ncols = ncols
+        self._rref = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -122,10 +132,19 @@ def det(m: Matrix) -> FieldElement:
     return FieldElement(m.field, value if len(pivots) == m.nrows else 0)
 
 
+def _reduced(m: Matrix) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(pivot columns, rows) of the RREF of m, reduced on the first call
+    and kept on m for every later one.  The rows are tuples built at
+    their final size, as in Matrix.__init__."""
+    if m._rref is None:
+        rows = _mutable(m)
+        pivots, _ = _eliminate(m.field, rows, full=True)
+        m._rref = tuple(pivots), tuple([tuple(r) for r in rows])
+    return m._rref
+
+
 def rref(m: Matrix) -> Matrix:
-    rows = _mutable(m)
-    _eliminate(m.field, rows, full=True)
-    return Matrix(m.field, rows, ncols=m.ncols)
+    return Matrix(m.field, _reduced(m)[1], ncols=m.ncols)
 
 
 # ---------------------------------------------------------------------------

@@ -29,20 +29,20 @@ so a subset costs a few multiplications.  Witness column indices are
 0-based with the twist column at position n-1 and, when extended, the
 coefficient column at position n.
 
-Minimum distance is exact when q^k fits the budget.  G is reduced once
-to RREF, whose pivot columns are unit vectors.  The first k-1 rows are
-enumerated projectively, and each resulting prefix covers all q
-codewords it forms with the last row in one pass over the columns; its
-exact mode is counted only when a bound from its distinct values could
-beat the best weight so far.  A prefix built from w rows is nonzero on
-their w pivot columns, so no codeword under it weighs less than w, and
-the walk drops it once w reaches the best weight (see
-_enumerate_min_weight).  The result counts the q^k - 1 nonzero
-codewords decided, pruned or not.  Past the budget it falls back to the
-Singleton bound through the minor check, and a G of rank below k has
-distance 0.  Exceeding the budget on a full-rank non-MDS code is
-reported as an explicit result, not an error.  A negative budget
-raises ValueError.
+Minimum distance is exact when q^k fits the budget.  It reads G's RREF,
+which the Matrix keeps (see rctrs.linalg), and whose pivot columns are
+unit vectors.  The first k-1 rows are enumerated projectively, and each
+resulting prefix covers all q codewords it forms with the last row in
+one pass over the columns; its exact mode is counted only when a bound
+from its distinct values could beat the best weight so far.  A prefix
+built from w rows is nonzero on their w pivot columns, so no codeword
+under it weighs less than w, and the walk drops it once w reaches the
+best weight (see _enumerate_min_weight).  The result counts the q^k - 1
+nonzero codewords decided, pruned or not.  Past the budget a G of rank
+below k has distance 0, and otherwise the minor check decides whether
+the Singleton bound is the distance.  Exceeding the budget on a
+full-rank non-MDS code is reported as an explicit result, not an error.
+A negative budget raises ValueError.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from typing import Optional
 
 from .codes import CodeFamily, CodeSpec, generator_matrix
 from .errors import MethodDisagreementError, WrongHookTwistError
-from .linalg import Matrix, _eliminate, rank
+from .linalg import Matrix, _reduced
 
 DEFAULT_DISTANCE_BUDGET = 1 << 24
 
@@ -109,28 +109,27 @@ def colex_subsets(n: int, k: int):
 def mds_by_minors(g: Matrix) -> MdsVerdict:
     """Exhaustive minor check; witness is the first singular column set.
 
-    G is reduced once to RREF.  Its first k columns, the first colex
-    subset, are independent exactly when the pivots are columns 0..k-1;
-    otherwise (a G of rank below k included) that subset is the witness.
-    So every later minor works on [I | A]: the minor on a column set S
-    vanishes exactly when the block of A on the columns of S past k-1
-    and the rows i not in S is singular.  That block's determinant
-    expands along its last column c into the blocks of S - c + i, which
-    come earlier in colex order, so the scan has already stored them,
-    nonzero, in a dict keyed by the column-set mask.  The terms of each
-    set of rows are built once per scan as (row bit, position of the
-    entry with its cofactor sign), and each column of A is kept beside
-    its negation, so a term needs no sign flip and no inverse.  A zero
-    entry A[i][c] makes the one-term block of I - i + c vanish before
-    any longer block with last column c reads it, so no row is skipped
-    for a zero.  The sums run in the field's log domain (see the rctrs.gf
-    docstring).  On logs that is exact, since no stored minor is zero
-    and a zero entry ends the scan in its one-term block: the columns
-    hold log a and log -a (None for 0), the dict the minors' logs, a
-    term is one integer add and a sum one Zech lookup, None when zero,
-    which the next term restarts.  On indices a term is one mul and one
-    add.  Colex order of k-subsets is increasing bitmask order, so each
-    mask is the last one's successor by Gosper's hack; the column
+    The scan reads G's kept RREF (see rctrs.linalg).  Its first k columns,
+    the first colex subset, are independent exactly when the pivots are
+    columns 0..k-1; otherwise (a G of rank below k included) that subset is
+    the witness.  So every later minor works on [I | A]: the minor on a
+    column set S vanishes exactly when the block of A on the columns of S
+    past k-1 and the rows i not in S is singular.  That block's determinant
+    expands along its last column c into the blocks of S - c + i, which come
+    earlier in colex order, so the scan has already stored them, nonzero, in
+    a dict keyed by the column-set mask.  The terms of each set of rows are
+    built once per scan as (row bit, position of the entry with its cofactor
+    sign), and each column of A is kept beside its negation, so a term needs
+    no sign flip and no inverse.  A zero entry A[i][c] makes the one-term
+    block of I - i + c vanish before any longer block with last column c
+    reads it, so no row is skipped for a zero.  The sums run in the field's
+    log domain (see the rctrs.gf docstring).  On logs that is exact, since
+    no stored minor is zero and a zero entry ends the scan in its one-term
+    block: the columns hold log a and log -a (None for 0), the dict the
+    minors' logs, a term is one integer add and a sum one Zech lookup, None
+    when zero, which the next term restarts.  On indices a term is one mul
+    and one add.  Colex order of k-subsets is increasing bitmask order, so
+    each mask is the last one's successor by Gosper's hack; the column
     tuples, pulled from the colex table alongside, name the witness.  A
     matrix with more rows than columns raises ValueError.
     """
@@ -138,11 +137,10 @@ def mds_by_minors(g: Matrix) -> MdsVerdict:
     k, n = g.nrows, g.ncols
     if k > n:
         raise ValueError(f"a {k}x{n} matrix has no {k}-column minors")
-    rows = [list(r) for r in g.rows]
-    pivots, _ = _eliminate(f, rows, full=True)
+    pivots, rows = _reduced(g)
     subsets = iter(_colex_subsets(n, k))
     first = next(subsets)
-    if pivots != list(range(k)):
+    if pivots != tuple(range(k)):
         return MdsVerdict(False, first, METHOD_MINORS)
     zech, qm1 = f._zech, f.q - 1
     one, _, reps, neg, mul, add = _arithmetic(f)
@@ -462,14 +460,14 @@ def check_mds(spec: CodeSpec, method: str = METHOD_BOTH, gen: Matrix | None = No
 def _enumerate_min_weight(m: Matrix) -> int:
     """Minimum weight over all nonzero codewords of a matrix with rows, exact.
 
-    The rows are first reduced to RREF, and a codeword is a + s*r, where
-    r is the last row and the prefix a a combination of head rows
-    0..k-2.  Below full row rank r is zero, a nonzero message that
-    encodes to zero, so the best weight starts at 0 and the walk drops
-    every prefix.  On the pivot column of a head row a codeword equals
-    that row's coefficient, and r is zero there, so under a prefix built
-    from w rows it weighs exactly w on those columns: the walk counts w
-    and drops the columns.
+    The rows are those of the matrix's kept RREF (see rctrs.linalg), and a
+    codeword is a + s*r, where r is the last row and the prefix a a
+    combination of head rows 0..k-2.  Below full row rank r is zero, a
+    nonzero message that encodes to zero, so the best weight starts at 0 and
+    the walk drops every prefix.  On the pivot column of a head row a
+    codeword equals that row's coefficient, and r is zero there, so under a
+    prefix built from w rows it weighs exactly w on those columns: the walk
+    counts w and drops the columns.
 
     Weight does not change when a codeword or a column is scaled by a
     nonzero constant.  So each column j where r_j != 0 is scaled by
@@ -494,8 +492,7 @@ def _enumerate_min_weight(m: Matrix) -> int:
     f = m.field
     add, mul = f.add, f.mul
     k = m.nrows
-    rows = [list(r) for r in m.rows]
-    pivots, _ = _eliminate(f, rows, full=True)
+    pivots, rows = _reduced(m)
     last = rows[-1]
     fixed = [j for j, x in enumerate(last) if not x and j not in pivots]
     moving = [(j, f.neg(f.inv(x))) for j, x in enumerate(last) if x]
@@ -524,6 +521,12 @@ def _enumerate_min_weight(m: Matrix) -> int:
     return best
 
 
+def _require_budget(budget: int) -> None:
+    """Refuse a negative distance budget, which is no budget."""
+    if budget < 0:
+        raise ValueError(f"distance budget must be non-negative, got {budget!r}")
+
+
 def min_distance(
     g: Matrix,
     budget: int = DEFAULT_DISTANCE_BUDGET,
@@ -533,24 +536,21 @@ def min_distance(
 
     An enumerated result counts the q^k - 1 nonzero codewords it decides,
     those under prefixes that the pivot-weight bound drops included (see
-    _enumerate_min_weight).  Past the budget, a G of rank below k (every
-    k-minor is zero) has a nonzero message that encodes to zero, so its
-    distance is 0.  A matrix with no rows has no nonzero codeword, and a
+    _enumerate_min_weight).  Past the budget, a G of rank below k, which
+    its kept RREF shows (see rctrs.linalg), has a nonzero message that
+    encodes to zero, so its distance is 0 and no minor is scanned; that
+    covers k > N.  A matrix with no rows has no nonzero codeword, and a
     negative budget is no budget; both raise ValueError.
     """
-    if budget < 0:
-        raise ValueError(f"distance budget must be non-negative, got {budget!r}")
+    _require_budget(budget)
     k = g.nrows
     if not k:
         raise ValueError("a code with no rows has no nonzero codeword, so no minimum distance")
     total = g.field.q**k
     if total <= budget:
         return DistanceResult(_enumerate_min_weight(g), "enumeration", total - 1)
-    if k <= g.ncols:
-        if mds_verdict is None:
-            mds_verdict = mds_by_minors(g)
-        if mds_verdict.is_mds:
-            return DistanceResult(g.ncols - k + 1, METHOD_MINORS)
-        if rank(g) == k:
-            return DistanceResult(None, "budget-exceeded")
-    return DistanceResult(0, METHOD_MINORS)
+    if len(_reduced(g)[0]) < k:
+        return DistanceResult(0, METHOD_MINORS)
+    if (mds_verdict or mds_by_minors(g)).is_mds:
+        return DistanceResult(g.ncols - k + 1, METHOD_MINORS)
+    return DistanceResult(None, "budget-exceeded")

@@ -17,6 +17,7 @@ from .mds import (
     DEFAULT_DISTANCE_BUDGET,
     DistanceResult,
     MdsVerdict,
+    _require_budget,
     check_mds,
     min_distance,
 )
@@ -76,7 +77,10 @@ def _spec_warnings(spec: CodeSpec) -> list[str]:
 
 
 def analyze(source, budget: int = DEFAULT_DISTANCE_BUDGET) -> AnalysisReport:
-    """Report on a CodeSpec, or on a ConstructedCode with its guarantees and warnings."""
+    """Report on a CodeSpec, or on a ConstructedCode with its guarantees and warnings.
+
+    A negative budget raises ValueError before any work is done."""
+    _require_budget(budget)
     if isinstance(source, CodeSpec):
         spec = source
         provenance = ()

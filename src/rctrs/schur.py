@@ -7,10 +7,11 @@ generalized Reed-Solomon codes of dimension k sit at 2k-1, while the
 twisted constructions here reach 2k or 2k+1.
 
 The dimension is read off the RREF [I | A] of G (columns permuted),
-with k' pivots: on the pivot columns g_i * g_j is e_i when i = j and 0
-otherwise, so the k' squares are independent of each other and of the
-off-diagonal products, and the dimension is k' plus the rank of the
-k'(k'-1)/2 products A_i * A_j, i < j, on the non-pivot columns.
+which the Matrix keeps (see rctrs.linalg), with k' pivots: on the pivot
+columns g_i * g_j is e_i when i = j and 0 otherwise, so the k' squares
+are independent of each other and of the off-diagonal products, and the
+dimension is k' plus the rank of the k'(k'-1)/2 products A_i * A_j,
+i < j, on the non-pivot columns.
 schur_square_rows keeps all k(k+1)/2 products on all columns, the
 direct form of the same span.
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .linalg import Matrix, _eliminate
+from .linalg import Matrix, _eliminate, _reduced
 from .mds import MdsVerdict
 
 
@@ -40,26 +41,20 @@ def schur_square_rows(g: Matrix) -> Matrix:
     RREF instead, from fewer products on fewer columns.
     """
     mul = g.field.mul
-    rows = []
-    for i in range(g.nrows):
-        ri = g.rows[i]
-        for j in range(i, g.nrows):
-            rj = g.rows[j]
-            rows.append([mul(a, b) for a, b in zip(ri, rj)])
-    return Matrix(g.field, rows, ncols=g.ncols)
+    products = [list(map(mul, gi, gj)) for i, gi in enumerate(g.rows) for gj in g.rows[i:]]
+    return Matrix(g.field, products, ncols=g.ncols)
 
 
 def schur_square_dim(g: Matrix) -> int:
     """Dimension of the Schur square of the row space.
 
-    With G reduced to RREF, the rows g_1..g_k' with pivots P and A the
-    rows on the other columns: on P, g_i * g_j is e_i when i = j and 0
-    otherwise.  So a combination of products that vanishes has no
-    square in it, and the dimension is k' + rank{A_i * A_j : i < j}, or
-    k' alone when there are no such products or no columns outside P.
+    With g_1..g_k' the rows of G's RREF with pivots P and A the rows on
+    the other columns: on P, g_i * g_j is e_i when i = j and 0 otherwise.
+    So a combination of products that vanishes has no square in it, and
+    the dimension is k' + rank{A_i * A_j : i < j}, or k' alone when there
+    are no such products or no columns outside P.
     """
-    rows = [list(r) for r in g.rows]
-    pivots, _ = _eliminate(g.field, rows, full=True)
+    pivots, rows = _reduced(g)
     a = [[x for j, x in enumerate(row) if j not in pivots] for row in rows[: len(pivots)]]
     mul = g.field.mul
     products = [list(map(mul, ai, aj)) for i, ai in enumerate(a) for aj in a[i + 1:]]

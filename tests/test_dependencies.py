@@ -1,6 +1,7 @@
 """The package has no runtime dependencies beyond the standard library,
-its settings come in as arguments, never from the environment, and only
-the modules that own a field's log tables read them."""
+its settings come in as arguments, never from the environment, only
+the modules that own a field's log tables read them, and only linalg
+reduces a matrix to RREF."""
 
 import ast
 import sys
@@ -55,6 +56,28 @@ def test_only_gf_and_mds_reach_into_the_log_domain_and_colex_table():
             for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None),
                          node.value if isinstance(node, ast.Constant) else None):
                 if name in owners and path.name not in owners[name]:
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
+
+
+def test_only_linalg_reduces_a_matrix_fully_and_keeps_the_result():
+    """A full reduction, _eliminate with full=True (or a third argument),
+    is asked for only in linalg, whose _reduced keeps the RREF on the
+    Matrix; the kept-RREF slot _rref is named only there too, so every
+    other module reads the one reduction through _reduced."""
+    sources = sorted((ROOT / "src" / "rctrs").glob("*.py"))
+    found = []
+    for path in sources:
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if callee == "_eliminate" and (len(node.args) > 2 or any(kw.arg == "full" for kw in node.keywords)):
+                    found.append(f"{path.name}:{node.lineno}: full reduction")
+            for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None),
+                         node.value if isinstance(node, ast.Constant) else None):
+                if name == "_rref":
                     found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []
 

@@ -2,13 +2,18 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
+import rctrs.cli
+import rctrs.linalg
 import rctrs.mds
+import rctrs.report
 from rctrs.codes import CodeFamily, CodeSpec, generator_matrix
 from rctrs.errors import MethodDisagreementError, WrongHookTwistError
 from rctrs.gf import Field, field_create
+from rctrs.specfile import codespec_to_text
 from rctrs.linalg import Matrix, det, rref
 from rctrs.mds import (
     DEFAULT_DISTANCE_BUDGET,
@@ -785,6 +790,16 @@ def test_negative_budget_is_refused():
     for call in (lambda b: min_distance(g, budget=b), lambda b: rctrs.analyze(spec, budget=b)):
         with pytest.raises(ValueError, match="distance budget must be non-negative, got -5"):
             call(-5)
+
+    # analyze refuses the budget before it builds G or checks it
+    def fail(*args, **kwargs):
+        raise AssertionError("analyze did work before refusing the budget")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rctrs.report, "generator_matrix", fail)
+        patch.setattr(rctrs.report, "check_mds", fail)
+        with pytest.raises(ValueError, match="distance budget must be non-negative, got -5"):
+            rctrs.analyze(spec, budget=-5)
     # a zero budget enumerates nothing: the MDS shortcut gives n - k + 1
     assert min_distance(g, budget=0) == DistanceResult(4, "minors")
     assert rctrs.analyze(spec, budget=0).distance == DistanceResult(4, "minors")
@@ -823,7 +838,68 @@ def test_distance_of_rank_deficient_matrix_is_zero_within_and_past_budget():
     assert min_distance(m, budget=100) == DistanceResult(0, "minors")
     dependent = Matrix(f, [[1, 2, 3, 4], [2, 4, 6, 1], [0, 1, 1, 5]])  # row 2 = 2 * row 1
     assert min_distance(dependent).value == 0
-    assert min_distance(dependent, budget=100) == DistanceResult(0, "minors")
+    # past the budget the kept RREF shows rank 2 < 3, so no minor is scanned
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rctrs.mds, "mds_by_minors", lambda g: pytest.fail("scanned the minors"))
+        assert min_distance(dependent, budget=100) == DistanceResult(0, "minors")
+        assert min_distance(m, budget=100) == DistanceResult(0, "minors")
+
+
+def test_each_matrix_is_reduced_once(tmp_path, monkeypatch, capsys):
+    """A Matrix keeps its first full reduction (see rctrs.linalg), so an
+    analysis reduces G once however many analyzers read its RREF."""
+    real = rctrs.linalg._eliminate
+    calls = []
+
+    def counting(field, rows, full=False):
+        calls.append(full)
+        return real(field, rows, full)
+
+    # wrapped wherever a module of the package holds it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rctrs") and getattr(module, "_eliminate", None) is real:
+            monkeypatch.setattr(module, "_eliminate", counting)
+
+    def reductions(call):
+        """(full reductions made, result) of call()."""
+        calls.clear()
+        result = call()
+        return calls.count(True), result
+
+    f17 = field_create(17)
+    mds17 = rctrs_spec(f17, (0, 3, 7, 8, 10, 12, 13), 1, 2, 10, 4, k=4)
+    cases = [
+        (CodeSpec(CodeFamily.GRS, F13, 6, 3, (1, 2, 3, 4, 5, 6)), "enumeration"),
+        (mds17, "enumeration"),
+        (rctrs_spec(F9, (0, 1, 2, 3, 4), 5, 6, 1, 1, k=2, extended=True), "enumeration"),
+        (rctrs_spec(f17, (0, 3, 7, 8, 10, 12, 13), 1, 2, 10, 4, k=4, h=2), "enumeration"),
+        (mds17, "minors"),
+        (rctrs_spec(f17, (0, 1, 2, 3, 4), 1, 2, 3, 2, k=3), "budget-exceeded"),
+    ]
+    for spec, method in cases:
+        budget = DEFAULT_DISTANCE_BUDGET if method == "enumeration" else 0
+        count, report = reductions(lambda: rctrs.analyze(spec, budget=budget))
+        assert (count, report.distance.method) == (1, method), spec
+    dependent = Matrix(F13, [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 5]])
+    assert reductions(lambda: min_distance(dependent, budget=0)) == (1, DistanceResult(0, "minors"))
+
+    path = tmp_path / "code.spec"
+    path.write_text(codespec_to_text(mds17))
+    for argv in (["schur-dim"], ["distinguish", "--target", "ctrs"], ["distance", "--budget", "0"]):
+        argv = argv[:1] + [str(path)] + argv[1:]
+        assert reductions(lambda: rctrs.cli.main(argv)) == (1, 0), argv
+    capsys.readouterr()
+
+    built = ((2, 4, 6), (1, 2, 3), (0, 0, 5))
+    f7 = field_create(7)
+    m = Matrix(f7, built)
+    count, (first, second) = reductions(lambda: (rref(m), rref(m)))
+    assert count == 1 and first == second
+    assert first.rows == ((1, 2, 0), (0, 0, 1), (0, 0, 0))
+    # the kept form is immutable, and rows, equality and hashing see only G as built
+    pivots, rows = rctrs.linalg._reduced(m)
+    assert pivots == (0, 2) and type(rows) is tuple and all(type(r) is tuple for r in rows)
+    assert m.rows == built and m == Matrix(f7, built) and hash(m) == hash(Matrix(f7, built))
 
 
 def test_distance_uses_supplied_verdict():
