@@ -17,11 +17,12 @@ constant term varying fastest, so a (p, m) pair always names the same
 field.  Irreducibility is decided by Rabin's test: x^(p^m) = x mod f,
 and x^(p^(m/r)) - x is prime to f for each prime r dividing m.
 
-Arithmetic depends on the shape of the field:
+Arithmetic depends on the shape of the field, and a shape binds only
+add and mul:
 
-* Prime fields (m = 1) compute modulo p.
+* Prime fields (m = 1) add and multiply modulo p.
 * Extensions with m > 1 and q <= 2^20 get exp/log tables, so
-  multiplication and inversion are table lookups.  The tables are built
+  multiplication is a table lookup.  The tables are built
   on first arithmetic, not by the constructor: the first read of add,
   sub, neg, mul, inv or _zech binds all six.  Until then pow, the
   generator search, primitive_element and subfield membership take the
@@ -29,14 +30,14 @@ Arithmetic depends on the shape of the field:
   powers of the primitive element; each step multiplies by it on a
   packed index, one digit per bit lane, with two lookups of precomputed
   half-index products, one integer add and a lane-wise reduction mod p
-  (for p = 2, one XOR).
-* Larger extensions multiply polynomials modulo f and invert by powering.
+  (for p = 2, one XOR).  Odd p add through the Zech table below.
+* Larger extensions multiply polynomials modulo f.  Odd p add digit
+  by digit on the index.
+* p = 2 with m > 1, tables or not, adds by XOR on the index.
 
-Addition has four shapes.  Prime fields add modulo p.  For p = 2 and
-m > 1, with or without tables, add and sub are XOR on the index and neg
-is the identity.  Odd p with tables add through the Zech table below
-and subtract by adding the negation, a - b = a + g^((q-1)/2) b.  Odd p
-without tables add digit by digit on the index.
+The rest is one rule for every shape: -a = (p - 1)a, as -1 is the
+index p - 1; a - b = a + (-b); and a^-1 = pow(a, -1), which reads the
+tables where the field has them and powers otherwise.
 
 The log domain, the one rule every log path follows.  A field keeps a
 Zech table, read as _zech, exactly when p is odd, m > 1 and q <= 2^20;
@@ -46,8 +47,9 @@ element g: a nonzero x is log_g x reduced mod q - 1, and zero is None.
 A product is an integer add, and a sum
 log x + zech[(log y - log x) mod (q - 1)], where
 zech[d] = log(1 + g^d) has q - 1 entries (about 0.5 MB at GF(3^10))
-and is None at d = (q-1)/2, since -1 = g^((q-1)/2); so -x is
-log x + (q-1)/2.  Elsewhere they run on indices through the field's ops.
+and is None at d = log(p - 1), since 1 + g^d = 0 there.  So -x is the
+product log x + log(p - 1), the same rule as on indices.  Elsewhere
+they run on indices through the field's ops.
 
 The primitive element is the smallest index g with g^((q-1)/r) != 1 for
 every prime r dividing q - 1; one search finds it for every shape, and
@@ -64,12 +66,12 @@ modulus named or not, so a field in spec text builds its tables once.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, count, islice
 from math import gcd
 from operator import xor
 from typing import Iterable, Iterator, Sequence, Union
-from weakref import WeakValueDictionary
+from weakref import WeakValueDictionary, ref
 
 from .errors import (
     DegreeMismatchError,
@@ -393,30 +395,32 @@ class Field:
     # -- construction helpers -------------------------------------------------
 
     def _bind_ops(self) -> None:
-        """Bind add, sub, neg, mul, inv and _zech for the field's shape."""
+        """Bind add, mul and _zech for the field's shape, then neg, sub and
+        inv by one rule for every shape: -a = (p - 1)a, a - b = a + (-b)
+        and a^-1 = pow(a, -1), which reads the tables where there are any."""
         p = self.p
         self._zech = None  # _build_tables keeps the table where there is one
         if self.m == 1:
             self.add = lambda a, b: (a + b) % p
-            self.sub = lambda a, b: (a - b) % p
-            self.neg = lambda a: -a % p
             self.mul = lambda a, b: a * b % p
-            self.inv = self._inv_prime
-            return
-        tables = self.q <= _TABLE_LIMIT
-        if p == 2:
-            self.add = self.sub = xor
-            self.neg = lambda a: a
-        elif not tables:
-            digits = self._add_digits
-            self.add = digits
-            self.sub = lambda a, b: digits(a, b, -1)
-            self.neg = lambda a: digits(0, a, -1)
-        if tables:
-            self._build_tables()  # for odd p also add, sub and neg, through the Zech table
+        elif self.q <= _TABLE_LIMIT:
+            self._build_tables()  # mul, and for odd p add through the Zech table
         else:
+            self.add = self._add_digits
             self.mul = self._mul_poly
-            self.inv = self._inv_poly
+        if p == 2 and self.m > 1:
+            self.add = xor  # with tables or without
+        add = self.add
+        self.neg = neg = partial(self.mul, p - 1)  # -a = (p - 1)a
+        self.sub = lambda a, b: add(a, neg(b))
+        field = ref(self)  # a weak reference: no cycle keeps the tables alive
+
+        def inv(a: int) -> int:
+            if a == 0:
+                raise ZeroDivisionError("inverse of zero")
+            return field().pow(a, -1)
+
+        self.inv = inv
 
     def _build_tables(self) -> None:
         p, qm1 = self.p, self.q - 1
@@ -429,22 +433,15 @@ class Field:
                 return 0
             return exp[log[a] + log[b]]
 
-        def inv(a: int) -> int:
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return exp[qm1 - log[a]]
-
         self.mul = mul
-        self.inv = inv
         if p == 2:
             return
         # Zech logarithms: a + b = g^la (1 + g^(lb - la)) with zech[d] =
         # log(1 + g^d), None where g^d = -1.  Adding 1 to an index changes
-        # only its constant digit.  -b = g^half b.
+        # only its constant digit.
         pm1 = p - 1
         zech = [log[e - pm1 if e % p == pm1 else e + 1] for e in islice(exp, qm1)]
-        half = qm1 // 2  # -1 = g^half
-        zech[half] = None
+        zech[log[pm1]] = None  # -1 is the index p - 1
         self._zech = zech
 
         def add(a: int, b: int) -> int:
@@ -456,12 +453,7 @@ class Field:
             z = zech[log[b] - la]  # a negative difference wraps: len(zech) = q - 1
             return 0 if z is None else exp[la + z]
 
-        def neg(a: int) -> int:
-            return exp[log[a] + half] if a else 0
-
         self.add = add
-        self.sub = lambda a, b: add(a, neg(b))
-        self.neg = neg
 
     def _walk_powers(self, gen: int) -> tuple[list[int], list[int]]:
         """exp (two periods, less one entry) and log tables of gen's powers.
@@ -533,22 +525,17 @@ class Field:
 
     # -- digit / polynomial plumbing ------------------------------------------
 
-    def _add_digits(self, a: int, b: int, s: int = 1) -> int:
-        """a + s*b digit by digit on the index, for s = 1 or -1."""
+    def _add_digits(self, a: int, b: int) -> int:
+        """a + b digit by digit on the index."""
         p = self.p
         out = 0
         mult = 1
         for _ in range(self.m):
-            out += (a % p + s * (b % p)) % p * mult
+            out += (a + b) % p * mult
             a //= p
             b //= p
             mult *= p
         return out
-
-    def _inv_prime(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
 
     def _mul_poly(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -556,11 +543,6 @@ class Field:
         return self.index_from_coeffs(
             _poly_mulmod(self.coeffs_of(a), self.coeffs_of(b), self.modulus, self.p)
         )
-
-    def _inv_poly(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.q - 2)
 
     # -- scalar API ------------------------------------------------------------
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Optional
 
@@ -218,17 +218,14 @@ def _arithmetic(f):
     if zech is None:
         return 1, 0, lambda xs: xs, f.neg, f.mul, f.add
     log, qm1 = f._log, f.q - 1
-    half = qm1 // 2  # -1 = g^half
 
     def reps(xs):
         return [log[x] if x else None for x in xs]
 
-    def neg(a):
-        return None if a is None else (a + half) % qm1
-
     def mul(a, b):
         return None if a is None or b is None else (a + b) % qm1
 
+    neg = partial(mul, log[f.p - 1])  # -a = (p - 1)a, as on indices
     def add(a, b):
         if a is None:
             return b

@@ -4,9 +4,11 @@ None of these run in the library.  The deleted-power-row Vandermonde
 identity checks det; Hamming isometries (column permutations composed
 with nonzero column scalings) preserve distance, MDS-ness and the
 Schur-square dimension, so their images check schur_square_dim and
-check_mds; the rest are plain references for the twisted polynomial
-basis, polynomial evaluation, symmetric functions, row spaces, colex
-order, pivot columns, multiplicative orders and the generator search.
+check_mds; a field isomorphism onto the same GF(p^m) under another
+modulus maps a code onto one with the same verdicts; the rest are
+plain references for the twisted polynomial basis, polynomial
+evaluation, symmetric functions, row spaces, colex order, pivot
+columns, multiplicative orders and the generator search.
 """
 
 from __future__ import annotations
@@ -214,3 +216,19 @@ def random_isometry(field: Field, n: int, rng: random.Random) -> Isometry:
     rng.shuffle(perm)
     scale = [rng.randrange(1, field.q) for _ in range(n)]
     return Isometry(tuple(perm), tuple(scale))
+
+
+def field_isomorphism(source: Field, target: Field) -> list[int]:
+    """The index map of an isomorphism from source onto target, the same
+    GF(p^m) under another modulus: x goes to the least root r of source's
+    modulus in target, so sum c_i x^i goes to sum c_i r^i."""
+    assert (source.p, source.m) == (target.p, target.m)
+
+    def horner(coeffs: Sequence[int], x: int) -> int:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = target.add(target.mul(acc, x), c)
+        return acc
+
+    root = next(r for r in range(target.q) if horner(source.modulus, r) == 0)
+    return [horner(source.coeffs_of(a), root) for a in range(source.q)]

@@ -1,7 +1,8 @@
 """The package has no runtime dependencies beyond the standard library,
 its settings come in as arguments, never from the environment, only
-the modules that own a field's log tables read them, and only linalg
-reduces a matrix to RREF."""
+the modules that own a field's log tables read them, only linalg
+reduces a matrix to RREF, and a field binds neg, sub and inv in one
+place."""
 
 import ast
 import sys
@@ -80,6 +81,20 @@ def test_only_linalg_reduces_a_matrix_fully_and_keeps_the_result():
                 if name == "_rref":
                     found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []
+
+
+def test_neg_sub_and_inv_are_bound_once_for_every_field_shape():
+    """Each field shape binds only add and mul; neg, sub and inv are each
+    assigned once in the package, in Field._bind_ops, by one rule for all."""
+    found = []
+    for path in sorted((ROOT / "src" / "rctrs").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            for node in ast.walk(func):
+                targets = node.targets if isinstance(node, ast.Assign) else []
+                found += [f"{path.name}: {func.name}: {t.attr}" for t in targets
+                          if isinstance(t, ast.Attribute) and t.attr in ("neg", "sub", "inv")]
+    assert sorted(found) == [f"gf.py: _bind_ops: {name}" for name in ("inv", "neg", "sub")]
 
 
 def test_pyproject_declares_no_dependencies():

@@ -1,13 +1,15 @@
 """Schur squares, distinguishers and Hamming isometries."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from rctrs.codes import CodeFamily, CodeSpec, generator_matrix
-from rctrs.gf import field_create
+from rctrs.gf import _is_irreducible, field_create
 from rctrs.linalg import Matrix, rank
 from rctrs.mds import MdsVerdict, check_mds, mds_by_minors
+from rctrs.report import analyze
 from rctrs.schur import (
     ctrs_distinguisher,
     is_non_rs,
@@ -20,6 +22,7 @@ from oracles import (
     Isometry,
     SizeMismatchError,
     apply_isometry,
+    field_isomorphism,
     pivot_columns,
     random_isometry,
     row_space_equal,
@@ -221,6 +224,64 @@ def test_isometry_preserves_schur_dim_and_mds():
         image = apply_isometry(gen, iso)
         assert schur_square_dim(image) == base_dim
         assert mds_by_minors(image).is_mds == base_mds
+
+
+# Odd p with a Zech table at m = 2, 3 and 4, and p = 2 at m = 6 and 8.
+ISOMORPHIC_FIELDS = ((7, 2), (5, 3), (3, 4), (2, 6), (2, 8), (13, 2), (31, 2))
+
+
+def random_family_spec(f, family, rng):
+    n = rng.randrange(3, 12)
+    k = rng.randrange(1, n)
+    kw = {"extended": rng.random() < 0.5}
+    if family is CodeFamily.GRS:
+        kw["v"] = tuple(rng.randrange(1, f.q) for _ in range(n))
+    else:
+        kw.update(h=rng.randrange(k), t=rng.randrange(1, 4), eta=rng.randrange(1, f.q))
+    if family.pointed:
+        kw.update(b=rng.randrange(f.q), c=rng.randrange(f.q), lam=rng.randrange(f.q))
+    points = rng.sample(range(f.q), n - 1 if family.pointed else n)
+    return CodeSpec(family, f, n, k, tuple(points), **kw)
+
+
+def test_a_second_modulus_changes_no_verdict():
+    """A field isomorphism onto GF(p^m) under a second modulus maps each
+    code onto one with the same MDS verdict, witness and method, distance
+    and Schur dimension, although the tables, the Zech table, the derived
+    ops and both log paths follow the modulus and the generator."""
+    rng = random.Random(2509)
+    seen = set()
+    for p, m in ISOMORPHIC_FIELDS:
+        f = field_create(p, m)
+        while True:
+            modulus = [rng.randrange(p) for _ in range(m)] + [1]
+            if tuple(modulus) != f.modulus and _is_irreducible(modulus, p):
+                break
+        g = field_create(p, m, modulus)
+        phi = field_isomorphism(f, g)
+        assert sorted(phi) == list(range(f.q))
+        for a, b in ((rng.randrange(f.q), rng.randrange(1, f.q)) for _ in range(100)):
+            assert phi[f.add(a, b)] == g.add(phi[a], phi[b])
+            assert phi[f.sub(a, b)] == g.sub(phi[a], phi[b])
+            assert phi[f.neg(a)] == g.neg(phi[a])
+            assert phi[f.mul(a, b)] == g.mul(phi[a], phi[b])
+            assert phi[f.inv(b)] == g.inv(phi[b])
+        for family in (CodeFamily.GRS, CodeFamily.TRS, CodeFamily.RCTRS):
+            for _ in range(6):
+                spec = random_family_spec(f, family, rng)
+                scalars = {name: phi[getattr(spec, name)] for name in ("b", "c", "lam", "eta")
+                           if getattr(spec, name) is not None}
+                image = replace(
+                    spec, field=g, alphas=tuple(phi[a] for a in spec.alphas),
+                    v=None if spec.v is None else tuple(phi[x] for x in spec.v), **scalars,
+                )
+                want, got = analyze(spec, budget=20000), analyze(image, budget=20000)
+                assert (got.mds, got.distance, got.schur) == (want.mds, want.distance, want.schur)
+                seen |= {"extended" if spec.extended else "plain"}
+                seen |= {"witness" if want.mds.witness else "mds", want.mds.method}
+                seen |= {want.distance.method}
+    assert seen == {"plain", "extended", "witness", "mds", "minors", "both",
+                    "enumeration", "budget-exceeded"}
 
 
 def test_random_isometry_seeded_reproducible():

@@ -48,6 +48,18 @@ def test_serialize_is_parse_inverse_on_sample():
     assert codespec_to_text(codespec_from_text(bare)) == bare
 
 
+def test_an_empty_list_line_is_an_empty_list(tmp_path):
+    """A CTRS code of length 1 may say so with an alphas line and no value;
+    the written text then leaves the line out."""
+    path = tmp_path / "bare.spec"
+    path.write_text("field 13\nfamily CTRS\nn 1\nk 1\nalphas\nb 4\nc 5\nlambda 6\n")
+    spec = codespec_read(path)
+    assert spec.alphas == ()
+    text = codespec_to_text(spec)
+    assert text == "field 13^1/1,0\nfamily CTRS\nn 1\nk 1\nextended 0\nb 4\nc 5\nlambda 6\n"
+    assert codespec_from_text(text) == spec
+
+
 def test_comments_and_blank_lines_ignored():
     noisy = "# preamble\n\n" + SAMPLE.replace("n 8", "n 8\n# midway note\n")
     assert codespec_from_text(noisy) == codespec_from_text(SAMPLE)
