@@ -126,8 +126,8 @@ def cmd_schur(args) -> int:
     verdict, one a line."""
     spec = _cli.codespec_read(args.spec)
     gen = _cli.generator_matrix(spec)
-    verdict = _cli.check_mds(spec, gen=gen)
-    line = _cli.schur_report(gen, verdict).render()
+    _cli.check_mds(spec, gen=gen)  # cross-checks; gen keeps the verdict the Schur line reads
+    line = _cli.schur_report(gen).render()
     if args.target is not None:
         dim, non_rs, ctrs_incompatible = line.split()
         line = f"{dim}\n{non_rs if args.target == 'rs' else ctrs_incompatible}"
@@ -246,42 +246,37 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_construct_subgroup)
 
-    p = sub.add_parser("check-mds", help="verify the MDS property of a spec file")
-    p.add_argument("spec")
+    def spec_command(name, func, summary, **defaults):
+        """A subcommand that reads the spec file its spec positional names."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("spec")
+        p.set_defaults(func=func, **defaults)
+        return p
+
+    p = spec_command("check-mds", cmd_check_mds, "verify the MDS property of a spec file")
     p.add_argument("--method", choices=("minors", "closed", "both"), default="both")
     p.add_argument("--expect", choices=("true", "false"))
     p.add_argument("-v", "--verbose", action="store_true")
-    p.set_defaults(func=cmd_check_mds)
 
-    p = sub.add_parser("schur-dim", help="Schur-square dimension and distinguishers")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_schur, target=None)
+    spec_command("schur-dim", cmd_schur, "Schur-square dimension and distinguishers", target=None)
 
-    p = sub.add_parser("distance", help="minimum distance, enumerated within budget")
-    p.add_argument("spec")
+    p = spec_command("distance", cmd_distance, "minimum distance, enumerated within budget")
     p.add_argument("--budget", type=_budget)
-    p.set_defaults(func=cmd_distance)
 
-    p = sub.add_parser("distinguish", help="test inequivalence to RS or CTRS codes")
-    p.add_argument("spec")
+    p = spec_command("distinguish", cmd_schur, "test inequivalence to RS or CTRS codes")
     p.add_argument("--target", choices=("rs", "ctrs"), required=True)
-    p.set_defaults(func=cmd_schur)
 
     p = sub.add_parser("reproduce", help="run the built-in worked examples")
     p.add_argument("--example", choices=GOLDEN_KEYS + ("all",), default="all")
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("analyze", help="full report for a spec file")
-    p.add_argument("spec")
+    p = spec_command("analyze", cmd_analyze, "full report for a spec file")
     p.add_argument("--budget", type=_budget)
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("export", help="write the generator matrix or canonical spec")
-    p.add_argument("spec")
+    p = spec_command("export", cmd_export, "write the generator matrix or canonical spec")
     p.add_argument("--format", choices=("matrix", "spec"), default="matrix")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("import", help="validate and summarize a spec or matrix file")
     p.add_argument("file")

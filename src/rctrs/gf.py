@@ -210,8 +210,6 @@ def _poly_trim(a: list[int]) -> list[int]:
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:

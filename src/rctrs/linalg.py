@@ -3,11 +3,15 @@
 Matrices are immutable row-major grids of element indices tied to a
 Field.  Rank, determinant and RREF all run one Gaussian elimination
 loop (_eliminate) with exact field inverses; nothing here ever rounds.
-A Matrix is reduced to RREF at most once: _reduced keeps the first full
-reduction on the Matrix, and the minor scan, the distance enumeration,
-the Schur dimension and rref() all read that one; rows never changes.
-Rank and determinant run their own echelon pass, which costs less than
-a full reduction.  Also hosts the plain-text matrix format.
+A Matrix keeps two facts about itself, each worked out at most once.
+_reduced keeps the first full reduction to RREF, and the minor scan,
+the distance enumeration, the Schur dimension and rref() all read that
+one.  rctrs.mds.mds_by_minors keeps its MDS verdict, and the distance
+past its budget and the Schur distinguishers read that one.  rows never
+changes, and neither kept fact is seen by rows, equality, hashing or the
+text format.  Rank and determinant run their own echelon pass, which
+costs less than a full reduction.  Also hosts the plain-text matrix
+format.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ class Matrix:
     """Immutable matrix over a field; entries stored as element indices.
 
     rows is the matrix as built.  _rref, None until _reduced first reads
-    it, holds the RREF; equality, hashing and the text format never see
-    it.
+    it, holds the RREF; _mds, None until rctrs.mds.mds_by_minors first
+    scans the matrix, holds its MDS verdict.  Equality, hashing and the
+    text format see neither.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_rref")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_rref", "_mds")
 
     def __init__(self, field: Field, rows: Iterable[Iterable[ElementLike]], ncols: int | None = None):
         # Rows go through a list so each tuple is allocated at its final size;
@@ -45,7 +50,7 @@ class Matrix:
         self.rows = grid
         self.nrows = len(grid)
         self.ncols = ncols
-        self._rref = None
+        self._rref = self._mds = None
 
     def __eq__(self, other) -> bool:
         return (

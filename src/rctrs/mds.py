@@ -39,8 +39,10 @@ built from w rows is nonzero on their w pivot columns, so no codeword
 under it weighs less than w, and the walk drops it once w reaches the
 best weight (see _enumerate_min_weight).  The result counts the q^k - 1
 nonzero codewords decided, pruned or not.  Past the budget a G of rank
-below k has distance 0, and otherwise the minor check decides whether
-the Singleton bound is the distance.  Exceeding the budget on a
+below k has distance 0, and otherwise G's own minor verdict decides
+whether the Singleton bound is the distance: mds_by_minors keeps it on
+the Matrix (see rctrs.linalg), and _verdict reads it there or, when
+none is kept, scans the minors.  Exceeding the budget on a
 full-rank non-MDS code is reported as an explicit result, not an error.
 A negative budget raises ValueError.
 """
@@ -130,7 +132,8 @@ def mds_by_minors(g: Matrix) -> MdsVerdict:
     when zero, which the next term restarts.  On indices a term is one mul
     and one add.  Colex order of k-subsets is increasing bitmask order, so
     each mask is the last one's successor by Gosper's hack; the column
-    tuples, pulled from the colex table alongside, name the witness.  A
+    tuples, pulled from the colex table alongside, name the witness.  The
+    verdict is kept on g (see rctrs.linalg), where _verdict reads it.  A
     matrix with more rows than columns raises ValueError.
     """
     f = g.field
@@ -141,7 +144,8 @@ def mds_by_minors(g: Matrix) -> MdsVerdict:
     subsets = iter(_colex_subsets(n, k))
     first = next(subsets)
     if pivots != tuple(range(k)):
-        return MdsVerdict(False, first, METHOD_MINORS)
+        g._mds = MdsVerdict(False, first, METHOD_MINORS)
+        return g._mds
     zech, qm1 = f._zech, f.q - 1
     one, _, reps, neg, mul, add = _arithmetic(f)
     # each entry of A beside its negation
@@ -186,8 +190,18 @@ def mds_by_minors(g: Matrix) -> MdsVerdict:
                 break
         dets[mask] = total
     else:
-        return MdsVerdict(True, None, METHOD_MINORS)
-    return MdsVerdict(False, cols, METHOD_MINORS)
+        cols = None
+    g._mds = MdsVerdict(cols is None, cols, METHOD_MINORS)
+    return g._mds
+
+
+def _verdict(g: Matrix) -> MdsVerdict:
+    """G's kept minor verdict; the minors are scanned only when none is kept.
+
+    A kept verdict is returned without a call to mds_by_minors, so a
+    wrapper set on that name sees one call per scan.
+    """
+    return g._mds or mds_by_minors(g)
 
 
 # ---------------------------------------------------------------------------
@@ -524,11 +538,7 @@ def _require_budget(budget: int) -> None:
         raise ValueError(f"distance budget must be non-negative, got {budget!r}")
 
 
-def min_distance(
-    g: Matrix,
-    budget: int = DEFAULT_DISTANCE_BUDGET,
-    mds_verdict: MdsVerdict | None = None,
-) -> DistanceResult:
+def min_distance(g: Matrix, budget: int = DEFAULT_DISTANCE_BUDGET) -> DistanceResult:
     """Exact distance by enumeration within budget, else the minors route.
 
     An enumerated result counts the q^k - 1 nonzero codewords it decides,
@@ -536,8 +546,11 @@ def min_distance(
     _enumerate_min_weight).  Past the budget, a G of rank below k, which
     its kept RREF shows (see rctrs.linalg), has a nonzero message that
     encodes to zero, so its distance is 0 and no minor is scanned; that
-    covers k > N.  A matrix with no rows has no nonzero codeword, and a
-    negative budget is no budget; both raise ValueError.
+    covers k > N.  Otherwise G's own minor verdict, the one kept on G or
+    else a scan made here (see _verdict), decides whether the Singleton
+    bound is the distance; no caller passes one in.  A matrix with no rows
+    has no nonzero codeword, and a negative budget is no budget; both
+    raise ValueError.
     """
     _require_budget(budget)
     k = g.nrows
@@ -548,6 +561,6 @@ def min_distance(
         return DistanceResult(_enumerate_min_weight(g), "enumeration", total - 1)
     if len(_reduced(g)[0]) < k:
         return DistanceResult(0, METHOD_MINORS)
-    if (mds_verdict or mds_by_minors(g)).is_mds:
+    if _verdict(g).is_mds:
         return DistanceResult(g.ncols - k + 1, METHOD_MINORS)
     return DistanceResult(None, "budget-exceeded")

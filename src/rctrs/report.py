@@ -2,10 +2,13 @@
 
 analyze() builds the generator matrix once and runs the MDS check, the
 distance computation and the Schur-square distinguishers on it, then
-bundles everything into a line-oriented report.  Reports are fully
-deterministic for a given spec and budget.  analyze() enumerates within
-the budget it is passed, 2^24 by default, and always checks the minor
-scan against the closed form where one applies.
+bundles everything into a line-oriented report.  The MDS check's minor
+scan keeps its verdict on that matrix (see rctrs.linalg), where the
+distance and the distinguishers read it, so the minors are scanned
+once.  Reports are fully deterministic for a given spec and budget.
+analyze() enumerates within the budget it is passed, 2^24 by default,
+and always checks the minor scan against the closed form where one
+applies.
 """
 
 from __future__ import annotations
@@ -92,8 +95,8 @@ def analyze(source, budget: int = DEFAULT_DISTANCE_BUDGET) -> AnalysisReport:
     warnings.extend(_spec_warnings(spec))
     gen = generator_matrix(spec)
     verdict = check_mds(spec, gen=gen)
-    dist = min_distance(gen, budget, mds_verdict=verdict)
-    schur = schur_report(gen, verdict)
+    dist = min_distance(gen, budget)
+    schur = schur_report(gen)
     return AnalysisReport(
         spec=spec,
         length=gen.ncols,

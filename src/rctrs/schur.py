@@ -17,7 +17,10 @@ direct form of the same span.
 
 Both distinguishers are one-sided and only meaningful on MDS codes in a
 dimension range, so they return True, False or None (undetermined when
-the preconditions fail):
+the preconditions fail).  Whether G is MDS is G's own minor verdict,
+which rctrs.mds.mds_by_minors keeps on the Matrix (see rctrs.linalg);
+the distinguishers read it there, or scan the minors when none is kept,
+and only once the dimension range holds.  No caller passes one in.
 
 * is_non_rs: dimension different from 2k-1 proves the code is not GRS,
   requires k <= N/2.
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import Matrix, _eliminate, _reduced
-from .mds import MdsVerdict
+from .mds import _verdict
 
 
 def schur_square_rows(g: Matrix) -> Matrix:
@@ -61,16 +64,16 @@ def schur_square_dim(g: Matrix) -> int:
     return len(pivots) + len(_eliminate(g.field, products)[0])
 
 
-def is_non_rs(g: Matrix, mds: MdsVerdict, dim: int) -> Optional[bool]:
+def is_non_rs(g: Matrix, dim: int) -> Optional[bool]:
     """True when the Schur square, of dimension dim, certifies the code is not GRS."""
-    if not mds.is_mds or 2 * g.nrows > g.ncols:
+    if 2 * g.nrows > g.ncols or not _verdict(g).is_mds:
         return None
     return dim != 2 * g.nrows - 1
 
 
-def ctrs_distinguisher(g: Matrix, mds: MdsVerdict, dim: int) -> Optional[bool]:
+def ctrs_distinguisher(g: Matrix, dim: int) -> Optional[bool]:
     """True when the Schur square, of dimension dim, rules out one-twist CTRS structure."""
-    if not mds.is_mds or 2 * g.nrows > g.ncols - 1:
+    if 2 * g.nrows > g.ncols - 1 or not _verdict(g).is_mds:
         return None
     return dim == 2 * g.nrows + 1
 
@@ -94,12 +97,12 @@ class SchurReport:
         )
 
 
-def schur_report(g: Matrix, mds: MdsVerdict) -> SchurReport:
+def schur_report(g: Matrix) -> SchurReport:
     dim = schur_square_dim(g)
     return SchurReport(
         dim=dim,
         dimension_k=g.nrows,
-        non_rs=is_non_rs(g, mds, dim),
-        ctrs_incompatible=ctrs_distinguisher(g, mds, dim),
+        non_rs=is_non_rs(g, dim),
+        ctrs_incompatible=ctrs_distinguisher(g, dim),
     )
 

@@ -247,6 +247,9 @@ def test_subgroup_flags_match_the_hook_by_hook_rules():
     # (p, m, subfield degree): proper subfields with subgroups long enough
     # for both certificate windows, and whole fields
     shapes = ((31, 2, 1), (37, 2, 1), (5, 4, 2), (2, 8, 4), (3, 4, 2), (13, 1, 1), (2, 4, 4))
+    # held for the whole run: the field cache is weak, so a field dropped
+    # between draws would have its tables walked again at its next draw
+    held = [field_create(p, m) for p, m, _ in shapes]
     rng = random.Random(49536)
     seen = set()
     for _ in range(4000):

@@ -1,8 +1,8 @@
 """The package has no runtime dependencies beyond the standard library,
 its settings come in as arguments, never from the environment, only
 the modules that own a field's log tables read them, only linalg
-reduces a matrix to RREF, and a field binds neg, sub and inv in one
-place."""
+reduces a matrix to RREF, only linalg and mds name the MDS verdict a
+matrix keeps, and a field binds neg, sub and inv in one place."""
 
 import ast
 import sys
@@ -81,6 +81,21 @@ def test_only_linalg_reduces_a_matrix_fully_and_keeps_the_result():
                 if name == "_rref":
                     found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []
+
+
+def test_only_linalg_and_mds_name_the_kept_mds_verdict():
+    """The minor verdict kept on a Matrix, the slot _mds, is named only in
+    linalg, which declares the slot, and in mds, whose mds_by_minors sets
+    it and whose _verdict reads it; every other module reads it through
+    _verdict, so no analysis takes a verdict from elsewhere."""
+    naming = set()
+    for path in sorted((ROOT / "src" / "rctrs").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None),
+                         node.value if isinstance(node, ast.Constant) else None):
+                if name == "_mds":
+                    naming.add(path.name)
+    assert naming == {"linalg.py", "mds.py"}
 
 
 def test_neg_sub_and_inv_are_bound_once_for_every_field_shape():

@@ -902,13 +902,59 @@ def test_each_matrix_is_reduced_once(tmp_path, monkeypatch, capsys):
     assert m.rows == built and m == Matrix(f7, built) and hash(m) == hash(Matrix(f7, built))
 
 
-def test_distance_uses_supplied_verdict():
+def test_each_analysis_scans_the_minors_once(tmp_path, monkeypatch, capsys):
+    """mds_by_minors keeps its verdict on G (see rctrs.linalg), and the
+    distance and the Schur distinguishers read it there, so an analysis or
+    a CLI run scans the minors once.  The scans are counted through a
+    wrapper set on rctrs.mds.mds_by_minors, where a tracing wrapper goes."""
+    real = rctrs.mds.mds_by_minors
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(rctrs.mds, "mds_by_minors", counting)
+
+    def scans(call):
+        """(minor scans made, result) of call()."""
+        calls.clear()
+        result = call()
+        return len(calls), result
+
+    f7, f17 = field_create(7), field_create(17)
+    mds17 = rctrs_spec(f17, (0, 3, 7, 8, 10, 12, 13), 1, 2, 10, 4, k=4)
+    # x + 6x^7 vanishes on GF(7), so row 1 is zero; with 2k <= N the Schur line reads the verdict
+    deficient = CodeSpec(CodeFamily.TRS, f7, 7, 3, tuple(range(7)), h=1, t=5, eta=6)
+    cases = [
+        (CodeSpec(CodeFamily.GRS, F13, 6, 3, (1, 2, 3, 4, 5, 6)), DEFAULT_DISTANCE_BUDGET, "enumeration", True),
+        (mds17, 0, "minors", True),
+        (rctrs_spec(f17, (0, 1, 2, 3, 4), 1, 2, 3, 2, k=3), 0, "budget-exceeded", False),
+        (deficient, 0, "minors", False),
+    ]
+    for spec, budget, method, is_mds in cases:
+        count, report = scans(lambda: rctrs.analyze(spec, budget=budget))
+        assert (count, report.distance.method, report.mds.is_mds) == (1, method, is_mds), spec
+    assert rctrs.analyze(deficient, budget=0).distance == DistanceResult(0, "minors")
+
+    path = tmp_path / "code.spec"
+    path.write_text(codespec_to_text(mds17))
+    for argv in (["check-mds"], ["schur-dim"], ["distinguish", "--target", "ctrs"], ["distance", "--budget", "0"]):
+        argv = argv[:1] + [str(path)] + argv[1:]
+        assert scans(lambda: rctrs.cli.main(argv)) == (1, 0), argv
+    capsys.readouterr()
+
+
+def test_distance_reads_the_kept_verdict(monkeypatch):
+    """Once mds_by_minors has scanned G, min_distance past the budget reads
+    the verdict kept on G and scans no minor."""
     f = field_create(23, 2)
-    spec = CodeSpec(CodeFamily.GRS, f, 12, 6, tuple(range(1, 13)))
-    g = generator_matrix(spec)
-    verdict = mds_by_minors(g)
-    result = min_distance(g, budget=1000, mds_verdict=verdict)
-    assert result.value == 7
+    grs = generator_matrix(CodeSpec(CodeFamily.GRS, f, 12, 6, tuple(range(1, 13))))
+    repeated = Matrix(F13, [[1, 0, 1, 1, 2], [0, 1, 1, 1, 3]])  # columns 2 and 3 are equal
+    assert mds_by_minors(grs).is_mds and not mds_by_minors(repeated).is_mds
+    monkeypatch.setattr(rctrs.mds, "mds_by_minors", lambda g: pytest.fail("scanned the minors"))
+    assert min_distance(grs, budget=1000) == DistanceResult(7, "minors")
+    assert min_distance(repeated, budget=0) == DistanceResult(None, "budget-exceeded")
 
 
 def test_default_budget_value():

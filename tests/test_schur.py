@@ -1,5 +1,6 @@
 """Schur squares, distinguishers and Hamming isometries."""
 
+import inspect
 import random
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 from rctrs.codes import CodeFamily, CodeSpec, generator_matrix
 from rctrs.gf import _is_irreducible, field_create
 from rctrs.linalg import Matrix, rank
-from rctrs.mds import MdsVerdict, check_mds, mds_by_minors
+from rctrs.mds import DistanceResult, check_mds, mds_by_minors, min_distance
 from rctrs.report import analyze
 from rctrs.schur import (
     ctrs_distinguisher,
@@ -124,27 +125,29 @@ def test_extended_grs_schur_square():
 # --- distinguishers ----------------------------------------------------------------
 
 
-MDS_TRUE = MdsVerdict(True, None, "minors")
-MDS_FALSE = MdsVerdict(False, (0,), "minors")
-
-
 def test_is_non_rs_on_grs_is_false():
     spec = grs_spec(F13, (1, 2, 3, 4, 5, 6, 7, 8), 3)
     gen = generator_matrix(spec)
-    assert is_non_rs(gen, mds_by_minors(gen), schur_square_dim(gen)) is False
+    assert is_non_rs(gen, schur_square_dim(gen)) is False
 
 
 def test_distinguishers_undetermined_when_preconditions_fail():
-    spec = grs_spec(F13, (1, 2, 3, 4, 5), 3)  # 2k > n
+    spec = grs_spec(F13, (1, 2, 3, 4, 5), 3)  # MDS, but 2k > n
     gen = generator_matrix(spec)
-    dim = schur_square_dim(gen)
-    assert is_non_rs(gen, MDS_TRUE, dim) is None
-    assert is_non_rs(gen, MDS_FALSE, dim) is None
-    boundary = grs_spec(F13, (1, 2, 3, 4, 5, 6), 3)  # 2k = n: rs ok, ctrs not
+    assert mds_by_minors(gen).is_mds
+    assert is_non_rs(gen, schur_square_dim(gen)) is None
+    # not MDS (columns 2 and 3 are equal), with 2k <= n - 1; the dimensions
+    # passed in would decide both verdicts on an MDS code
+    repeated = Matrix(F13, [[1, 0, 1, 1, 2], [0, 1, 1, 1, 3]])
+    assert not mds_by_minors(repeated).is_mds
+    for dim in (3, 4, 5):
+        assert is_non_rs(repeated, dim) is None
+        assert ctrs_distinguisher(repeated, dim) is None
+    boundary = grs_spec(F13, (1, 2, 3, 4, 5, 6), 3)  # MDS, 2k = n: rs ok, ctrs not
     gen = generator_matrix(boundary)
     dim = schur_square_dim(gen)
-    assert is_non_rs(gen, MDS_TRUE, dim) is False
-    assert ctrs_distinguisher(gen, MDS_TRUE, dim) is None
+    assert is_non_rs(gen, dim) is False
+    assert ctrs_distinguisher(gen, dim) is None
 
 
 def test_ctrs_distinguisher_values():
@@ -154,10 +157,10 @@ def test_ctrs_distinguisher_values():
 
     code = build_subgroup_code(SubgroupConstructionParams(f, 1, 11, 12, 7, 5, eta, h=0, k=4))
     gen = generator_matrix(code.spec)
-    verdict = check_mds(code.spec, gen=gen)
+    assert check_mds(code.spec, gen=gen).is_mds
     assert schur_square_dim(gen) == 9
-    assert ctrs_distinguisher(gen, verdict, 9) is True
-    assert is_non_rs(gen, verdict, 9) is True
+    assert ctrs_distinguisher(gen, 9) is True
+    assert is_non_rs(gen, 9) is True
 
 
 def test_plain_ctrs_code_is_not_flagged():
@@ -169,21 +172,37 @@ def test_plain_ctrs_code_is_not_flagged():
         SubgroupConstructionParams(f, 1, 11, 12, 7, 5, 0, h=0, k=4)
     )
     gen = generator_matrix(code.spec)
-    verdict = check_mds(code.spec, gen=gen)
+    assert check_mds(code.spec, gen=gen).is_mds
     assert schur_square_dim(gen) == 8
-    assert ctrs_distinguisher(gen, verdict, 8) is False
-    assert is_non_rs(gen, verdict, 8) is True
+    assert ctrs_distinguisher(gen, 8) is False
+    assert is_non_rs(gen, 8) is True
+
+
+def test_analyses_read_g_own_mds_verdict():
+    """No analysis takes an MDS verdict from its caller: G = [[1,0,1,1],
+    [0,1,1,1]] over GF(7) has two equal columns, so it is not MDS, and the
+    distance past the budget and both distinguishers read that from G."""
+    signatures = {fn.__name__: list(inspect.signature(fn).parameters)
+                  for fn in (min_distance, schur_report, is_non_rs, ctrs_distinguisher)}
+    assert signatures == {"min_distance": ["g", "budget"], "schur_report": ["g"],
+                          "is_non_rs": ["g", "dim"], "ctrs_distinguisher": ["g", "dim"]}
+    g = Matrix(field_create(7), [[1, 0, 1, 1], [0, 1, 1, 1]])
+    assert min_distance(g, budget=0) == DistanceResult(None, "budget-exceeded")
+    rep = schur_report(g)
+    assert (rep.non_rs, rep.ctrs_incompatible) == (None, None)
+    assert rep.render() == f"schur_dim={rep.dim} non_rs=undetermined ctrs_incompatible=undetermined"
+    assert not mds_by_minors(g).is_mds
 
 
 def test_schur_report_render():
     spec = grs_spec(F13, (1, 2, 3, 4, 5, 6, 7, 8), 3)
     gen = generator_matrix(spec)
-    rep = schur_report(gen, mds_by_minors(gen))
+    rep = schur_report(gen)
     assert rep.dim == 5
     assert rep.render() == "schur_dim=5 non_rs=false ctrs_incompatible=false"
     small = grs_spec(F13, (1, 2, 3, 4), 3)
     gen = generator_matrix(small)
-    rep = schur_report(gen, mds_by_minors(gen))
+    rep = schur_report(gen)
     assert rep.render().endswith("non_rs=undetermined ctrs_incompatible=undetermined")
 
 
