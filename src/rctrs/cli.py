@@ -8,10 +8,11 @@ harness for the built-in worked examples.
 Each run is a fresh process, so the library is imported per subcommand:
 field-info loads gf and errors only, check-mds adds specfile, codes,
 linalg and mds, analyze adds schur and report but no recipe module, and
-only construct and reproduce load the recipes.  The commands call each
-library name as an attribute of _cli, this module, which resolves it
-through the package on first use, so a replacement set here (a tracing
-wrapper) is the one called.
+only construct and reproduce load the recipes.  None loads dataclasses:
+the value records are plain slotted classes (see rctrs.codes._Record).
+The commands call each library name as an attribute of _cli, this
+module, which resolves it through the package on first use, so a
+replacement set here (a tracing wrapper) is the one called.
 
 analyze and distance enumerate within --budget, a non-negative integer,
 else 2^24.  analyze always cross-checks the MDS verdict; check-mds

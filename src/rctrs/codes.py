@@ -20,7 +20,6 @@ polynomial's x^(k-1) coefficient; as t >= 1, that is the unit vector e_(k-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -63,77 +62,123 @@ class CodeFamily(str, Enum):
         return attr != "v" or self == "GRS"
 
 
-@dataclass(frozen=True)
-class CodeSpec:
+_set = object.__setattr__  # how a record's __init__ writes past the frozen __setattr__
+
+
+class _Record:
+    """A frozen value record whose fields are its class's __slots__.
+
+    Records of one class are equal when their fields are, hash as the
+    tuple of their fields and show each field by name; a field is
+    written once, by the class's __init__ through _set, and assigning or
+    deleting one raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()  # each __init__ takes its fields in slot order
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CodeSpec(_Record):
     """Validated description of one code; immutable once constructed.
 
     n is the unextended code length.  For GRS and TRS the evaluation
     points fill all n columns; for CTRS and RCTRS there are n-1 points
-    and the twist column.  Scalars are stored as element indices.
+    and the twist column.  Scalars are stored as element indices, and
+    the family as a CodeFamily.
     """
 
-    family: CodeFamily
-    field: Field
-    n: int
-    k: int
-    alphas: tuple[int, ...] = ()
-    v: tuple[int, ...] | None = None
-    h: int = 0
-    t: int = 1
-    b: int | None = None
-    c: int | None = None
-    lam: int | None = None
-    eta: int | None = None
-    extended: bool = False
+    __slots__ = ("family", "field", "n", "k", "alphas", "v", "h", "t", "b", "c", "lam", "eta",
+                 "extended")
 
-    def __post_init__(self):
-        fam = CodeFamily.coerce(self.family)
-        object.__setattr__(self, "family", fam)
-        f = self.field
-        object.__setattr__(self, "alphas", tuple(f.to_index(a) for a in self.alphas))
-        for name in ("b", "c", "lam", "eta"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, f.to_index(val))
-        if self.v is not None:
-            object.__setattr__(self, "v", tuple(f.to_index(x) for x in self.v))
-        object.__setattr__(self, "extended", bool(self.extended))
-        self._validate()
+    def __init__(
+        self,
+        family: CodeFamily | str,
+        field: Field,
+        n: int,
+        k: int,
+        alphas: Sequence[ElementLike] = (),
+        v: Sequence[ElementLike] | None = None,
+        h: int = 0,
+        t: int = 1,
+        b: ElementLike | None = None,
+        c: ElementLike | None = None,
+        lam: ElementLike | None = None,
+        eta: ElementLike | None = None,
+        extended: bool = False,
+    ):
+        fam = CodeFamily.coerce(family)
+        to_index = field.to_index
+        alphas = tuple([to_index(a) for a in alphas])
+        b, c, lam, eta = [None if x is None else to_index(x) for x in (b, c, lam, eta)]
+        if v is not None:
+            v = tuple([to_index(x) for x in v])
+        _set(self, "family", fam)
+        _set(self, "field", field)
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "alphas", alphas)
+        _set(self, "v", v)
+        _set(self, "h", h)
+        _set(self, "t", t)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "lam", lam)
+        _set(self, "eta", eta)
+        _set(self, "extended", bool(extended))
 
-    def _validate(self):
-        fam = self.family
-        f = self.field
-        n, k = self.n, self.k
         if not 1 <= k <= n:
             raise InvalidSpecError(f"dimension k={k} outside [1, n={n}]")
-        max_n = f.q + 1 if fam.pointed else f.q
+        max_n = field.q + 1 if fam.pointed else field.q
         if n > max_n:
-            raise InvalidSpecError(f"length n={n} exceeds {max_n} for {fam.value} over {f!r}")
+            raise InvalidSpecError(f"length n={n} exceeds {max_n} for {fam.value} over {field!r}")
         want_pts = n - 1 if fam.pointed else n
-        if len(self.alphas) != want_pts:
+        if len(alphas) != want_pts:
             raise InvalidSpecError(
-                f"{fam.value} with n={n} needs {want_pts} evaluation points, got {len(self.alphas)}"
+                f"{fam.value} with n={n} needs {want_pts} evaluation points, got {len(alphas)}"
             )
-        if len(set(self.alphas)) != len(self.alphas):
+        if len(set(alphas)) != len(alphas):
             raise InvalidSpecError("evaluation points must be pairwise distinct")
         if fam.twisted:
-            if self.t < 1:
-                raise InvalidSpecError(f"twist amount t={self.t} must be at least 1")
-            if not 0 <= self.h < k:
-                raise InvalidSpecError(f"hook h={self.h} outside [0, k={k})")
-        elif self.h != 0 or self.t != 1:
+            if t < 1:
+                raise InvalidSpecError(f"twist amount t={t} must be at least 1")
+            if not 0 <= h < k:
+                raise InvalidSpecError(f"hook h={h} outside [0, k={k})")
+        elif h != 0 or t != 1:
             raise InvalidSpecError(f"{fam.value} spec does not take hook or twist")
         for name in ("eta", "b", "c", "lam"):
             takes = fam.takes(name)
             if takes != (getattr(self, name) is not None):
                 verb = "needs" if takes else "does not take"
                 raise InvalidSpecError(f"{fam.value} spec {verb} {name}")
-        if self.v is not None:
+        if v is not None:
             if not fam.takes("v"):
                 raise InvalidSpecError("column multipliers apply to GRS only")
-            if len(self.v) != n:
-                raise InvalidSpecError(f"need {n} column multipliers, got {len(self.v)}")
-            if any(x == 0 for x in self.v):
+            if len(v) != n:
+                raise InvalidSpecError(f"need {n} column multipliers, got {len(v)}")
+            if any(x == 0 for x in v):
                 raise InvalidSpecError("column multipliers must be nonzero")
 
     @property

@@ -25,10 +25,9 @@ to the analyzers; this admits parameter choices outside the recipes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .codes import CodeFamily, CodeSpec
+from .codes import CodeFamily, CodeSpec, _Record, _set
 from .errors import (
     DegenerateBCError,
     InvalidSpecError,
@@ -50,16 +49,27 @@ SUBFIELD_CHAIN = "subfield-chain"
 SUBGROUP = "subgroup"
 
 
-@dataclass(frozen=True)
-class ConstructedCode:
+class ConstructedCode(_Record):
     """A spec plus the guarantees its construction actually earns."""
 
-    spec: CodeSpec
-    construction: str
-    guaranteed_mds: bool
-    guaranteed_non_rs: bool
-    guaranteed_ctrs_inequivalent: bool
-    warnings: tuple[str, ...] = ()
+    __slots__ = ("spec", "construction", "guaranteed_mds", "guaranteed_non_rs",
+                 "guaranteed_ctrs_inequivalent", "warnings")
+
+    def __init__(
+        self,
+        spec: CodeSpec,
+        construction: str,
+        guaranteed_mds: bool,
+        guaranteed_non_rs: bool,
+        guaranteed_ctrs_inequivalent: bool,
+        warnings: tuple[str, ...] = (),
+    ):
+        _set(self, "spec", spec)
+        _set(self, "construction", construction)
+        _set(self, "guaranteed_mds", guaranteed_mds)
+        _set(self, "guaranteed_non_rs", guaranteed_non_rs)
+        _set(self, "guaranteed_ctrs_inequivalent", guaranteed_ctrs_inequivalent)
+        _set(self, "warnings", warnings)
 
     def provenance(self) -> tuple[str, ...]:
         out = []
@@ -157,20 +167,35 @@ def build_subfield_chain_code(
     )
 
 
-@dataclass(frozen=True)
-class SubgroupConstructionParams:
+class SubgroupConstructionParams(_Record):
     """Inputs for the subgroup recipe; group_order is the code length n."""
 
-    field: Field
-    base_subfield_degree: int
-    group_order: int
-    b: int
-    c: int
-    lam: int
-    eta: int
-    h: int
-    k: int
-    extended: bool = False
+    __slots__ = ("field", "base_subfield_degree", "group_order", "b", "c", "lam", "eta", "h", "k",
+                 "extended")
+
+    def __init__(
+        self,
+        field: Field,
+        base_subfield_degree: int,
+        group_order: int,
+        b: int,
+        c: int,
+        lam: int,
+        eta: int,
+        h: int,
+        k: int,
+        extended: bool = False,
+    ):
+        _set(self, "field", field)
+        _set(self, "base_subfield_degree", base_subfield_degree)
+        _set(self, "group_order", group_order)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "lam", lam)
+        _set(self, "eta", eta)
+        _set(self, "h", h)
+        _set(self, "k", k)
+        _set(self, "extended", extended)
 
 
 def build_subgroup_code(

@@ -32,7 +32,8 @@ add and mul:
   half-index products, one integer add and a lane-wise reduction mod p
   (for p = 2, one XOR).  Odd p add through the Zech table below.
 * Larger extensions multiply polynomials modulo f.  Odd p add digit
-  by digit on the index.
+  by digit on the index.  Both ops close over p, m and f, not over the
+  field (_table_free_ops), so the field's last reference frees it.
 * p = 2 with m > 1, tables or not, adds by XOR on the index.
 
 The rest is one rule for every shape: -a = (p - 1)a, as -1 is the
@@ -247,6 +248,49 @@ def _poly_powmod(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[i
     return result
 
 
+def _digits(idx: int, p: int, m: int) -> tuple[int, ...]:
+    """The m base-p digits of idx, least significant first: its coefficients."""
+    out = []
+    for _ in range(m):
+        out.append(idx % p)
+        idx //= p
+    return tuple(out)
+
+
+def _from_digits(coeffs: Sequence[int], p: int) -> int:
+    """The index whose base-p digits are the coefficients, each taken mod p."""
+    idx = 0
+    for c in reversed(coeffs):
+        idx = idx * p + int(c) % p
+    return idx
+
+
+def _table_free_ops(p: int, m: int, modulus: Sequence[int]):
+    """add and mul on the indices of a field without tables.
+
+    add works digit by digit; mul multiplies the coefficient vectors
+    modulo the modulus.  Both close over p, m and the modulus alone, so
+    a field that binds them is in no reference cycle.
+    """
+
+    def add(a: int, b: int) -> int:
+        out = 0
+        mult = 1
+        for _ in range(m):
+            out += (a + b) % p * mult
+            a //= p
+            b //= p
+            mult *= p
+        return out
+
+    def mul(a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
+        return _from_digits(_poly_mulmod(_digits(a, p, m), _digits(b, p, m), modulus, p), p)
+
+    return add, mul
+
+
 def _monic_polys(degree: int, p: int) -> Iterator[list[int]]:
     """All monic polynomials of the given degree, constant term fastest."""
     for idx in range(p**degree):
@@ -404,8 +448,7 @@ class Field:
         elif self.q <= _TABLE_LIMIT:
             self._build_tables()  # mul, and for odd p add through the Zech table
         else:
-            self.add = self._add_digits
-            self.mul = self._mul_poly
+            self.add, self.mul = _table_free_ops(p, self.m, self.modulus)
         if p == 2 and self.m > 1:
             self.add = xor  # with tables or without
         add = self.add
@@ -521,27 +564,6 @@ class Field:
                 return idx
         raise RuntimeError("no generator found")  # unreachable
 
-    # -- digit / polynomial plumbing ------------------------------------------
-
-    def _add_digits(self, a: int, b: int) -> int:
-        """a + b digit by digit on the index."""
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            out += (a + b) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def _mul_poly(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.index_from_coeffs(
-            _poly_mulmod(self.coeffs_of(a), self.coeffs_of(b), self.modulus, self.p)
-        )
-
     # -- scalar API ------------------------------------------------------------
 
     def pow(self, a: int, e: int) -> int:
@@ -566,23 +588,14 @@ class Field:
 
     def coeffs_of(self, idx: int) -> tuple[int, ...]:
         """Little-endian coefficient vector of length m."""
-        p = self.p
-        out = []
-        for _ in range(self.m):
-            out.append(idx % p)
-            idx //= p
-        return tuple(out)
+        return _digits(idx, self.p, self.m)
 
     def index_from_coeffs(self, coeffs: Sequence[int]) -> int:
         if len(coeffs) > self.m:
             raise DegreeMismatchError(
                 f"coefficient vector longer than extension degree {self.m}"
             )
-        p = self.p
-        idx = 0
-        for c in reversed(coeffs):
-            idx = idx * p + int(c) % p
-        return idx
+        return _from_digits(coeffs, self.p)
 
     def to_index(self, x: ElementLike) -> int:
         """Coerce an element or raw index into a validated index."""

@@ -12,10 +12,10 @@ single source of truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import GOLDEN_KEYS
+from .codes import _Record, _set
 from .construct import (
     SUBFIELD_CHAIN,
     SUBGROUP,
@@ -43,11 +43,13 @@ class Expected(NamedTuple):
     mds_method: str = "both"
 
 
-@dataclass(frozen=True)
-class GoldenCase:
-    label: str
-    code: ConstructedCode
-    expected: Expected
+class GoldenCase(_Record):
+    __slots__ = ("label", "code", "expected")
+
+    def __init__(self, label: str, code: ConstructedCode, expected: Expected):
+        _set(self, "label", label)
+        _set(self, "code", code)
+        _set(self, "expected", expected)
 
 
 class Primitive(NamedTuple):

@@ -50,12 +50,11 @@ A negative budget raises ValueError.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
 from typing import Optional
 
-from .codes import CodeFamily, CodeSpec, generator_matrix
+from .codes import CodeFamily, CodeSpec, _Record, _set, generator_matrix
 from .errors import MethodDisagreementError, WrongHookTwistError
 from .linalg import Matrix, _reduced
 
@@ -68,11 +67,13 @@ METHOD_CLOSED_GENERAL = "closed_form_general"
 METHOD_BOTH = "both"
 
 
-@dataclass(frozen=True)
-class MdsVerdict:
-    is_mds: bool
-    witness: Optional[tuple[int, ...]]
-    method: str
+class MdsVerdict(_Record):
+    __slots__ = ("is_mds", "witness", "method")
+
+    def __init__(self, is_mds: bool, witness: Optional[tuple[int, ...]], method: str):
+        _set(self, "is_mds", is_mds)
+        _set(self, "witness", witness)
+        _set(self, "method", method)
 
     def render(self) -> str:
         if self.is_mds:
@@ -81,11 +82,13 @@ class MdsVerdict:
         return f"mds=false witness=[{cols}] method={self.method}"
 
 
-@dataclass(frozen=True)
-class DistanceResult:
-    value: Optional[int]
-    method: str  # "enumeration", "minors" or "budget-exceeded"
-    enumerated: int = 0
+class DistanceResult(_Record):
+    __slots__ = ("value", "method", "enumerated")
+
+    def __init__(self, value: Optional[int], method: str, enumerated: int = 0):
+        _set(self, "value", value)
+        _set(self, "method", method)  # "enumeration", "minors" or "budget-exceeded"
+        _set(self, "enumerated", enumerated)
 
     def render(self, bound: int) -> str:
         """The distance line of a report; bound is the Singleton bound n - k + 1."""

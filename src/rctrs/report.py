@@ -13,9 +13,7 @@ applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .codes import CodeSpec, generator_matrix
+from .codes import CodeSpec, _Record, _set, generator_matrix
 from .mds import (
     DEFAULT_DISTANCE_BUDGET,
     DistanceResult,
@@ -26,16 +24,30 @@ from .mds import (
 )
 from .schur import SchurReport, schur_report
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    spec: CodeSpec
-    length: int
-    dimension: int
-    mds: MdsVerdict
-    distance: DistanceResult
-    schur: SchurReport
-    provenance: tuple[str, ...]
-    warnings: tuple[str, ...]
+
+class AnalysisReport(_Record):
+    __slots__ = ("spec", "length", "dimension", "mds", "distance", "schur", "provenance",
+                 "warnings")
+
+    def __init__(
+        self,
+        spec: CodeSpec,
+        length: int,
+        dimension: int,
+        mds: MdsVerdict,
+        distance: DistanceResult,
+        schur: SchurReport,
+        provenance: tuple[str, ...],
+        warnings: tuple[str, ...],
+    ):
+        _set(self, "spec", spec)
+        _set(self, "length", length)
+        _set(self, "dimension", dimension)
+        _set(self, "mds", mds)
+        _set(self, "distance", distance)
+        _set(self, "schur", schur)
+        _set(self, "provenance", provenance)
+        _set(self, "warnings", warnings)
 
     def lines(self) -> list[str]:
         spec = self.spec

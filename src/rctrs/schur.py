@@ -30,9 +30,9 @@ and only once the dimension range holds.  No caller passes one in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .codes import _Record, _set
 from .linalg import Matrix, _eliminate, _reduced
 from .mds import _verdict
 
@@ -83,12 +83,16 @@ def tri(v: Optional[bool]) -> str:
     return "undetermined" if v is None else ("true" if v else "false")
 
 
-@dataclass(frozen=True)
-class SchurReport:
-    dim: int
-    dimension_k: int
-    non_rs: Optional[bool]
-    ctrs_incompatible: Optional[bool]
+class SchurReport(_Record):
+    __slots__ = ("dim", "dimension_k", "non_rs", "ctrs_incompatible")
+
+    def __init__(
+        self, dim: int, dimension_k: int, non_rs: Optional[bool], ctrs_incompatible: Optional[bool]
+    ):
+        _set(self, "dim", dim)
+        _set(self, "dimension_k", dimension_k)
+        _set(self, "non_rs", non_rs)
+        _set(self, "ctrs_incompatible", ctrs_incompatible)
 
     def render(self) -> str:
         return (

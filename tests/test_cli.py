@@ -490,14 +490,18 @@ def test_method_disagreement_exits_1(tmp_path, capsys, monkeypatch):
     )
 
 
-# A fresh process runs the command, then lists the rctrs modules it loaded.
-# It runs under -X importtime, which must list the same modules: the lazy
-# imports go through the import statement's path, which it instruments.
+# A fresh process runs the command, then lists the rctrs modules it loaded
+# and which of dataclasses and inspect it holds.  It runs under -X importtime,
+# which must list the same rctrs modules: the lazy imports go through the
+# import statement's path, which it instruments.  -S keeps the interpreter's
+# site start-up out of the check, since in some installations it imports
+# inspect itself (3.13's importlib.resources, reached from a .pth file).
 _COLD = """
 import sys
 from rctrs.cli import main
 code = main(sys.argv[1:])
 print("loaded=" + ",".join(sorted(m for m in sys.modules if m.split(".")[0] == "rctrs")))
+print("held=" + ",".join(m for m in ("dataclasses", "inspect") if m in sys.modules))
 sys.exit(code)
 """
 _SRC = str(Path(rctrs.__file__).resolve().parent.parent)
@@ -516,11 +520,13 @@ _SPEC = _BASE | {"rctrs.specfile", "rctrs.codes", "rctrs.linalg", "rctrs.mds"}
 def test_each_subcommand_loads_only_the_modules_it_uses(tmp_path, capsys, argv, loaded):
     argv = [a.format(spec=write_spec(tmp_path, SPEC_17)) for a in argv]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", _COLD, *argv],
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-c", _COLD, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
-    out, _, modules = proc.stdout.rpartition("loaded=")
+    out, _, listed = proc.stdout.rpartition("loaded=")
     assert proc.returncode == 0, proc.stderr
-    assert set(modules.split()[0].split(",")) == loaded
+    modules, held = listed.splitlines()
+    assert set(modules.split(",")) == loaded
+    assert held == "held="  # no record is a dataclass, so neither module loads
     timed = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
              if line.startswith("import time:")}
     assert {m for m in timed if m.split(".")[0] == "rctrs"} == loaded

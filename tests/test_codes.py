@@ -1,14 +1,22 @@
 """Code specs, twisted polynomial bases and generator matrices."""
 
+import copy
+import inspect
+import pickle
 import random
 from itertools import product
 
 import pytest
 
 from rctrs.codes import CodeFamily, CodeSpec, encode, generator_matrix
+from rctrs.construct import ConstructedCode, SubgroupConstructionParams
 from rctrs.errors import InvalidSpecError, LengthMismatchError
 from rctrs.gf import field_create
+from rctrs.golden import Expected, GoldenCase
 from rctrs.linalg import Matrix, rank
+from rctrs.mds import DistanceResult, MdsVerdict
+from rctrs.report import AnalysisReport
+from rctrs.schur import SchurReport
 
 from oracles import eval_poly, twist_space_basis
 
@@ -294,3 +302,85 @@ def test_encode_length_mismatch():
     gen = generator_matrix(rctrs_spec(F7, (0, 1, 2), 5, 6, 2, 3, k=2))
     with pytest.raises(LengthMismatchError):
         encode(gen, [1, 2, 3])
+
+
+# --- value records ---------------------------------------------------------------
+
+
+def _records():
+    """One instance of each of the package's eight value records, built from
+    arguments that CodeSpec coerces, with its __init__ parameters and repr."""
+    f = field_create(17)
+    spec = CodeSpec("rctrs", f, 8, 4, [0, 3, 7, 8, 10, 12, 13], b=f.element(1), c=2, lam=3,
+                    eta=f.element(4), extended=0)
+    spec_repr = ("CodeSpec(family=<CodeFamily.RCTRS: 'RCTRS'>, field=GF(17), n=8, k=4, "
+                 "alphas=(0, 3, 7, 8, 10, 12, 13), v=None, h=0, t=1, b=1, c=2, lam=3, eta=4, "
+                 "extended=False)")
+    code = ConstructedCode(spec, "subgroup", True, False, False)
+    expected = Expected(8, 4, 5, "enumeration", 8, True, None, frozenset({0}))
+    verdict = MdsVerdict(False, (0, 1, 2, 4), "minors")
+    distance = DistanceResult(4, "enumeration")
+    schur = SchurReport(8, 4, True, None)
+    return [
+        (spec, "family, field, n, k, alphas=(), v=None, h=0, t=1, b=None, c=None, lam=None, "
+               "eta=None, extended=False", spec_repr),
+        (code, "spec, construction, guaranteed_mds, guaranteed_non_rs, "
+               "guaranteed_ctrs_inequivalent, warnings=()",
+         f"ConstructedCode(spec={spec_repr}, construction='subgroup', guaranteed_mds=True, "
+         "guaranteed_non_rs=False, guaranteed_ctrs_inequivalent=False, warnings=())"),
+        (SubgroupConstructionParams(f, 1, 8, 1, 2, 10, 4, h=0, k=4),
+         "field, base_subfield_degree, group_order, b, c, lam, eta, h, k, extended=False",
+         "SubgroupConstructionParams(field=GF(17), base_subfield_degree=1, group_order=8, b=1, "
+         "c=2, lam=10, eta=4, h=0, k=4, extended=False)"),
+        (GoldenCase("17", code, expected), "label, code, expected",
+         f"GoldenCase(label='17', code={code!r}, expected=Expected(length=8, dimension=4, "
+         "distance=5, distance_method='enumeration', schur_dim=8, non_rs=True, "
+         "ctrs_incompatible=None, alphas=frozenset({0}), mds=True, mds_method='both'))"),
+        (verdict, "is_mds, witness, method",
+         "MdsVerdict(is_mds=False, witness=(0, 1, 2, 4), method='minors')"),
+        (distance, "value, method, enumerated=0",
+         "DistanceResult(value=4, method='enumeration', enumerated=0)"),
+        (schur, "dim, dimension_k, non_rs, ctrs_incompatible",
+         "SchurReport(dim=8, dimension_k=4, non_rs=True, ctrs_incompatible=None)"),
+        (AnalysisReport(spec, 8, 4, verdict, distance, schur, ("p",), ()),
+         "spec, length, dimension, mds, distance, schur, provenance, warnings",
+         f"AnalysisReport(spec={spec_repr}, length=8, dimension=4, mds={verdict!r}, "
+         f"distance={distance!r}, schur={schur!r}, provenance=('p',), warnings=())"),
+    ]
+
+
+def test_records_compare_hash_and_show_their_fields_and_stay_frozen():
+    records = _records()
+    assert len({type(record) for record, _, _ in records}) == 8
+    for record, params, text in records:
+        cls = type(record)
+        signature = inspect.signature(cls).parameters.values()
+        assert ", ".join(p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+                         for p in signature) == params
+        names = [param.split("=")[0] for param in params.split(", ")]
+        values = tuple(getattr(record, name) for name in names)
+        twin = cls(*values)
+        assert twin == record and not twin != record
+        assert hash(twin) == hash(record) == hash(values)
+        assert record != values and values != record  # not a tuple
+        assert copy.copy(record) == record
+        if cls in (MdsVerdict, DistanceResult, SchurReport):  # the records holding no Field
+            assert pickle.loads(pickle.dumps(record)) == record
+        assert repr(record) == text
+        first = names[0]
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{first}'$"):
+            setattr(record, first, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{first}'$"):
+            delattr(record, first)
+        with pytest.raises(AttributeError, match="^cannot assign to field 'other'$"):
+            record.other = 1
+        assert getattr(record, first) is values[0]
+    spec = records[0][0]
+    assert spec.family is CodeFamily.RCTRS and (spec.b, spec.eta, spec.extended) == (1, 4, False)
+    assert spec.alphas == (0, 3, 7, 8, 10, 12, 13)
+    other = CodeSpec(CodeFamily.RCTRS, spec.field, 8, 4, spec.alphas, b=1, c=2, lam=3, eta=5)
+    assert other != spec and type(other) is type(spec)
+    with pytest.raises(InvalidSpecError, match="RCTRS spec needs lam"):
+        CodeSpec("RCTRS", spec.field, 8, 4, spec.alphas, b=1, c=2, eta=4)
+    with pytest.raises(InvalidSpecError, match="unknown code family 'XRS'"):
+        CodeSpec("XRS", spec.field, 8, 4, spec.alphas)

@@ -1,8 +1,9 @@
 """The package has no runtime dependencies beyond the standard library,
-its settings come in as arguments, never from the environment, only
-the modules that own a field's log tables read them, only linalg
-reduces a matrix to RREF, only linalg and mds name the MDS verdict a
-matrix keeps, and a field binds neg, sub and inv in one place."""
+neither imports dataclasses nor runs exec or eval, its settings come in
+as arguments, never from the environment, only the modules that own a
+field's log tables read them, only linalg reduces a matrix to RREF, only
+linalg and mds name the MDS verdict a matrix keeps, and a field binds
+neg, sub and inv in one place."""
 
 import ast
 import sys
@@ -29,6 +30,25 @@ def test_package_imports_only_stdlib_or_itself():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_package_neither_imports_dataclasses_nor_generates_code():
+    """Records are plain slotted classes (rctrs.codes._Record), so a cold
+    run loads no dataclasses and compiles no generated source."""
+    found = []
+    for path in sorted((ROOT / "src" / "rctrs").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                names = [node.func.id]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name in ("dataclasses", "exec", "eval")]
+    assert found == []
 
 
 def test_package_reads_no_environment_variable():

@@ -2,7 +2,6 @@
 
 import inspect
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -290,9 +289,10 @@ def test_a_second_modulus_changes_no_verdict():
                 spec = random_family_spec(f, family, rng)
                 scalars = {name: phi[getattr(spec, name)] for name in ("b", "c", "lam", "eta")
                            if getattr(spec, name) is not None}
-                image = replace(
-                    spec, field=g, alphas=tuple(phi[a] for a in spec.alphas),
-                    v=None if spec.v is None else tuple(phi[x] for x in spec.v), **scalars,
+                image = CodeSpec(
+                    family, g, spec.n, spec.k, tuple(phi[a] for a in spec.alphas),
+                    v=None if spec.v is None else tuple(phi[x] for x in spec.v),
+                    h=spec.h, t=spec.t, extended=spec.extended, **scalars,
                 )
                 want, got = analyze(spec, budget=20000), analyze(image, budget=20000)
                 assert (got.mds, got.distance, got.schur) == (want.mds, want.distance, want.schur)
