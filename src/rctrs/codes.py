@@ -62,16 +62,15 @@ class CodeFamily(str, Enum):
         return attr != "v" or self == "GRS"
 
 
-_set = object.__setattr__  # how a record's __init__ writes past the frozen __setattr__
-
-
 class _Record:
     """A frozen value record whose fields are its class's __slots__.
 
     Records of one class are equal when their fields are, hash as the
-    tuple of their fields and show each field by name; a field is
-    written once, by the class's __init__ through _set, and assigning or
-    deleting one raises AttributeError.
+    tuple of their fields and show each field by name.  Each field is
+    written once, by the class's __init__ in one call to _fill, and
+    assigning or deleting one raises AttributeError.  A class's __init__
+    takes its fields in slot order: _fill writes its values into the
+    slots in that order, and __reduce__ rebuilds a record from them.
     """
 
     __slots__ = ()
@@ -99,6 +98,12 @@ class _Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _fill(record: _Record, *values) -> None:
+    """Write a record's field values, in slot order, past its frozen __setattr__."""
+    for name, value in zip(record.__slots__, values):
+        object.__setattr__(record, name, value)
 
 
 class CodeSpec(_Record):
@@ -135,19 +140,7 @@ class CodeSpec(_Record):
         b, c, lam, eta = [None if x is None else to_index(x) for x in (b, c, lam, eta)]
         if v is not None:
             v = tuple([to_index(x) for x in v])
-        _set(self, "family", fam)
-        _set(self, "field", field)
-        _set(self, "n", n)
-        _set(self, "k", k)
-        _set(self, "alphas", alphas)
-        _set(self, "v", v)
-        _set(self, "h", h)
-        _set(self, "t", t)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        _set(self, "lam", lam)
-        _set(self, "eta", eta)
-        _set(self, "extended", bool(extended))
+        _fill(self, fam, field, n, k, alphas, v, h, t, b, c, lam, eta, bool(extended))
 
         if not 1 <= k <= n:
             raise InvalidSpecError(f"dimension k={k} outside [1, n={n}]")

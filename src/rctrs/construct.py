@@ -27,10 +27,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .codes import CodeFamily, CodeSpec, _Record, _set
+from .codes import CodeFamily, CodeSpec, _Record, _fill
 from .errors import (
     DegenerateBCError,
-    InvalidSpecError,
     MembershipViolationError,
     NotADivisorError,
     UnsupportedExtendedGeneralHError,
@@ -64,12 +63,8 @@ class ConstructedCode(_Record):
         guaranteed_ctrs_inequivalent: bool,
         warnings: tuple[str, ...] = (),
     ):
-        _set(self, "spec", spec)
-        _set(self, "construction", construction)
-        _set(self, "guaranteed_mds", guaranteed_mds)
-        _set(self, "guaranteed_non_rs", guaranteed_non_rs)
-        _set(self, "guaranteed_ctrs_inequivalent", guaranteed_ctrs_inequivalent)
-        _set(self, "warnings", warnings)
+        _fill(self, spec, construction, guaranteed_mds, guaranteed_non_rs,
+              guaranteed_ctrs_inequivalent, warnings)
 
     def provenance(self) -> tuple[str, ...]:
         out = []
@@ -186,16 +181,7 @@ class SubgroupConstructionParams(_Record):
         k: int,
         extended: bool = False,
     ):
-        _set(self, "field", field)
-        _set(self, "base_subfield_degree", base_subfield_degree)
-        _set(self, "group_order", group_order)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        _set(self, "lam", lam)
-        _set(self, "eta", eta)
-        _set(self, "h", h)
-        _set(self, "k", k)
-        _set(self, "extended", extended)
+        _fill(self, field, base_subfield_degree, group_order, b, c, lam, eta, h, k, extended)
 
 
 def build_subgroup_code(
@@ -205,8 +191,6 @@ def build_subgroup_code(
     f = params.field
     view = f.subfield(params.base_subfield_degree)
     n, k, h = params.group_order, params.k, params.h
-    if not 0 <= h < k:
-        raise InvalidSpecError(f"hook h={h} outside [0, k={k})")
     if params.extended and 0 < h < k - 1:
         raise UnsupportedExtendedGeneralHError(
             f"extended codes are guaranteed for hooks 0 and k-1 only, got h={h}"

@@ -294,13 +294,7 @@ def _table_free_ops(p: int, m: int, modulus: Sequence[int]):
 def _monic_polys(degree: int, p: int) -> Iterator[list[int]]:
     """All monic polynomials of the given degree, constant term fastest."""
     for idx in range(p**degree):
-        coeffs = []
-        v = idx
-        for _ in range(degree):
-            coeffs.append(v % p)
-            v //= p
-        coeffs.append(1)
-        yield coeffs
+        yield [*_digits(idx, p, degree), 1]
 
 
 def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:

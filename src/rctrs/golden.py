@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from . import GOLDEN_KEYS
-from .codes import _Record, _set
+from .codes import _Record, _fill
 from .construct import (
     SUBFIELD_CHAIN,
     SUBGROUP,
@@ -47,9 +47,7 @@ class GoldenCase(_Record):
     __slots__ = ("label", "code", "expected")
 
     def __init__(self, label: str, code: ConstructedCode, expected: Expected):
-        _set(self, "label", label)
-        _set(self, "code", code)
-        _set(self, "expected", expected)
+        _fill(self, label, code, expected)
 
 
 class Primitive(NamedTuple):

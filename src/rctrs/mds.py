@@ -54,7 +54,7 @@ from functools import lru_cache, partial
 from itertools import combinations
 from typing import Optional
 
-from .codes import CodeFamily, CodeSpec, _Record, _set, generator_matrix
+from .codes import CodeFamily, CodeSpec, _Record, _fill, generator_matrix
 from .errors import MethodDisagreementError, WrongHookTwistError
 from .linalg import Matrix, _reduced
 
@@ -71,9 +71,7 @@ class MdsVerdict(_Record):
     __slots__ = ("is_mds", "witness", "method")
 
     def __init__(self, is_mds: bool, witness: Optional[tuple[int, ...]], method: str):
-        _set(self, "is_mds", is_mds)
-        _set(self, "witness", witness)
-        _set(self, "method", method)
+        _fill(self, is_mds, witness, method)
 
     def render(self) -> str:
         if self.is_mds:
@@ -83,12 +81,17 @@ class MdsVerdict(_Record):
 
 
 class DistanceResult(_Record):
+    """A code's minimum distance and how it was found.
+
+    method is "enumeration", "minors" or "budget-exceeded".  value is None
+    past the budget, and enumerated counts the q^k - 1 nonzero codewords
+    that enumeration decides (0 by the other methods).
+    """
+
     __slots__ = ("value", "method", "enumerated")
 
     def __init__(self, value: Optional[int], method: str, enumerated: int = 0):
-        _set(self, "value", value)
-        _set(self, "method", method)  # "enumeration", "minors" or "budget-exceeded"
-        _set(self, "enumerated", enumerated)
+        _fill(self, value, method, enumerated)
 
     def render(self, bound: int) -> str:
         """The distance line of a report; bound is the Singleton bound n - k + 1."""

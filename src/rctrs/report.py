@@ -13,7 +13,7 @@ applies.
 
 from __future__ import annotations
 
-from .codes import CodeSpec, _Record, _set, generator_matrix
+from .codes import CodeSpec, _Record, _fill, generator_matrix
 from .mds import (
     DEFAULT_DISTANCE_BUDGET,
     DistanceResult,
@@ -40,14 +40,7 @@ class AnalysisReport(_Record):
         provenance: tuple[str, ...],
         warnings: tuple[str, ...],
     ):
-        _set(self, "spec", spec)
-        _set(self, "length", length)
-        _set(self, "dimension", dimension)
-        _set(self, "mds", mds)
-        _set(self, "distance", distance)
-        _set(self, "schur", schur)
-        _set(self, "provenance", provenance)
-        _set(self, "warnings", warnings)
+        _fill(self, spec, length, dimension, mds, distance, schur, provenance, warnings)
 
     def lines(self) -> list[str]:
         spec = self.spec

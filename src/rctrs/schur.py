@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .codes import _Record, _set
+from .codes import _Record, _fill
 from .linalg import Matrix, _eliminate, _reduced
 from .mds import _verdict
 
@@ -89,10 +89,7 @@ class SchurReport(_Record):
     def __init__(
         self, dim: int, dimension_k: int, non_rs: Optional[bool], ctrs_incompatible: Optional[bool]
     ):
-        _set(self, "dim", dim)
-        _set(self, "dimension_k", dimension_k)
-        _set(self, "non_rs", non_rs)
-        _set(self, "ctrs_incompatible", ctrs_incompatible)
+        _fill(self, dim, dimension_k, non_rs, ctrs_incompatible)
 
     def render(self) -> str:
         return (

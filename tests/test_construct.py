@@ -160,6 +160,8 @@ def test_subgroup_membership_gates():
     for h in (-1, 4):
         with pytest.raises(InvalidSpecError, match=rf"^hook h={h} outside \[0, k=4\)$"):
             subgroup_23(h=h)
+    with pytest.raises(InvalidSpecError, match=r"^dimension k=0 outside \[1, n=11\]$"):
+        subgroup_23(k=0)  # the dimension is at fault, not the hook
 
 
 def test_subgroup_eta_zero_allowed_and_ctrs_flag_dropped():

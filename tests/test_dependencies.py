@@ -2,8 +2,8 @@
 neither imports dataclasses nor runs exec or eval, its settings come in
 as arguments, never from the environment, only the modules that own a
 field's log tables read them, only linalg reduces a matrix to RREF, only
-linalg and mds name the MDS verdict a matrix keeps, and a field binds
-neg, sub and inv in one place."""
+linalg and mds name the MDS verdict a matrix keeps, a field binds neg,
+sub and inv in one place, and only codes writes a record's fields."""
 
 import ast
 import sys
@@ -130,6 +130,21 @@ def test_neg_sub_and_inv_are_bound_once_for_every_field_shape():
                 found += [f"{path.name}: {func.name}: {t.attr}" for t in targets
                           if isinstance(t, ast.Attribute) and t.attr in ("neg", "sub", "inv")]
     assert sorted(found) == [f"gf.py: _bind_ops: {name}" for name in ("inv", "neg", "sub")]
+
+
+def test_only_codes_writes_past_a_records_frozen_setattr():
+    """Every record's __init__ writes its fields in one call to codes._fill,
+    so object.__setattr__, or a _set alias of it, is named only in codes,
+    which defines _Record and _fill."""
+    naming = set()
+    for path in sorted((ROOT / "src" / "rctrs").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            # a name, an import or definition, or the attribute object.__setattr__
+            alias = "_set" in (getattr(node, "id", None), getattr(node, "name", None))
+            if alias or (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                         and getattr(node.value, "id", None) == "object"):
+                naming.add(path.name)
+    assert naming == {"codes.py"}
 
 
 def test_pyproject_declares_no_dependencies():
