@@ -28,9 +28,11 @@ add and mul:
   generator search, primitive_element and subfield membership take the
   table-free path, with the same results.  The tables come from one walk over the
   powers of the primitive element; each step multiplies by it on a
-  packed index, one digit per bit lane, with two lookups of precomputed
-  half-index products, one integer add and a lane-wise reduction mod p
-  (for p = 2, one XOR).  Odd p add through the Zech table below.
+  packed index, one digit per bit lane, with two lookups of half-index
+  products, one integer add and a lane-wise reduction mod p (for p = 2,
+  one XOR).  That product is linear, so one polynomial product per digit
+  fills the half-tables.  Odd p add through the Zech table below,
+  which is sliced out of the log table with no loop per entry.
 * Larger extensions multiply polynomials modulo f.  Odd p add digit
   by digit on the index.  Both ops close over p, m and f, not over the
   field (_table_free_ops), so the field's last reference frees it.
@@ -414,6 +416,8 @@ class Field:
                     f"modulus must be monic of degree {m} with coefficients in [0, {p}), "
                     f"got {_descriptor(p, m, coeffs)}"
                 )
+            if m == 1 and coeffs[0]:  # GF(p) has one modulus, x: no second copy of it
+                raise DegreeMismatchError(f"the modulus of GF({p}) must be x, got {_descriptor(p, m, coeffs)}")
             if m > 1 and not _is_irreducible(coeffs, p):
                 raise ReducibleError(f"modulus {_descriptor(p, m, coeffs)} is reducible over GF({p})")
             self.modulus = tuple(coeffs)
@@ -473,11 +477,12 @@ class Field:
             return
         # Zech logarithms: a + b = g^la (1 + g^(lb - la)) with zech[d] =
         # log(1 + g^d), None where g^d = -1.  Adding 1 to an index changes
-        # only its constant digit.
-        pm1 = p - 1
-        zech = [log[e - pm1 if e % p == pm1 else e + 1] for e in islice(exp, qm1)]
-        zech[log[pm1]] = None  # -1 is the index p - 1
-        self._zech = zech
+        # only its constant digit: log rotated left by one is log(x + 1)
+        # but where that digit p - 1 wraps to 0, every p-th entry.
+        succ = [*islice(log, 1, None), log[0]]
+        succ[p - 1::p] = log[::p]
+        self._zech = zech = list(map(succ.__getitem__, islice(exp, qm1)))
+        zech[log[p - 1]] = None  # -1 is the index p - 1
 
         def add(a: int, b: int) -> int:
             if not a:
@@ -495,16 +500,24 @@ class Field:
 
         Multiplying by gen is GF(p)-linear on the digits.  The walk keeps
         the power packed, each digit in its own w-bit lane, and looks up
-        the products of its low and high halves, precomputed once.  For
-        p = 2 they add by XOR and the packed form is the index.  For odd p
-        they add lane by lane, and a lane at or above p loses p: adding
-        2^(w-1) - p to every lane sets exactly those lanes' top bits.
+        the products of its low and high halves.  For p = 2 lanes add by
+        XOR and the packed form is the index.  For odd p they add lane by
+        lane, and a lane at or above p loses p: adding 2^(w-1) - p to every
+        lane sets exactly those lanes' top bits.  By the same linearity a
+        half-table entry is the entry one lower in digit i plus gen * x^i,
+        so the half-tables cost one polynomial product per digit.
         """
         p, m, q = self.p, self.m, self.q
         w = 1 if p == 2 else p.bit_length() + 1
         low = m // 2
         shift = w * low
         low_mask = (1 << shift) - 1
+        top = w - 1
+        lanes = sum(1 << (w * i) for i in range(m))
+        bias = ((1 << top) - p) * lanes
+        tops = lanes << top
+        # the walk's lane addition, for the half-tables
+        lane_add = xor if p == 2 else lambda a, b: a + b - (((a + b + bias) & tops) >> top) * p
         gpoly = _poly_trim(list(self.coeffs_of(gen)))
         step_lo = [0] * (1 << shift)
         step_hi = [0] * (1 << (w * (m - low)))
@@ -515,13 +528,17 @@ class Field:
             (0, low, step_lo, index_lo),
             (low, m - low, step_hi, index_hi),
         ):
-            for j in range(p**digits):
-                poly = self.coeffs_of(j)[:digits]
-                key = sum(c << (w * i) for i, c in enumerate(poly))
-                prod = _poly_mulmod((0,) * offset + poly, gpoly, self.modulus, p)
-                step[key] = sum(c << (w * i) for i, c in enumerate(prod))
-                if index is not None:
-                    index[key] = j * p**offset
+            keys = [0]  # the packed halves filled so far, in index order
+            for i in range(digits):
+                lane, place = 1 << (w * i), p ** (offset + i)
+                prod = _poly_mulmod((0,) * (offset + i) + (1,), gpoly, self.modulus, p)
+                unit = sum(c << (w * j) for j, c in enumerate(prod))
+                for j in range((p - 1) * len(keys)):  # digit i goes 0 -> 1, ..., p - 2 -> p - 1
+                    key = keys[j] + lane
+                    keys.append(key)
+                    step[key] = lane_add(step[key - lane], unit)
+                    if index is not None:
+                        index[key] = index[key - lane] + place
         exp = [0] * (q - 1)
         log = [0] * q
         cur = 1
@@ -531,10 +548,6 @@ class Field:
                 log[cur] = i
                 cur = step_lo[cur & low_mask] ^ step_hi[cur >> shift]
         else:
-            top = w - 1
-            lanes = sum(1 << (w * i) for i in range(m))
-            bias = ((1 << top) - p) * lanes
-            tops = lanes << top
             for i in range(q - 1):
                 lo, hi = cur & low_mask, cur >> shift
                 idx = index_lo[lo] + index_hi[hi]

@@ -400,6 +400,9 @@ def test_bad_field_descriptors_exit_2(tmp_path, capsys):
         (["field-info", "3^2/1,0,4"], "with coefficients in [0, 3), got 3^2/1,0,4"),
         (["field-info", "3^2/1,0,-2"], "with coefficients in [0, 3), got 3^2/1,0,-2"),
         (["import", str(matrix)], "with coefficients in [0, 3), got 3^2/1,0,-1"),
+        (["field-info", "7^1/1,3"], "the modulus of GF(7) must be x, got 7^1/1,3"),
+        (["analyze", write_spec(tmp_path, "field 7^1/1,3\nfamily GRS\nn 2\nk 1\nalphas 0,1\n")],
+         "the modulus of GF(7) must be x, got 7^1/1,3"),
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()

@@ -314,6 +314,10 @@ def test_reducible_modulus_rejected():
 def test_wrong_degree_modulus_rejected():
     with pytest.raises(DegreeMismatchError):
         Field(3, 2, [1, 1])
+    # GF(p)'s one modulus is x: x + 3 would name a second, unequal GF(7).
+    with pytest.raises(DegreeMismatchError, match=re.escape("must be x, got 7^1/1,3")):
+        Field.from_descriptor("7^1/1,3")
+    assert Field.from_descriptor("17^1/1,0") is field_create(17)
 
 
 def test_modulus_coefficients_outside_the_prime_field_rejected():
@@ -658,6 +662,19 @@ def test_packed_table_build_matches_polynomial_walk(descriptor):
         assert f.primitive_element().index != f.p  # the generator is not x
 
 
+@pytest.mark.parametrize("descriptor", [d for d in TABLE_FIELDS if not d.startswith("2^")])
+def test_zech_table_is_log_of_one_plus_each_power(descriptor):
+    f = Field.from_descriptor(descriptor)
+    add, _ = _table_free_ops(f.p, f.m, f.modulus)
+    zech = f._zech  # the first read builds the tables
+    exp, log = f._exp, f._log
+    assert len(zech) == f.q - 1
+    for d, z in enumerate(zech):
+        total = add(exp[d], 1)  # the digit loop's sum, no table read
+        assert z == (None if total == 0 else log[total]), d
+        assert (z is None) == (d == log[f.p - 1]), d
+
+
 # --- tables built on first arithmetic ----------------------------------------
 
 
@@ -665,6 +682,18 @@ def fresh(descriptor: str) -> Field:
     """A new instance of the described field, with no tables built yet."""
     f = Field.from_descriptor(descriptor)
     return Field(f.p, f.m, f.modulus)
+
+
+@pytest.mark.parametrize("descriptor", ["3^10", "2^16", "5^3/1,0,1,1"])
+def test_half_tables_take_one_polynomial_product_per_digit(descriptor, monkeypatch):
+    f = fresh(descriptor)
+    f.primitive_element()  # the generator search multiplies polynomials too
+    calls = []
+    product = rctrs.gf._poly_mulmod
+    monkeypatch.setattr(rctrs.gf, "_poly_mulmod", lambda *args: calls.append(args) or product(*args))
+    f.mul(1, 1)
+    assert f._log is not None
+    assert len(calls) <= f.m
 
 
 LAZY_FIELDS = ["3^10", "2^8", "31^2", "7^4", "5^6", "2^4/1,1,1,1,1"]
