@@ -16,7 +16,8 @@ Two independent routes decide whether a code is MDS:
   h = k-1, any) and the method label they report.
 
 Both routes visit column subsets in colexicographic order, read from one
-cached table per (n, k), so a failing witness is deterministic, and both
+cached table per (n, k), so a failing witness is deterministic; the minor
+scan also reads their bitmasks from a cached table (_colex_masks).  Both
 run in the field's log domain (see the rctrs.gf docstring), whose
 constants _arithmetic sets up.  The closed form scans category by
 category: subsets of evaluation columns only, then (when extended, at
@@ -51,7 +52,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb
 from typing import Optional
 
 from .codes import CodeFamily, CodeSpec, _Record, _fill, generator_matrix
@@ -109,6 +111,25 @@ def _colex_subsets(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(c[::-1] for c in combinations(range(n - 1, -1, -1), k))[::-1]
 
 
+@lru_cache(maxsize=None)
+def _colex_masks(n: int, k: int) -> tuple[int, ...]:
+    """The bitmasks of _colex_subsets(n, k), in the same order.
+
+    Colex order of k-subsets is increasing mask order, so each mask follows
+    the last by Gosper's hack.  Each table is a prefix of the one for a
+    larger n.
+    """
+    if not k or k > n:
+        return () if k > n else (0,)
+    masks, mask, end = [], (1 << k) - 1, 1 << n
+    while mask < end:
+        masks.append(mask)
+        low = mask & -mask
+        high = mask + low
+        mask = high | ((high ^ mask) >> 2) // low
+    return tuple(masks)
+
+
 def colex_subsets(n: int, k: int):
     """All k-subsets of range(n) in colexicographic order."""
     return iter(_colex_subsets(n, k))
@@ -125,22 +146,25 @@ def mds_by_minors(g: Matrix) -> MdsVerdict:
     past k-1 and the rows i not in S is singular.  That block's determinant
     expands along its last column c into the blocks of S - c + i, which come
     earlier in colex order, so the scan has already stored them, nonzero, in
-    a dict keyed by the column-set mask.  The terms of each set of rows are
-    built once per scan as (row bit, position of the entry with its cofactor
-    sign), and each column of A is kept beside its negation, so a term needs
-    no sign flip and no inverse.  A zero entry A[i][c] makes the one-term
-    block of I - i + c vanish before any longer block with last column c
-    reads it, so no row is skipped for a zero.  The sums run in the field's
-    log domain (see the rctrs.gf docstring).  On logs that is exact, since
-    no stored minor is zero and a zero entry ends the scan in its one-term
-    block: the columns hold log a and log -a (None for 0), the dict the
-    minors' logs, a term is one integer add and a sum one Zech lookup, None
-    when zero, which the next term restarts.  On indices a term is one mul
-    and one add.  Colex order of k-subsets is increasing bitmask order, so
-    each mask is the last one's successor by Gosper's hack; the column
-    tuples, pulled from the colex table alongside, name the witness.  The
-    verdict is kept on g (see rctrs.linalg), where _verdict reads it.  A
-    matrix with more rows than columns raises ValueError.
+    a dict keyed by the column-set mask.  Colex order puts the subsets with
+    last column c in one block, rest + c, where rest runs over the first
+    C(c, k-1) masks of _colex_masks(n-1, k-1), so each block reads one
+    column of A, kept beside its negation, and a term needs no sign flip
+    and no inverse.  The terms of each set of pivot columns in S, as (row
+    bit, position of the entry with its cofactor sign), are built once per
+    scan for the sets that 1 .. min(k, n-k) columns of A leave.  A zero
+    entry A[i][c] makes the one-term block of I - i + c vanish, and that
+    block comes first among those in block c that read row i, so no row is
+    skipped for a zero.  The sums run in the field's log domain (see the
+    rctrs.gf docstring).  On logs that is exact, since no stored minor is
+    zero and a zero entry ends the scan in its one-term block: the columns
+    hold log a and log -a (None for 0), the dict the minors' logs, a term is
+    one integer add and a sum one Zech lookup, None when zero, which the
+    next term restarts.  On indices a term is one mul and one add.  The
+    column tuples, pulled from the colex table in step with the masks, name
+    the witness.  The verdict is kept on g (see rctrs.linalg), where
+    _verdict reads it.  A matrix with more rows than columns raises
+    ValueError.
     """
     f = g.field
     k, n = g.nrows, g.ncols
@@ -149,8 +173,8 @@ def mds_by_minors(g: Matrix) -> MdsVerdict:
     pivots, rows = _reduced(g)
     subsets = iter(_colex_subsets(n, k))
     first = next(subsets)
-    if pivots != tuple(range(k)):
-        g._mds = MdsVerdict(False, first, METHOD_MINORS)
+    if pivots != tuple(range(k)) or not k:  # with no rows, () is the one subset, and its minor is 1
+        g._mds = MdsVerdict(not k, first or None, METHOD_MINORS)
         return g._mds
     zech, qm1 = f._zech, f.q - 1
     one, _, reps, neg, mul, add = _arithmetic(f)
@@ -158,43 +182,46 @@ def mds_by_minors(g: Matrix) -> MdsVerdict:
     signed = [[x for a in reps(col) for x in (a, neg(a))] for col in zip(*rows)]
     unit = (1 << k) - 1  # the mask of I, the pivot columns
     dets = {unit: one}  # det(I) = 1
-    terms = {}  # pivot columns in S -> [(row bit, position of +-A[row] in a column)]
-    mask = unit
-    for cols in subsets:
-        low = mask & -mask
-        high = mask + low
-        mask = high | ((high ^ mask) >> 2) // low  # Gosper: the next mask with k bits
-        last = mask.bit_length() - 1
-        removed = mask & unit
-        laplace = terms.get(removed)
-        if laplace is None:
+    terms = {}  # pivot columns in S -> (row bit, position of +-A[row] in a column), then the other terms
+    for size in range(max(2 * k - n, 0), k):
+        for removed in _colex_masks(k, size):
             free_rows = [i for i in reversed(range(k)) if not removed >> i & 1]
-            laplace = terms[removed] = [(1 << i, 2 * i + j % 2) for j, i in enumerate(free_rows)]
-        col = signed[last]
-        rest = mask ^ 1 << last
-        if zech is None:
-            total = 0
-            for bit, at in laplace:
-                total = add(total, mul(col[at], dets[rest | bit]))
-            if not total:
-                break
-        else:
-            # log(x + y) = log x + zech[log y - log x]; None is a zero sum,
-            # which the next term restarts.  The logs are left unreduced.
-            total = None
-            for bit, at in laplace:
+            head, *tail = [(1 << i, 2 * i + j % 2) for j, i in enumerate(free_rows)]
+            terms[removed] = (*head, tail)
+    masks = _colex_masks(n - 1, k - 1)
+    for last in range(k, n):
+        col, top = signed[last], 1 << last
+        # masks first, so that no tuple is pulled past the block
+        for rest, cols in zip(islice(masks, comb(last, k - 1)), subsets):
+            bit, at, tail = terms[rest & unit]
+            if zech is None:
+                total = mul(col[at], dets[rest | bit])
+                for bit, at in tail:
+                    total = add(total, mul(col[at], dets[rest | bit]))
+                if not total:
+                    break
+            else:
+                # log(x + y) = log x + zech[log y - log x], left unreduced.
+                # A zero entry (None) is read first by its one-term block,
+                # which ends the scan, so only a head term can be None.  In
+                # the tail a TypeError is a zero partial sum (None), which
+                # the term restarts, or a zero sum, which becomes None.
                 try:
+                    total = col[at] + dets[rest | bit]
+                except TypeError:
+                    break
+                for bit, at in tail:
                     term = col[at] + dets[rest | bit]
-                except TypeError:  # None: a zero entry, so a zero term
-                    continue
+                    try:
+                        total += zech[(term - total) % qm1]
+                    except TypeError:
+                        total = term if total is None else None
                 if total is None:
-                    total = term
-                else:
-                    z = zech[(term - total) % qm1]
-                    total = None if z is None else total + z
-            if total is None:
-                break
-        dets[mask] = total
+                    break
+            dets[rest | top] = total
+        else:
+            continue
+        break  # the block ended on a zero minor
     else:
         cols = None
     g._mds = MdsVerdict(cols is None, cols, METHOD_MINORS)
@@ -390,9 +417,10 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
                     corr_c = u + zech[(minus_ec + s0 - u) % qm1]
                 if (table[-2] + corr_b - lam - table[-1] - corr_c) % qm1:
                     continue
-                return MdsVerdict(False, cols + (twist,), method)
             except TypeError:  # a zero past sigma_r
                 pass
+            else:
+                return MdsVerdict(False, cols + (twist,), method)
         corr = add(one, mul(minus_e, table[r])) if h else one
         corr_b = add(corr, mul(minus_eb, table[r - 1]))
         corr_c = add(corr, mul(minus_ec, table[r - 1]))

@@ -5,10 +5,11 @@ identity checks det; Hamming isometries (column permutations composed
 with nonzero column scalings) preserve distance, MDS-ness and the
 Schur-square dimension, so their images check schur_square_dim and
 check_mds; a field isomorphism onto the same GF(p^m) under another
-modulus maps a code onto one with the same verdicts; the rest are
-plain references for the twisted polynomial basis, polynomial
-evaluation, symmetric functions, row spaces, colex order, pivot
-columns, multiplicative orders and the generator search.
+modulus maps a code onto one with the same verdicts; the minor scan
+that walked one Gosper step per subset checks the block walk that
+replaced it; the rest are plain references for the twisted polynomial
+basis, polynomial evaluation, symmetric functions, row spaces, colex
+order, pivot columns, multiplicative orders and the generator search.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from itertools import combinations
 from typing import Sequence
 
 from rctrs.gf import ElementLike, Field, FieldElement, prime_factors
-from rctrs.linalg import Matrix, rank, rref
+from rctrs.linalg import Matrix, _reduced, rank, rref
+from rctrs.mds import MdsVerdict, _arithmetic
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +146,64 @@ def deleted_row_vandermonde_det(
         raise ValueError(f"skipped power {skip_power} outside [1, {n - 1}]")
     sigma = elementary_symmetric(field, points, n - skip_power)
     return FieldElement(field, field.mul(sigma.index, vandermonde_det(field, points).index))
+
+
+# ---------------------------------------------------------------------------
+# The minor scan, one subset at a time.
+
+
+def minor_scan(g: Matrix) -> MdsVerdict:
+    """rctrs.mds.mds_by_minors as it scanned before its block walk: every
+    subset's mask follows the last by Gosper's hack, its Laplace terms are
+    looked up (or built) per subset, and a zero entry of A is skipped as a
+    zero term on logs.  The verdict is returned, not kept on g."""
+    f = g.field
+    k, n = g.nrows, g.ncols
+    pivots, rows = _reduced(g)
+    subsets = iter(colex_subsets(n, k))
+    first = next(subsets)
+    if pivots != tuple(range(k)):
+        return MdsVerdict(False, first, "minors")
+    zech, qm1 = f._zech, f.q - 1
+    one, _, reps, neg, mul, add = _arithmetic(f)
+    signed = [[x for a in reps(col) for x in (a, neg(a))] for col in zip(*rows)]
+    unit = (1 << k) - 1
+    dets = {unit: one}
+    terms = {}
+    mask = unit
+    for cols in subsets:
+        low = mask & -mask
+        high = mask + low
+        mask = high | ((high ^ mask) >> 2) // low
+        last = mask.bit_length() - 1
+        removed = mask & unit
+        laplace = terms.get(removed)
+        if laplace is None:
+            free_rows = [i for i in reversed(range(k)) if not removed >> i & 1]
+            laplace = terms[removed] = [(1 << i, 2 * i + j % 2) for j, i in enumerate(free_rows)]
+        col = signed[last]
+        rest = mask ^ 1 << last
+        if zech is None:
+            total = 0
+            for bit, at in laplace:
+                total = add(total, mul(col[at], dets[rest | bit]))
+            if not total:
+                return MdsVerdict(False, cols, "minors")
+        else:
+            total = None
+            for bit, at in laplace:
+                if col[at] is None:
+                    continue
+                term = col[at] + dets[rest | bit]
+                if total is None:
+                    total = term
+                else:
+                    z = zech[(term - total) % qm1]
+                    total = None if z is None else total + z
+            if total is None:
+                return MdsVerdict(False, cols, "minors")
+        dets[mask] = total
+    return MdsVerdict(True, None, "minors")
 
 
 # ---------------------------------------------------------------------------

@@ -65,10 +65,10 @@ def test_package_reads_no_environment_variable():
 def test_only_gf_and_mds_reach_into_the_log_domain_and_colex_table():
     """A field's log tables (_zech, _log, _exp) are read only in gf, which
     builds them, and in mds, whose scans set up their log domain in one
-    place; the colex subset table is named only in mds, whose walks rely
-    on its order."""
+    place; the colex subset and mask tables are named only in mds, whose
+    walks rely on their order."""
     owners = {"_zech": {"gf.py", "mds.py"}, "_log": {"gf.py", "mds.py"},
-              "_exp": {"gf.py", "mds.py"}, "_colex_subsets": {"mds.py"}}
+              "_exp": {"gf.py", "mds.py"}, "_colex_subsets": {"mds.py"}, "_colex_masks": {"mds.py"}}
     sources = sorted((ROOT / "src" / "rctrs").glob("*.py"))
     found = []
     for path in sources:

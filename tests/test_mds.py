@@ -1,6 +1,7 @@
 """MDS verification: minor oracle, closed forms, minimum distance."""
 
 import itertools
+import math
 import random
 import sys
 
@@ -31,7 +32,7 @@ from rctrs.mds import (
 )
 
 from oracles import colex_subsets as colex_oracle
-from oracles import pivot_columns
+from oracles import minor_scan, pivot_columns
 
 F13 = field_create(13)
 F9 = field_create(3, 2)
@@ -446,6 +447,27 @@ def test_method_disagreement_raises(monkeypatch):
         check_mds(spec)
 
 
+def test_closed_form_twist_witness_error_is_not_swallowed(monkeypatch):
+    """The fast twist test on logs guards only its log arithmetic with
+    except TypeError, so a TypeError raised while building its witness
+    propagates rather than sending the subset to the general test."""
+    f = field_create(7, 2)
+    spec = rctrs_spec(f, (24, 1, 23, 26), b=18, c=27, lam=45, eta=36, k=4)
+    assert mds_closed_form_h0(spec).witness == (0, 1, 2, 4)  # a twist witness, found by the fast test
+    raised = []
+
+    def failing_once(is_mds, witness, method):
+        if 4 in witness and not raised:
+            raised.append(witness)
+            raise TypeError("witness")
+        return MdsVerdict(is_mds, witness, method)
+
+    monkeypatch.setattr(rctrs.mds, "MdsVerdict", failing_once)
+    with pytest.raises(TypeError, match="witness"):
+        mds_closed_form_h0(spec)
+    assert raised == [(0, 1, 2, 4)]
+
+
 def test_verdict_render():
     assert MdsVerdict(True, None, "both").render() == "mds=true method=both"
     assert (
@@ -678,6 +700,94 @@ def test_minor_scan_rejects_more_rows_than_columns():
         mds_by_minors(Matrix(field_create(7), [[1, 0], [0, 1], [1, 1]]))
 
 
+# --- the block walk against the subset-at-a-time scan ----------------------------------
+
+
+def test_colex_masks_are_the_masks_of_the_colex_table():
+    for n in range(11):
+        for k in range(n + 2):
+            want = tuple(sum(1 << c for c in cols) for cols in rctrs.mds._colex_subsets(n, k))
+            assert rctrs.mds._colex_masks(n, k) == want, (n, k)
+
+
+# GF(31^2) and GF(7^4) sum on logs; GF(2^8), GF(13) and GF(1031^2) on indices
+BLOCK_FIELDS = ((31, 2), (7, 4), (2, 8), (13, 1), (1031, 2))
+
+
+def block_scan_cases(rng):
+    """Seeded [I | A] at k = 5..7 and N up to 16: the RREF of a GRS code,
+    which is MDS, then with zero entries, and with one entry of A solved
+    so that a column set early or late in its block is singular; and the
+    edge shapes: no rows, k = 1, k = N, rank below k, pivots not 0..k-1."""
+    for p, m in BLOCK_FIELDS:
+        f = field_create(p, m)
+        for shape in ("mds", "zeros", "early", "late"):
+            k, n = rng.randint(5, 7), min(16, f.q)
+            spec = CodeSpec(CodeFamily.GRS, f, n, k, tuple(rng.sample(range(f.q), n)))
+            rows = [list(row) for row in rref(generator_matrix(spec).matrix).rows]
+            if shape == "zeros":
+                for _ in range(2):
+                    rows[rng.randrange(k)][rng.randrange(k, n)] = 0
+            elif shape != "mds":
+                # the minor on rest + last is linear in A[i][last], i a row not in rest
+                last = rng.randrange(k, n)
+                masks = rctrs.mds._colex_masks(last, k - 1)
+                half = len(masks) // 2
+                rest = masks[rng.randrange(half) if shape == "early" else rng.randrange(half, len(masks))]
+                cols = [c for c in range(last) if rest >> c & 1] + [last]
+                i = rng.choice([i for i in range(k) if not rest >> i & 1])
+                minor = []
+                for x in (0, 1):
+                    rows[i][last] = x
+                    minor.append(det(Matrix(f, [[row[c] for c in cols] for row in rows])).index)
+                rows[i][last] = f.mul(f.neg(minor[0]), f.inv(f.sub(minor[1], minor[0])))
+            yield Matrix(f, rows)
+        yield Matrix(f, [], ncols=4)
+        yield Matrix(f, [[1] + [rng.randrange(f.q) for _ in range(7)]])
+        yield Matrix(f, [[int(i == j) for j in range(5)] for i in range(5)])
+        yield Matrix(f, [[1, 2, 3, 4, 5, 6], [2, 4, 6, 8, 10, 12], [0, 0, 1, 1, 2, 3]])
+        yield Matrix(f, [[0, 1, 0, 5, 6, 7], [0, 0, 1, 2, 9, 4]])
+
+
+def test_block_scan_matches_the_subset_at_a_time_scan(monkeypatch):
+    """mds_by_minors against the scan it replaced (oracles.minor_scan):
+    the same verdict and witness on every case, and one colex tuple pulled
+    per subset decided, the witness's colex rank + 1 or C(N, k)."""
+    real = rctrs.mds._colex_subsets
+    pulled = []
+
+    def counting(n, k):
+        for cols in real(n, k):
+            pulled.append(cols)
+            yield cols
+
+    monkeypatch.setattr(rctrs.mds, "_colex_subsets", counting)
+    seen = set()
+    for g in block_scan_cases(random.Random(3100)):
+        k, n = g.nrows, g.ncols
+        pulled.clear()
+        verdict = mds_by_minors(g)
+        assert verdict == minor_scan(g), (g.field, g.rows)
+        order = colex_oracle(n, k)
+        assert len(pulled) == (order.index(verdict.witness) + 1 if verdict.witness else len(order))
+        corners = {f"q={g.field.q}", f"k={k}" if k < 2 or k == n else "k=5..7" if k >= 5 else "k=2..4"}
+        pivots = pivot_columns(g)
+        corners |= {"pivots not 0..k-1"} if pivots != list(range(k)) else set()
+        corners |= {"zero entry of A"} if any(not x for row in rref(g).rows for x in row[k:]) else set()
+        if verdict.witness and pivots == list(range(k)) and k < n:
+            last = verdict.witness[-1]
+            at = rctrs.mds._colex_masks(n - 1, k - 1).index(sum(1 << c for c in verdict.witness[:-1]))
+            corners.add("witness early in its block" if 2 * at < math.comb(last, k - 1) else
+                        "witness late in its block")
+        corners |= {"mds"} if verdict.is_mds else set()
+        seen |= corners
+    wanted = {f"q={p ** m}" for p, m in BLOCK_FIELDS} | {
+        "k=0", "k=1", "k=5..7", "pivots not 0..k-1", "zero entry of A", "mds",
+        "witness early in its block", "witness late in its block",
+    }
+    assert wanted <= seen, wanted - seen
+
+
 # --- minimum distance --------------------------------------------------------------------
 
 
@@ -803,6 +913,13 @@ def test_negative_budget_is_refused():
     # a zero budget enumerates nothing: the MDS shortcut gives n - k + 1
     assert min_distance(g, budget=0) == DistanceResult(4, "minors")
     assert rctrs.analyze(spec, budget=0).distance == DistanceResult(4, "minors")
+
+
+def test_budget_equal_to_q_to_the_k_enumerates():
+    spec = CodeSpec(CodeFamily.GRS, F13, 6, 2, (1, 2, 3, 4, 5, 6))
+    g = generator_matrix(spec).matrix
+    assert min_distance(g, budget=13**2) == DistanceResult(5, "enumeration", 13**2 - 1)
+    assert min_distance(g, budget=13**2 - 1) == DistanceResult(5, "minors")
 
 
 def test_distance_minors_path_on_mds_code():
