@@ -31,8 +31,9 @@ add and mul:
   packed index, one digit per bit lane, with two lookups of half-index
   products, one integer add and a lane-wise reduction mod p (for p = 2,
   one XOR).  That product is linear, so one polynomial product per digit
-  fills the half-tables.  Odd p add through the Zech table below,
-  which is sliced out of the log table with no loop per entry.
+  fills the half-tables.  Beside them every such field keeps the Zech
+  table below, sliced out of the log table with no loop per entry, and
+  odd p add through it.
 * Larger extensions multiply polynomials modulo f.  Odd p add digit
   by digit on the index.  Both ops close over p, m and f, not over the
   field (_table_free_ops), so the field's last reference frees it.
@@ -43,16 +44,17 @@ index p - 1; a - b = a + (-b); and a^-1 = pow(a, -1), which reads the
 tables where the field has them and powers otherwise.
 
 The log domain, the one rule every log path follows.  A field keeps a
-Zech table, read as _zech, exactly when p is odd, m > 1 and q <= 2^20;
-every other field's _zech is None.  Where the table is kept, the minor
-scan and the closed form in mds run on discrete logs to the primitive
-element g: a nonzero x is log_g x reduced mod q - 1, and zero is None.
-A product is an integer add, and a sum
-log x + zech[(log y - log x) mod (q - 1)], where
+Zech table, read as _zech, exactly when it has exp/log tables (m > 1
+and q <= 2^20), in every characteristic; every other field's _zech is
+None.  Where the table is kept, the minor scan and the closed form in
+mds run on discrete logs to the primitive element g: a nonzero x is
+log_g x reduced mod q - 1, and zero is None.  A product is an integer
+add, and a sum log x + zech[(log y - log x) mod (q - 1)], where
 zech[d] = log(1 + g^d) has q - 1 entries (about 0.5 MB at GF(3^10))
-and is None at d = log(p - 1), since 1 + g^d = 0 there.  So -x is the
-product log x + log(p - 1), the same rule as on indices.  Elsewhere
-they run on indices through the field's ops.
+and is None at d = log(p - 1), since 1 + g^d = 0 there: d = (q - 1)/2
+for odd p and d = 0 for p = 2, where -1 = 1.  So -x is the product
+log x + log(p - 1), the same rule as on indices.  Prime fields and
+fields without tables run the scans on indices through the field's ops.
 
 The primitive element is the smallest index g with g^((q-1)/r) != 1 for
 every prime r dividing q - 1; one search finds it for every shape, and
@@ -444,7 +446,7 @@ class Field:
             self.add = lambda a, b: (a + b) % p
             self.mul = lambda a, b: a * b % p
         elif self.q <= _TABLE_LIMIT:
-            self._build_tables()  # mul, and for odd p add through the Zech table
+            self._build_tables()  # mul, the Zech table and an add through it
         else:
             self.add, self.mul = _table_free_ops(p, self.m, self.modulus)
         if p == 2 and self.m > 1:
@@ -462,6 +464,8 @@ class Field:
         self.inv = inv
 
     def _build_tables(self) -> None:
+        """Bind the exp/log tables, mul, the Zech table (_zech) and an add
+        through it, for every p; _bind_ops then rebinds add to XOR for p = 2."""
         p, qm1 = self.p, self.q - 1
         exp, log = self._walk_powers(self.primitive_element().index)
         self._exp = exp
@@ -473,8 +477,6 @@ class Field:
             return exp[log[a] + log[b]]
 
         self.mul = mul
-        if p == 2:
-            return
         # Zech logarithms: a + b = g^la (1 + g^(lb - la)) with zech[d] =
         # log(1 + g^d), None where g^d = -1.  Adding 1 to an index changes
         # only its constant digit: log rotated left by one is log(x + 1)

@@ -18,17 +18,19 @@ Two independent routes decide whether a code is MDS:
 Both routes visit column subsets in colexicographic order, read from one
 cached table per (n, k), so a failing witness is deterministic; the minor
 scan also reads their bitmasks from a cached table (_colex_masks).  Both
-run in the field's log domain (see the rctrs.gf docstring), whose
-constants _arithmetic sets up.  The closed form scans category by
-category: subsets of evaluation columns only, then (when extended, at
-hook 0) k-1 evaluations plus the coefficient column, then k-1
-evaluations plus the twist column, then (when extended) k-2 evaluations
-plus both.  Each category walks its subsets with _symmetric_tables, and
-colex order is what makes that walk cheap: consecutive subsets share
-their highest points, whose sigma bands and twist products carry over,
-so a subset costs a few multiplications.  Witness column indices are
-0-based with the twist column at position n-1 and, when extended, the
-coefficient column at position n.
+run in the field's log domain (see the rctrs.gf docstring), which
+_arithmetic alone sets up: on logs over every field with tables, p = 2
+included, and on indices over prime fields and fields without tables.
+The closed form scans category by category: subsets of evaluation
+columns only, then (when extended, at hook 0) k-1 evaluations plus the
+coefficient column, then k-1 evaluations plus the twist column, then
+(when extended) k-2 evaluations plus both.  Each category walks its
+subsets with _symmetric_tables, and colex order is what makes that walk
+cheap: consecutive subsets share their highest points, whose sigma
+bands and twist products carry over, so a subset costs a few
+multiplications.  Witness column indices are 0-based with the twist
+column at position n-1 and, when extended, the coefficient column at
+position n.
 
 Minimum distance is exact when q^k fits the budget.  It reads G's RREF,
 which the Matrix keeps (see rctrs.linalg), and whose pivot columns are
@@ -176,8 +178,7 @@ def mds_by_minors(g: Matrix) -> MdsVerdict:
     if pivots != tuple(range(k)) or not k:  # with no rows, () is the one subset, and its minor is 1
         g._mds = MdsVerdict(not k, first or None, METHOD_MINORS)
         return g._mds
-    zech, qm1 = f._zech, f.q - 1
-    one, _, reps, neg, mul, add = _arithmetic(f)
+    zech, qm1, one, _, reps, neg, mul, add = _arithmetic(f)
     # each entry of A beside its negation
     signed = [[x for a in reps(col) for x in (a, neg(a))] for col in zip(*rows)]
     unit = (1 << k) - 1  # the mask of I, the pivot columns
@@ -254,17 +255,20 @@ def _require_closed_form(spec: CodeSpec, method: str):
 
 
 def _arithmetic(f):
-    """(one, zero, reps, neg, mul, add) in the field's log domain (see the
-    rctrs.gf docstring): the one set-up of the domain for both scans.
+    """(zech, q - 1, one, zero, reps, neg, mul, add) in the field's log
+    domain (see the rctrs.gf docstring): the one set-up of the domain for
+    both scans, and the one place in this module that reads the field's
+    tables.
 
+    zech is the field's Zech table, kept exactly when it has tables, or
+    None; the scans sum on logs through it, or on indices when it is None.
     reps maps a list of element indices into the domain.  On indices the
     rest are the field's own ops.  On logs every value is reduced, so ==
     compares elements on either path (0 == 0 becomes None == None).
     """
-    zech = f._zech
+    zech, log, qm1 = f._zech, f._log, f.q - 1  # the first read of _zech builds the tables
     if zech is None:
-        return 1, 0, lambda xs: xs, f.neg, f.mul, f.add
-    log, qm1 = f._log, f.q - 1
+        return None, qm1, 1, 0, lambda xs: xs, f.neg, f.mul, f.add
 
     def reps(xs):
         return [log[x] if x else None for x in xs]
@@ -281,7 +285,7 @@ def _arithmetic(f):
         z = zech[(b - a) % qm1]
         return None if z is None else (a + z) % qm1
 
-    return 0, None, reps, neg, mul, add
+    return zech, qm1, 0, None, reps, neg, mul, add
 
 
 def _symmetric_tables(f, points, size: int, lo: int, hi: int, factors=()):
@@ -301,8 +305,7 @@ def _symmetric_tables(f, points, size: int, lo: int, hi: int, factors=()):
     The points, the factors and the tables are in the log domain of
     _arithmetic.
     """
-    zech, qm1 = f._zech, f.q - 1
-    one, zero, _, _, mul, add = _arithmetic(f)
+    zech, qm1, one, zero, _, _, mul, add = _arithmetic(f)
     slots = list(enumerate(factors, hi + 1))
     bands = [[one] + [zero] * hi + [one] * len(slots) for _ in range(size + 1)]
     updates = [(p, bands[p], bands[p + 1], range(min(hi, size - p), max(0, lo - p - 1), -1))
@@ -378,8 +381,7 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
     k, h = spec.k, spec.h
     r = k - h
     b, c = spec.b, spec.c
-    zech, qm1 = f._zech, f.q - 1
-    one, zero, reps, neg, mul, add = _arithmetic(f)
+    zech, qm1, one, zero, reps, neg, mul, add = _arithmetic(f)
     sub = f.sub
     eta_r = f.neg(spec.eta) if r % 2 else spec.eta
     e_r, lam, lb, lc, inv_eta = reps([eta_r, spec.lam, b, c, f.inv(eta_r) if eta_r else 1])

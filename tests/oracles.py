@@ -164,8 +164,7 @@ def minor_scan(g: Matrix) -> MdsVerdict:
     first = next(subsets)
     if pivots != tuple(range(k)):
         return MdsVerdict(False, first, "minors")
-    zech, qm1 = f._zech, f.q - 1
-    one, _, reps, neg, mul, add = _arithmetic(f)
+    zech, qm1, one, _, reps, neg, mul, add = _arithmetic(f)
     signed = [[x for a in reps(col) for x in (a, neg(a))] for col in zip(*rows)]
     unit = (1 << k) - 1
     dets = {unit: one}

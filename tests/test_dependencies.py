@@ -65,19 +65,29 @@ def test_package_reads_no_environment_variable():
 def test_only_gf_and_mds_reach_into_the_log_domain_and_colex_table():
     """A field's log tables (_zech, _log, _exp) are read only in gf, which
     builds them, and in mds, whose scans set up their log domain in one
-    place; the colex subset and mask tables are named only in mds, whose
-    walks rely on their order."""
+    place, _arithmetic, the only function there that names them; the colex
+    subset and mask tables are named only in mds, whose walks rely on their
+    order."""
+    tables = ("_zech", "_log", "_exp")
     owners = {"_zech": {"gf.py", "mds.py"}, "_log": {"gf.py", "mds.py"},
               "_exp": {"gf.py", "mds.py"}, "_colex_subsets": {"mds.py"}, "_colex_masks": {"mds.py"}}
     sources = sorted((ROOT / "src" / "rctrs").glob("*.py"))
     found = []
     for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        setup = set()  # the nodes of mds._arithmetic
+        if path.name == "mds.py":
+            arithmetic = [node for node in tree.body if getattr(node, "name", None) == "_arithmetic"]
+            assert len(arithmetic) == 1
+            setup = set(ast.walk(arithmetic[0]))
+        for node in ast.walk(tree):
             # a name, an attribute, an import or definition, or a getattr string
             for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None),
                          node.value if isinstance(node, ast.Constant) else None):
                 if name in owners and path.name not in owners[name]:
                     found.append(f"{path.name}:{node.lineno}: {name}")
+                elif path.name == "mds.py" and name in tables and node not in setup:
+                    found.append(f"{path.name}:{node.lineno}: {name} outside _arithmetic")
     assert found == []
 
 

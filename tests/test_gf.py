@@ -662,7 +662,7 @@ def test_packed_table_build_matches_polynomial_walk(descriptor):
         assert f.primitive_element().index != f.p  # the generator is not x
 
 
-@pytest.mark.parametrize("descriptor", [d for d in TABLE_FIELDS if not d.startswith("2^")])
+@pytest.mark.parametrize("descriptor", TABLE_FIELDS)
 def test_zech_table_is_log_of_one_plus_each_power(descriptor):
     f = Field.from_descriptor(descriptor)
     add, _ = _table_free_ops(f.p, f.m, f.modulus)
@@ -672,7 +672,7 @@ def test_zech_table_is_log_of_one_plus_each_power(descriptor):
     for d, z in enumerate(zech):
         total = add(exp[d], 1)  # the digit loop's sum, no table read
         assert z == (None if total == 0 else log[total]), d
-        assert (z is None) == (d == log[f.p - 1]), d
+        assert (z is None) == (d == log[f.p - 1]), d  # d = 0 for p = 2, where -1 = 1
 
 
 # --- tables built on first arithmetic ----------------------------------------
@@ -732,19 +732,28 @@ def test_first_arithmetic_builds_the_walked_tables(descriptor, op):
 
 def test_reading_zech_first_binds_it_with_the_ops(monkeypatch):
     """_zech is bound with the ops: read before any of them, it is the Zech
-    table where the field keeps one and None on every other shape, and a
-    field with tables never binds the table-free ops."""
+    table where the field has tables, binary ones included, and None on
+    every other shape, and a field with tables never binds the table-free ops."""
     monkeypatch.setattr(rctrs.gf, "_table_free_ops", lambda *args: pytest.fail("table-free ops bound"))
-    for descriptor in ("5^2", "3^5"):
+    for descriptor in ("5^2", "3^5", "2^8"):
         f = fresh(descriptor)
         assert len(f._zech) == f.q - 1
-        assert f._zech[(f.q - 1) // 2] is None  # 1 + g^((q-1)/2) = 0
+        assert f._zech.index(None) == f._log[f.p - 1]  # 1 + g^d = 0 where g^d = -1
         assert {"add", "sub", "neg", "mul", "inv"} <= vars(f).keys()
-    for descriptor in ("31", "2^8"):
-        assert fresh(descriptor)._zech is None
+    assert fresh("31")._zech is None
     monkeypatch.undo()
     for descriptor in ("1031^2", "2^21"):  # q > 2^20: no tables
         assert fresh(descriptor)._zech is None
+
+
+@pytest.mark.parametrize("descriptor", ["13", "31^2", "3^10", "2^8", "2^16", "1031^2", "2^21"])
+def test_a_field_keeps_a_zech_table_exactly_when_it_has_tables(descriptor):
+    """The log domain has one rule for every shape (see the rctrs.gf
+    docstring): after first arithmetic _zech is None exactly when _log is."""
+    f = Field.from_descriptor(descriptor)
+    f.add(1, 1)
+    assert (f._log is not None) == (f.m > 1 and f.q <= 1 << 20)
+    assert (f._zech is None) == (f._log is None)
 
 
 @pytest.mark.parametrize("p,m", [(17, 1), (31, 2), (7, 4), (2, 8)])

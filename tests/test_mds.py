@@ -177,12 +177,14 @@ def test_symmetric_tables_walk_matches_tables_one_by_one(monkeypatch):
     """Every table of the walk on indices, degrees lo..hi and both carried
     products, equals the oracle's and the products taken directly, on
     points with zeros and repeats, over every subset size 0..6 and every
-    lo <= hi.  Over the fields with a Zech table, where the index walk
-    runs with _zech = None, the walk on logs runs beside it, and each of
-    its entries, read back through exp, equals the index walk's."""
+    lo <= hi.  Over the fields with a Zech table, binary ones included,
+    where the index walk runs with _zech = None, the walk on logs runs
+    beside it, and each of its entries, read back through exp, equals the
+    index walk's."""
     rng = random.Random(4096)
     seen = set()
-    for f in (field_create(2, 3), field_create(3, 3), F13, field_create(1031, 2), field_create(5, 2)):
+    for f in (field_create(2, 4), field_create(3, 3), F13, field_create(1031, 2), field_create(5, 2),
+              field_create(2, 8)):
         zech = f._zech is not None
         for size in range(7):
             npts = size + rng.randrange(4)
@@ -222,6 +224,7 @@ def test_symmetric_tables_walk_matches_tables_one_by_one(monkeypatch):
                             assert back[hi + 1 :] == products
                             seen |= {"log walk"} | ({"log walk zero product"} if 0 in products else set())
                             seen |= {"log walk zero sigma"} if 0 in table[max(lo, 1) : hi + 1] else set()
+                            seen |= {f"log walk q={f.q}"}
                         count += 1
                     assert count == len(subsets)
                     assert not zech or next(log_walk, None) is None
@@ -232,6 +235,7 @@ def test_symmetric_tables_walk_matches_tables_one_by_one(monkeypatch):
             seen |= {"repeated point"} if len(set(points)) < npts else set()
     wanted = {f"size={s}" for s in range(7)} | {"size=npts", "lo=0", "zero product", "zero point", "repeated point"}
     wanted |= {"log walk", "log walk zero point", "log walk zero product", "log walk zero sigma"}
+    wanted |= {"log walk q=16", "log walk q=256"}
     assert wanted <= seen, wanted - seen
     assert list(_symmetric_tables(F13, [1, 2], 3, 0, 3)) == []  # two points have no 3-subset
 
@@ -487,8 +491,8 @@ def brute_mds_by_minors(g):
     return MdsVerdict(True, None, "minors")
 
 
-# GF(2), GF(4), GF(8), prime fields, GF(9), GF(27) and GF(49), which sum on
-# logs, and GF(1031^2), which has no tables
+# prime fields, GF(2) among them, and GF(1031^2), which has no tables, sum on
+# indices; GF(4), GF(8), GF(9), GF(27) and GF(49) sum on logs
 MINOR_FIELDS = ((2, 1), (2, 2), (2, 3), (3, 1), (5, 1), (3, 2), (13, 1), (3, 3), (7, 2), (1031, 2))
 
 
@@ -561,8 +565,9 @@ def test_minor_scan_matches_brute_force():
     assert wanted <= seen, wanted - seen
 
 
-# odd-p extensions with a Zech table, on which mds_by_minors sums on logs
-LOG_FIELDS = ((5, 2), (3, 3), (7, 2), (3, 5), (31, 2))
+# extensions with a Zech table, on which mds_by_minors sums on logs: odd p,
+# then GF(2^4) and GF(2^8), the binary fields of the benchmark's workloads
+LOG_FIELDS = ((5, 2), (3, 3), (7, 2), (3, 5), (31, 2), (2, 4), (2, 8))
 
 
 class CountingZech(list):
@@ -628,11 +633,13 @@ def test_log_sum_matches_index_sum(monkeypatch):
                 corners.add("zero partial sum restarted")  # no block of an MDS scan sums to zero
             if not verdict.is_mds and len(set(verdict.witness) & set(range(k))) <= k - 2:
                 corners.add("singular multi-term block")
-        seen |= corners
+        seen |= corners | ({f"q={f.q}: {corner}" for corner in corners} if f.p == 2 else set())
     wanted = {f"p={p},m={m}" for p, m in LOG_FIELDS} | {
         "k=1", "k=N", "rank below k", "log sums ran", "zero entry of A",
         "zero partial sum restarted", "singular multi-term block",
     }
+    wanted |= {f"q={q}: {corner}" for q in (16, 256)
+               for corner in ("log sums ran", "zero entry of A", "singular multi-term block")}
     assert wanted <= seen, wanted - seen
 
 
@@ -646,7 +653,7 @@ def test_scans_on_a_fresh_field_sum_through_its_zech_table(monkeypatch):
         f._zech = CountingZech(f._zech)
 
     monkeypatch.setattr(Field, "_bind_ops", bind_counting)
-    for p, m in ((5, 2), (3, 5)):
+    for p, m in ((5, 2), (3, 5), (2, 4), (2, 8)):
         f = Field(p, m)
         g = Matrix(f, [[1, 0, 0, 2, 3], [0, 1, 0, 4, 5], [0, 0, 1, 6, 7]])
         assert not vars(f)  # no op read yet
@@ -659,16 +666,42 @@ def test_scans_on_a_fresh_field_sum_through_its_zech_table(monkeypatch):
         assert f._zech.reads
 
 
+def solved_twist_spec(f, rng):
+    """A hook-0 spec with a zero evaluation point, c among the points half
+    the time, and no zero among eta, b, c and lambda, lambda solved so that
+    the minor on k-1 points and the twist column vanishes, with its
+    corners; None where no nonzero lambda does."""
+    npts = rng.randrange(2, min(f.q - 2, 7) + 1)
+    k = rng.randrange(2, min(5, npts + 1) + 1)
+    pool = rng.sample(range(1, f.q), npts + 1)
+    alphas, (b, c) = [0, *pool[: npts - 1]], pool[npts - 1 :]
+    if rng.random() < 0.5:
+        c = alphas[-1]
+    eta, extended = rng.randrange(1, f.q), rng.random() < 0.5
+    cols = sorted(rng.sample(range(npts), k - 1)) + [npts]
+    minors = []
+    for lam in (0, 1):  # the minor is linear in lambda, through the twist column f(b) - lambda f(c)
+        g = generator_matrix(rctrs_spec(f, alphas, b, c, lam, eta, k, extended=extended))
+        minors.append(det(Matrix(f, [[row[j] for j in cols] for row in g.rows])).index)
+    if not minors[0] or minors[0] == minors[1]:
+        return None
+    lam = f.mul(minors[0], f.inv(f.sub(minors[0], minors[1])))
+    corners = {f"q={f.q}", "h=0"} | ({"b or c among points"} if c in alphas else set())
+    return rctrs_spec(f, alphas, b, c, lam, eta, k, extended=extended), corners
+
+
 def test_closed_form_on_logs_matches_index_path(monkeypatch):
     """The closed form on discrete logs against itself on indices, its
-    oracle: the same verdict, witness and method label on every spec."""
+    oracle: the same verdict, witness and method label on every spec.  The
+    binary fields each reach a hook-0 twist witness, a zero evaluation
+    point, b or c among the points, eta_r = 0 and an extended code."""
     rng = random.Random(2020)
     seen = set()
     for p, m in ((3, 2),) + LOG_FIELDS:
         f = field_create(p, m)
         assert f._zech is not None
-        for _ in range(150):
-            spec, corners = corner_spec(f, rng)
+        cases = [corner_spec(f, rng) for _ in range(150)] + [solved_twist_spec(f, rng) for _ in range(10)]
+        for spec, corners in filter(None, cases):
             fn = closed_form_for(spec)
             if fn is None:
                 continue
@@ -684,13 +717,20 @@ def test_closed_form_on_logs_matches_index_path(monkeypatch):
                 corners.add("witness with " + WITNESS_KINDS[extra])
                 if 0 in extra and spec.b in (spec.alphas[col] for col in verdict.witness if col < npts):
                     corners.add("twist witness with both sides zero")  # prod(b - a) = 0
-            seen |= corners
+                if extra == (0,) and spec.h == 0:
+                    corners.add("hook-0 twist witness")
+                    if 0 not in (spec.eta, spec.lam, spec.b, spec.c):
+                        corners.add("hook-0 twist witness, nothing zero")  # eligible for the log shortcut
+            seen |= corners | ({f"q={f.q}: {corner}" for corner in corners} if f.p == 2 else set())
     wanted = {f"q={p ** m}" for p, m in ((3, 2),) + LOG_FIELDS} | {
         "plain", "extended", "k=1", "k=2 extended", "h=0", "h=k-1", "interior hook",
         "zero evaluation point", "b or c among points", "b=c", "lambda=0", "eta=0",
         "witness with evaluations only", "witness with coefficient", "witness with twist",
         "witness with twist and coefficient", "twist witness with both sides zero",
     }
+    wanted |= {f"q={q}: {corner}" for q in (16, 256) for corner in (
+        "hook-0 twist witness, nothing zero", "zero evaluation point", "b or c among points", "eta=0", "extended",
+    )}
     assert wanted <= seen, wanted - seen
 
 
@@ -710,7 +750,7 @@ def test_colex_masks_are_the_masks_of_the_colex_table():
             assert rctrs.mds._colex_masks(n, k) == want, (n, k)
 
 
-# GF(31^2) and GF(7^4) sum on logs; GF(2^8), GF(13) and GF(1031^2) on indices
+# GF(31^2), GF(7^4) and GF(2^8) sum on logs; GF(13) and GF(1031^2) on indices
 BLOCK_FIELDS = ((31, 2), (7, 4), (2, 8), (13, 1), (1031, 2))
 
 

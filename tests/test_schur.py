@@ -244,7 +244,7 @@ def test_isometry_preserves_schur_dim_and_mds():
         assert mds_by_minors(image).is_mds == base_mds
 
 
-# Odd p with a Zech table at m = 2, 3 and 4, and p = 2 at m = 6 and 8.
+# Fields with a Zech table: odd p at m = 2, 3 and 4, and p = 2 at m = 6 and 8.
 ISOMORPHIC_FIELDS = ((7, 2), (5, 3), (3, 4), (2, 6), (2, 8), (13, 2), (31, 2))
 
 
