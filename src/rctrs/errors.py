@@ -34,7 +34,8 @@ class NotADivisorError(ValueError):
 
 
 class OrderDoesNotDivideError(ValueError):
-    """Requested subgroup order does not divide the group order."""
+    """Requested subgroup order does not divide the group order, or is
+    above 2^20, past which no subgroup is listed."""
 
 
 class NotSquareError(ValueError):

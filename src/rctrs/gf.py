@@ -770,6 +770,9 @@ class SubfieldView:
         return g ** self._step
 
     def element_indices(self) -> list[int]:
+        """The subfield's elements as ambient indices, in increasing order;
+        a proper subfield with more than 2^20 + 1 elements is refused, as
+        subgroup_of_order refuses its group."""
         if self.order == self.field.q:
             return list(range(self.field.q))
         return sorted([0, *subgroup_of_order(self, self.order - 1).indices])
@@ -803,11 +806,20 @@ class MultiplicativeSubgroup:
 
 
 def subgroup_of_order(view: SubfieldView, n: int) -> MultiplicativeSubgroup:
-    """The unique subgroup of the given order; n must divide p^d - 1."""
+    """The unique subgroup of the given order; n must divide p^d - 1.
+
+    The subgroup is listed power by power, so an order above 2^20
+    (_TABLE_LIMIT, the largest field with tables) is refused before the
+    generator search or the walk.
+    """
     group_order = view.order - 1
     if not isinstance(n, int) or n < 1 or group_order % n != 0:
         raise OrderDoesNotDivideError(
             f"subgroup order {n!r} does not divide group order {group_order}"
+        )
+    if n > _TABLE_LIMIT:
+        raise OrderDoesNotDivideError(
+            f"subgroup order {n} exceeds the limit 2^20 = {_TABLE_LIMIT} on listed subgroups"
         )
     f = view.field
     gen = f.to_index(view.primitive_element() ** (group_order // n))

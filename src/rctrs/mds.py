@@ -24,13 +24,17 @@ included, and on indices over prime fields and fields without tables.
 The closed form scans category by category: subsets of evaluation
 columns only, then (when extended, at hook 0) k-1 evaluations plus the
 coefficient column, then k-1 evaluations plus the twist column, then
-(when extended) k-2 evaluations plus both.  Each category walks its
-subsets with _symmetric_tables, and colex order is what makes that walk
-cheap: consecutive subsets share their highest points, whose sigma
-bands and twist products carry over, so a subset costs a few
-multiplications.  Witness column indices are 0-based with the twist
-column at position n-1 and, when extended, the coefficient column at
-position n.
+(when extended) k-2 evaluations plus both.  At hook 0 on logs every
+sigma that the evaluation and twist categories test is a product of
+points, whose log is a sum, so those two read the log sums of their
+subsets from _log_sums, taken in C.  Every other category, hook and
+domain walks its subsets with _symmetric_tables, and colex order is
+what makes that walk cheap: consecutive subsets share their highest
+points, whose sigma bands and twist products carry over, so a subset
+costs a few multiplications.  Each category pulls one tuple from the
+colex table per subset it decides.  Witness column indices are 0-based
+with the twist column at position n-1 and, when extended, the
+coefficient column at position n.
 
 Minimum distance is exact when q^k fits the budget.  It reads G's RREF,
 which the Matrix keeps (see rctrs.linalg), and whose pivot columns are
@@ -52,9 +56,10 @@ A negative budget raises ValueError.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import combinations, islice
+from itertools import chain, combinations, compress, islice, repeat
 from math import comb
 from typing import Optional
 
@@ -347,6 +352,33 @@ def _symmetric_tables(f, points, size: int, lo: int, hi: int, factors=()):
         yield cols, bands[0]
 
 
+def _log_sums(logs, size: int, qm1: int):
+    """An iterator over the sum of logs on each size-subset of positions
+    into logs, in colex order, unreduced, with a zero (None) counted as
+    (size + 1)(q - 1).
+
+    So a sum at or above (size + 1)(q - 1) marks a zero product, and any
+    other is the log of the product, reduced or not.  In colex order the
+    subsets whose last position is c form one block, the first C(c, size-1)
+    (size-1)-subsets with c added.  So the sums of the (size-1)-subsets of
+    all but the last position are taken once, in C: colex order is lex
+    order over the reversed positions, reversed, which
+    itertools.combinations gives.  Each block adds its point to a prefix
+    of them when it is reached, so a scan that stops early skips the
+    blocks after it.
+    """
+    zero = (size + 1) * qm1
+    values = [zero if x is None else x for x in logs]
+    if not size:
+        return iter((0,))
+    head = list(map(sum, combinations(values[-2::-1], size - 1)))
+    head.reverse()
+    return chain.from_iterable(
+        map(operator.add, islice(head, comb(c, size - 1)), repeat(x))
+        for c, x in enumerate(values[size - 1 :], size - 1)
+    )
+
+
 def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
     """Scan the minors of a t = 1 RCTRS code through their factorizations.
 
@@ -367,6 +399,15 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
     At hook 0 the twist category's sigma_r is sigma_k of k-1 points,
     which is 0, so its correction 1 - eta_r sigma_r is 1.
 
+    So at hook 0 every sigma that the first and the twist category test
+    is a product: sigma_k of the k points, and sigma_(k-1), prod(b - a)
+    and prod(c - a) of the k-1.  On logs those two categories read log
+    sums from _log_sums, not the walk.  The first is then a scan in C:
+    its witness is the first colex k-subset whose sum is log(1/eta_r)
+    mod q-1, found by compress over the colex table, so the table is
+    read up to the witness only.  The twist category zips the colex
+    table with the three sums and runs the tests below on each subset.
+
     The walks and the tests run in the field's log domain (see the
     rctrs.gf docstring and _arithmetic), where a twist-category subset
     whose two sides are both zero (None) is a witness, as 0 == 0 is on
@@ -374,7 +415,9 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
     and g^u + g^(v_x), which share u, so it takes at most three Zech
     lookups and one difference of logs mod q-1; a zero in the table raises
     TypeError and sends the subset through the general test, which every
-    subset takes when eta_r, b, c or lambda is zero.
+    subset takes when eta_r, b, c or lambda is zero.  On log sums a zero
+    is a sum at or above the bound of _log_sums, which the fast test
+    checks before it runs.
     """
     f = spec.field
     al = spec.alphas
@@ -391,15 +434,32 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
     minus_e, minus_eb, minus_ec = neg(e_r), neg(mul(e_r, lb)), neg(mul(e_r, lc))
     pts = reps(al)
     diffs = (reps([sub(b, a) for a in al]), reps([sub(c, a) for a in al]))
-    twist, coeff = len(al), len(al) + 1
+    npts = len(al)
+    twist, coeff = npts, npts + 1
+    by_sums = zech is not None and not h  # at hook 0 on logs each sigma tested is a product, a log sum
 
     def coeff_corr(top, first):
         """The hook-0 coefficient-column correction from sigma_(k-1) and sigma_1."""
         return add(one, mul(e_r, mul(top, first)))
 
-    for cols, table in _symmetric_tables(f, pts, k, r, r):
-        if table[r] == inv_eta:
+    def twist_singular(s0, s1, prod_b, prod_c):
+        """The general twist test, from sigma_(r-1), sigma_r, prod(b - a) and prod(c - a)."""
+        corr = add(one, mul(minus_e, s1)) if h else one
+        corr_b = add(corr, mul(minus_eb, s0))
+        corr_c = add(corr, mul(minus_ec, s0))
+        return mul(prod_b, corr_b) == mul(lam, mul(prod_c, corr_c))
+
+    if by_sums:
+        # the log sum of a product of k points is below k(q - 1), and a zero's is above
+        targets = frozenset(range(inv_eta, k * qm1, qm1) if eta_r else ())
+        hits = map(targets.__contains__, _log_sums(pts, k, qm1))
+        cols = next(compress(iter(_colex_subsets(npts, k)), hits), None)
+        if cols is not None:
             return MdsVerdict(False, cols, method)
+    else:
+        for cols, table in _symmetric_tables(f, pts, k, r, r):
+            if table[r] == inv_eta:
+                return MdsVerdict(False, cols, method)
 
     if spec.extended and not h:
         # at k = 1 the table still needs sigma_1, which is 0
@@ -408,26 +468,44 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
                 return MdsVerdict(False, cols + (coeff,), method)
 
     fast = zech is not None and None not in (lam, minus_eb, minus_ec)  # no zero eta_r, b, c or lambda
-    for cols, table in _symmetric_tables(f, pts, k - 1, r - 1, r, diffs):
-        if fast:
-            try:  # u = log(1 - eta_r sigma_r), v_x = log(-eta_r x sigma_(r-1))
-                s0, s1 = table[r - 1], table[r]
-                u = 0 if s1 is None else zech[(minus_e + s1) % qm1]
-                corr_b = corr_c = u
-                if s0 is not None:
-                    corr_b = u + zech[(minus_eb + s0 - u) % qm1]
-                    corr_c = u + zech[(minus_ec + s0 - u) % qm1]
-                if (table[-2] + corr_b - lam - table[-1] - corr_c) % qm1:
-                    continue
-            except TypeError:  # a zero past sigma_r
-                pass
-            else:
+    if by_sums:
+        bound = k * qm1  # the zero bound of k-1 logs
+        logs = [_log_sums(values, k - 1, qm1) for values in (pts, *diffs)]
+        for cols, s0, prod_b, prod_c in zip(_colex_subsets(npts, k - 1), *logs):
+            if fast and prod_b < bound > prod_c:
+                try:  # u = 0; a zero correction (None) raises TypeError
+                    corr_b = corr_c = 0
+                    if s0 < bound:
+                        corr_b = zech[(minus_eb + s0) % qm1]
+                        corr_c = zech[(minus_ec + s0) % qm1]
+                    if (prod_b + corr_b - lam - prod_c - corr_c) % qm1:
+                        continue
+                except TypeError:
+                    pass
+                else:
+                    return MdsVerdict(False, cols + (twist,), method)
+            # unreduced logs are fine here: mul and add reduce what they return
+            if twist_singular(s0 if s0 < bound else None, None, prod_b if prod_b < bound else None,
+                              prod_c if prod_c < bound else None):
                 return MdsVerdict(False, cols + (twist,), method)
-        corr = add(one, mul(minus_e, table[r])) if h else one
-        corr_b = add(corr, mul(minus_eb, table[r - 1]))
-        corr_c = add(corr, mul(minus_ec, table[r - 1]))
-        if mul(table[-2], corr_b) == mul(lam, mul(table[-1], corr_c)):
-            return MdsVerdict(False, cols + (twist,), method)
+    else:
+        for cols, table in _symmetric_tables(f, pts, k - 1, r - 1, r, diffs):
+            if fast:
+                try:  # u = log(1 - eta_r sigma_r), v_x = log(-eta_r x sigma_(r-1))
+                    s0, s1 = table[r - 1], table[r]
+                    u = 0 if s1 is None else zech[(minus_e + s1) % qm1]
+                    corr_b = corr_c = u
+                    if s0 is not None:
+                        corr_b = u + zech[(minus_eb + s0 - u) % qm1]
+                        corr_c = u + zech[(minus_ec + s0 - u) % qm1]
+                    if (table[-2] + corr_b - lam - table[-1] - corr_c) % qm1:
+                        continue
+                except TypeError:  # a zero past sigma_r
+                    pass
+                else:
+                    return MdsVerdict(False, cols + (twist,), method)
+            if twist_singular(table[r - 1], table[r], table[-2], table[-1]):
+                return MdsVerdict(False, cols + (twist,), method)
 
     if spec.extended and k >= 2:
         # at hook k-1 the coefficient-column correction is 1, so no sigma is needed

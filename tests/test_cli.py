@@ -446,6 +446,20 @@ def test_fields_above_2_to_64_exit_2_at_once(tmp_path, capsys):
     assert "q=18446744073709551616" in capsys.readouterr().out
 
 
+def test_subgroup_orders_above_2_to_20_exit_2_at_once(capsys):
+    # 2^40 - 1 divides the group order, but listing the subgroup would take
+    # 1.1e12 multiplications, so the order is refused before any of them.
+    order = (1 << 40) - 1
+    started = time.monotonic()
+    assert main(["construct", "subgroup", "--field", "2^40", "--subfield-degree", "40",
+                 "--order", str(order), "--b", "0", "--c", "1", "--lambda", "2", "--eta", "3",
+                 "--k", "2"]) == 2
+    assert time.monotonic() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: subgroup order {order} exceeds the limit 2^20 = 1048576 on listed subgroups\n"
+
+
 def test_field_info_factors_group_order_with_two_large_primes(capsys):
     # q - 1 = 2 * 7186589 * 9496939: both odd factors lie past trial division
     assert main(["field-info", "136501194702143"]) == 0

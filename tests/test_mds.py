@@ -322,12 +322,14 @@ def category_order(npts, k, extended):
         yield from (cols + (twist, coeff) for cols in colex_subsets(npts, k - 2))
 
 
-def corner_spec(f, rng):
-    """A random t = 1 RCTRS spec that may hit k = 1, b or c among the points,
-    b = c, lambda = 0 or eta = 0; returns it with the corners it hits."""
+def corner_spec(f, rng, h=None):
+    """A random t = 1 RCTRS spec, at hook h when given, that may hit k = 1,
+    b or c among the points, b = c, lambda = 0 or eta = 0; returns it with
+    the corners it hits."""
     npts = rng.randrange(1, min(f.q, 8) + 1)
     k = rng.randrange(1, min(5, npts + 1) + 1)
-    h = rng.choice((0, k - 1, rng.randrange(k)))
+    if h is None:
+        h = rng.choice((0, k - 1, rng.randrange(k)))
     pool = rng.sample(range(f.q), f.q)
     alphas = pool[:npts]
     b, c = rng.choice(pool), rng.choice(pool)
@@ -731,6 +733,90 @@ def test_closed_form_on_logs_matches_index_path(monkeypatch):
     wanted |= {f"q={q}: {corner}" for q in (16, 256) for corner in (
         "hook-0 twist witness, nothing zero", "zero evaluation point", "b or c among points", "eta=0", "extended",
     )}
+    assert wanted <= seen, wanted - seen
+
+
+def test_log_sums_are_the_colex_subset_sums_under_the_zero_rule():
+    """_log_sums against the sum over each subset of the colex table, a
+    zero (None) counted as (size + 1)(q - 1); a sum reaches that bound
+    exactly when the subset holds a zero, the empty subset included."""
+    rng = random.Random(3300)
+    qm1 = 24
+    for n in range(10):
+        logs = [None if rng.random() < 0.3 else rng.randrange(qm1) for _ in range(n)]
+        if n:
+            logs[rng.randrange(n)] = None
+        for size in range(n + 2):
+            zero = (size + 1) * qm1
+            subsets = rctrs.mds._colex_subsets(n, size)
+            got = list(rctrs.mds._log_sums(logs, size, qm1))
+            assert got == [sum(zero if logs[i] is None else logs[i] for i in cols) for cols in subsets], (logs, size)
+            assert [s >= zero for s in got] == [None in (logs[i] for i in cols) for cols in subsets]
+
+
+# the hook-0 sum route's fields: binary, then odd p
+SUM_FIELDS = ((2, 4), (2, 8), (5, 2), (3, 3))
+
+
+def test_hook0_sum_route_matches_the_index_walk(monkeypatch):
+    """At hook 0 on logs the evaluation and twist categories read log sums
+    (_log_sums); on indices, forced with _zech = None, they walk
+    _symmetric_tables.  Both give the same verdict, and each pulls one
+    colex tuple per subset decided, counted by wrapping _colex_subsets as
+    perfbench does: the witness's place in the category order + 1, or
+    every column set of that order."""
+    real = rctrs.mds._colex_subsets
+    pulled = []
+
+    def counting(n, k):
+        for cols in real(n, k):
+            pulled.append(cols)
+            yield cols
+
+    rng = random.Random(3301)
+    seen = set()
+    for p, m in SUM_FIELDS:
+        f = field_create(p, m)
+        cases = [corner_spec(f, rng, h=0) for _ in range(150)] + [solved_twist_spec(f, rng) for _ in range(10)]
+        for spec, corners in filter(None, cases):
+            npts, k = len(spec.alphas), spec.k
+            order = list(category_order(npts, k, spec.extended))
+            counts = []
+            with monkeypatch.context() as mp:
+                mp.setattr(rctrs.mds, "_colex_subsets", counting)
+                for zech in (f._zech, None):
+                    mp.setattr(f, "_zech", zech)
+                    pulled.clear()
+                    counts.append((mds_closed_form_h0(spec), len(pulled)))
+            (verdict, on_logs), (on_indices, pulls) = counts
+            assert on_indices == verdict, spec
+            at = order.index(verdict.witness) if verdict.witness else len(order)
+            assert on_logs == pulls == min(at + 1, len(order)), spec
+            categories = [("evaluations", math.comb(npts, k))]
+            if spec.extended:
+                categories.append(("coefficient", math.comb(npts, k - 1)))
+            categories.append(("twist", math.comb(npts, k - 1)))
+            if spec.extended and k >= 2:
+                categories.append(("twist and coefficient", math.comb(npts, k - 2)))
+            for name, size in categories:
+                if 0 <= at < size:
+                    corners.add(f"{name}: witness {'early' if 2 * at < size else 'late'}")
+                elif at >= size > 0:
+                    corners.add(f"{name}: no witness")
+                at -= size
+            corners |= {"k=2"} if k == 2 else set()
+            corners |= {"zero evaluation point"} if 0 in spec.alphas else set()
+            if f.p == 2 and 0 not in (spec.lam, spec.eta, spec.b, spec.c):  # the fast twist test runs
+                corners.add("binary, fast twist test")
+                if verdict.witness and verdict.witness[-1] == npts:
+                    corners.add("binary, fast twist test: twist witness")
+            seen |= corners
+    wanted = {f"q={p ** m}" for p, m in SUM_FIELDS} | {
+        "plain", "extended", "k=1", "k=2", "zero evaluation point", "b or c among points", "lambda=0", "eta=0",
+        "binary, fast twist test", "binary, fast twist test: twist witness",
+    }
+    wanted |= {f"{name}: {kind}" for name in ("evaluations", "coefficient", "twist", "twist and coefficient")
+               for kind in ("witness early", "witness late", "no witness")}
     assert wanted <= seen, wanted - seen
 
 
