@@ -241,7 +241,12 @@ def build_subgroup_code(
 
 
 def corollary_lengths(q: int, p_div: int) -> tuple[int, int]:
-    """MDS twisted-code lengths over GF(q^2) promised for each prime p | q-1."""
+    """MDS twisted-code lengths over GF(q^2) promised for each prime p | q-1.
+
+    q must be a prime power, and p_div a prime dividing q - 1; otherwise
+    ValueError is raised (NotADivisorError when p_div does not divide).
+    """
+    _prime_power(q)
     if not is_prime(p_div):
         raise ValueError(f"{p_div} is not prime")
     if (q - 1) % p_div != 0:

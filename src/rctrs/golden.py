@@ -12,7 +12,7 @@ single source of truth.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import GOLDEN_KEYS
 from .codes import _Record, _fill
@@ -28,19 +28,17 @@ from .gf import field_create
 from .report import AnalysisReport, analyze
 
 
-class Expected(NamedTuple):
+class Expected(_Record):
     """The frozen values of one case, in the order check_case reports them."""
 
-    length: int
-    dimension: int
-    distance: int
-    distance_method: str
-    schur_dim: int
-    non_rs: Optional[bool]
-    ctrs_incompatible: Optional[bool]
-    alphas: frozenset[int]
-    mds: bool = True
-    mds_method: str = "both"
+    __slots__ = ("length", "dimension", "distance", "distance_method", "schur_dim", "non_rs",
+                 "ctrs_incompatible", "alphas", "mds", "mds_method")
+
+    def __init__(self, length: int, dimension: int, distance: int, distance_method: str, schur_dim: int,
+                 non_rs: Optional[bool], ctrs_incompatible: Optional[bool], alphas: frozenset[int],
+                 mds: bool = True, mds_method: str = "both"):
+        _fill(self, length, dimension, distance, distance_method, schur_dim, non_rs, ctrs_incompatible,
+              alphas, mds, mds_method)
 
 
 class GoldenCase(_Record):
@@ -50,22 +48,26 @@ class GoldenCase(_Record):
         _fill(self, label, code, expected)
 
 
-class Primitive(NamedTuple):
+class Primitive(_Record):
     """A recipe input standing for the primitive element of the degree-d subfield."""
 
-    degree: int
+    __slots__ = ("degree",)
+
+    def __init__(self, degree: int):
+        _fill(self, degree)
 
 
-class Example(NamedTuple):
-    field: tuple[int, int]
-    recipe: str
-    # recipe arguments after the field, apart from `extended`
-    inputs: dict
-    alphas: frozenset[int]
-    # (length, dimension, distance, distance method, schur dim, non_rs,
-    # ctrs_incompatible) of the plain code, then of the extended one
-    variants: tuple[tuple, ...]
-    unguaranteed: bool = False
+class Example(_Record):
+    """One worked example.  inputs holds the recipe arguments after the
+    field, apart from `extended`; variants holds (length, dimension,
+    distance, distance method, schur dim, non_rs, ctrs_incompatible) of
+    the plain code, then of the extended one."""
+
+    __slots__ = ("field", "recipe", "inputs", "alphas", "variants", "unguaranteed")
+
+    def __init__(self, field: tuple[int, int], recipe: str, inputs: dict, alphas: frozenset[int],
+                 variants: tuple[tuple, ...], unguaranteed: bool = False):
+        _fill(self, field, recipe, inputs, alphas, variants, unguaranteed)
 
 
 # GOLDEN_KEYS names these examples, in order.
@@ -137,7 +139,7 @@ def check_case(case: GoldenCase) -> tuple[AnalysisReport, list[str]]:
     )
     problems = [
         f"{name}: expected {want!r}, got {have!r}"
-        for name, want, have in zip(Expected._fields, case.expected, got)
+        for name, want, have in zip(Expected.__slots__, case.expected._values(), got._values())
         if have != want
     ]
     return report, problems

@@ -24,17 +24,21 @@ included, and on indices over prime fields and fields without tables.
 The closed form scans category by category: subsets of evaluation
 columns only, then (when extended, at hook 0) k-1 evaluations plus the
 coefficient column, then k-1 evaluations plus the twist column, then
-(when extended) k-2 evaluations plus both.  At hook 0 on logs every
-sigma that the evaluation and twist categories test is a product of
-points, whose log is a sum, so those two read the log sums of their
-subsets from _log_sums, taken in C.  Every other category, hook and
-domain walks its subsets with _symmetric_tables, and colex order is
-what makes that walk cheap: consecutive subsets share their highest
-points, whose sigma bands and twist products carry over, so a subset
-costs a few multiplications.  Each category pulls one tuple from the
-colex table per subset it decides.  Witness column indices are 0-based
-with the twist column at position n-1 and, when extended, the
-coefficient column at position n.
+(when extended) k-2 evaluations plus both.  Every product over a subset
+that a category tests, prod(b - a), prod(c - a) and at hook 0 the sigma
+of m points that is their product, comes from one builder,
+_colex_products, which also sums the column bits of the mask table: in
+colex order the subsets that end at one position form a block, each a
+product one size down times that position's value, so a subset costs
+about one multiplication.  At hook 0 on logs the evaluation and twist
+categories test nothing else, so they read log sums, added in C
+(_log_sums).  The other sigmas, and on indices those of these two
+categories too, come from the walk _symmetric_tables, which colex order
+makes cheap too:
+consecutive subsets share their highest points, whose sigma bands carry
+over.  Each category pulls one tuple from the colex table per subset it
+decides.  Witness column indices are 0-based with the twist column at
+position n-1 and, when extended, the coefficient column at position n.
 
 Minimum distance is exact when q^k fits the budget.  It reads G's RREF,
 which the Matrix keeps (see rctrs.linalg), and whose pivot columns are
@@ -120,21 +124,34 @@ def _colex_subsets(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _colex_masks(n: int, k: int) -> tuple[int, ...]:
-    """The bitmasks of _colex_subsets(n, k), in the same order.
-
-    Colex order of k-subsets is increasing mask order, so each mask follows
-    the last by Gosper's hack.  Each table is a prefix of the one for a
-    larger n.
+    """The bitmasks of _colex_subsets(n, k), in the same order: the sums of
+    the column bits over each subset, which _colex_products builds.  Each
+    table is a prefix of the one for a larger n.
     """
-    if not k or k > n:
-        return () if k > n else (0,)
-    masks, mask, end = [], (1 << k) - 1, 1 << n
-    while mask < end:
-        masks.append(mask)
-        low = mask & -mask
-        high = mask + low
-        mask = high | ((high ^ mask) >> 2) // low
-    return tuple(masks)
+    return tuple(_colex_products([1 << c for c in range(n)], k, operator.add, 0))
+
+
+def _colex_products(values, size: int, mul, one):
+    """An iterator over the product under mul of the values on each
+    size-subset of positions, in colex order; one is the empty product.
+
+    The one place this module forms a product over colex subsets: with +
+    it sums column bits (_colex_masks) and logs (_log_sums), and with the
+    field's mul it multiplies indices.  In colex order the subsets whose
+    last position is c form one block, the first C(c, size-1)
+    (size-1)-subsets with c added.  So the products one size down over
+    all but the last value, which this builder makes first, are listed
+    once, and each block multiplies a prefix of them by its value when it
+    is reached: a subset costs about one mul, and a scan that stops early
+    skips the blocks after it.
+    """
+    if not size:
+        return iter((one,))
+    head = list(_colex_products(values[:-1], size - 1, mul, one))
+    return chain.from_iterable(
+        map(mul, islice(head, comb(c, size - 1)), repeat(x))
+        for c, x in enumerate(values[size - 1 :], size - 1)
+    )
 
 
 def colex_subsets(n: int, k: int):
@@ -293,11 +310,10 @@ def _arithmetic(f):
     return zech, qm1, 0, None, reps, neg, mul, add
 
 
-def _symmetric_tables(f, points, size: int, lo: int, hi: int, factors=()):
+def _symmetric_tables(f, points, size: int, lo: int, hi: int):
     """For each size-subset of positions into points, in colex order, yield
     the subset and [sigma_0, ..., sigma_hi] of its points, exact in degrees
-    lo..hi, followed by the product over the subset of each sequence in
-    factors.
+    lo..hi.
 
     bands[p] is the table of the points at positions p and above, built by
     sigma_j += x * sigma_(j-1) from the top position down and banded to the
@@ -307,12 +323,12 @@ def _symmetric_tables(f, points, size: int, lo: int, hi: int, factors=()):
     multiplication.  The first subset, 0..size-1, enters the same loop;
     it has no such i, so it redoes every band.  Entries below lo are
     stale, and the yielded list is reused, so read it before the next.
-    The points, the factors and the tables are in the log domain of
-    _arithmetic.
+    The points and the tables are in the log domain of _arithmetic.  The
+    walk carries sigma bands only: a product over the subset comes from
+    _colex_products, in the same order.
     """
     zech, qm1, one, zero, _, _, mul, add = _arithmetic(f)
-    slots = list(enumerate(factors, hi + 1))
-    bands = [[one] + [zero] * hi + [one] * len(slots) for _ in range(size + 1)]
+    bands = [[one] + [zero] * hi for _ in range(size + 1)]
     updates = [(p, bands[p], bands[p + 1], range(min(hi, size - p), max(0, lo - p - 1), -1))
                for p in range(size)]
     # the updates for positions i, i-1, ..., 0; one empty entry at size 0
@@ -330,13 +346,10 @@ def _symmetric_tables(f, points, size: int, lo: int, hi: int, factors=()):
                 for j in degrees:
                     y = mul(x, above[j - 1])
                     band[j] = add(above[j], y) if above[j] else y
-                for s, values in slots:
-                    band[s] = mul(above[s], values[cols[p]])
             yield cols, bands[0]
             continue
         for p, band, above, degrees in steps[i]:
-            at = cols[p]
-            x = points[at]
+            x = points[cols[p]]
             for j in degrees:
                 t, y = above[j], above[j - 1]
                 if x is None or y is None:
@@ -346,37 +359,19 @@ def _symmetric_tables(f, points, size: int, lo: int, hi: int, factors=()):
                 else:
                     z = zech[(x + y - t) % qm1]
                     band[j] = None if z is None else (t + z) % qm1
-            for s, values in slots:
-                y = values[at]
-                band[s] = None if y is None or above[s] is None else (above[s] + y) % qm1
         yield cols, bands[0]
 
 
 def _log_sums(logs, size: int, qm1: int):
     """An iterator over the sum of logs on each size-subset of positions
-    into logs, in colex order, unreduced, with a zero (None) counted as
-    (size + 1)(q - 1).
+    into logs, in colex order (_colex_products), unreduced, with a zero
+    (None) counted as (size + 1)(q - 1).
 
     So a sum at or above (size + 1)(q - 1) marks a zero product, and any
-    other is the log of the product, reduced or not.  In colex order the
-    subsets whose last position is c form one block, the first C(c, size-1)
-    (size-1)-subsets with c added.  So the sums of the (size-1)-subsets of
-    all but the last position are taken once, in C: colex order is lex
-    order over the reversed positions, reversed, which
-    itertools.combinations gives.  Each block adds its point to a prefix
-    of them when it is reached, so a scan that stops early skips the
-    blocks after it.
+    other is the log of the product, reduced or not.
     """
     zero = (size + 1) * qm1
-    values = [zero if x is None else x for x in logs]
-    if not size:
-        return iter((0,))
-    head = list(map(sum, combinations(values[-2::-1], size - 1)))
-    head.reverse()
-    return chain.from_iterable(
-        map(operator.add, islice(head, comb(c, size - 1)), repeat(x))
-        for c, x in enumerate(values[size - 1 :], size - 1)
-    )
+    return _colex_products([zero if x is None else x for x in logs], size, operator.add, 0)
 
 
 def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
@@ -392,32 +387,41 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
     corr(W + c), where sigma_d(W + x) = sigma_d(W) + x sigma_(d-1)(W).
     Extended codes with an interior hook factor too, through
     s_(2,1^m) = sigma_1 sigma_m - sigma_(m+1) with m = k-1-h, but this
-    checker does not cover them; closed_form_for rules them out.  Each
-    category walks its subsets with _symmetric_tables, whose tables end
-    with prod(b - a) and prod(c - a) in the twist categories; the first
-    compares sigma_r with 1/eta_r, which does not exist at eta_r = 0.
-    At hook 0 the twist category's sigma_r is sigma_k of k-1 points,
-    which is 0, so its correction 1 - eta_r sigma_r is 1.
+    checker does not cover them; closed_form_for rules them out.  The
+    first category compares sigma_r with 1/eta_r, which does not exist at
+    eta_r = 0.  At hook 0 the twist category's sigma_r is sigma_k of k-1
+    points, which is 0, so its correction 1 - eta_r sigma_r is 1.
 
-    So at hook 0 every sigma that the first and the twist category test
-    is a product: sigma_k of the k points, and sigma_(k-1), prod(b - a)
-    and prod(c - a) of the k-1.  On logs those two categories read log
-    sums from _log_sums, not the walk.  The first is then a scan in C:
+    Each category zips the subsets and sigma tables of the walk
+    _symmetric_tables with the products it needs from _colex_products,
+    both in colex order.  Those are prod(b - a) and prod(c - a) in the
+    twist categories, at every hook, and at hook 0 sigma_m of m points,
+    their product: sigma_(k-1) of the k-1 points beside the coefficient
+    column, and sigma_(k-2) of the k-2 beside both columns, where
+    sigma_(k-1)(W + x) = x sigma_(k-2)(W).  So the two hook-0 extended
+    walks carry sigma_1 alone, and the hook-(k-1) category with both
+    columns, whose correction is 1, reads only the colex order.
+
+    At hook 0 every sigma that the first and the twist category test is
+    a product too: sigma_k of the k points, and sigma_(k-1) of the k-1.
+    On logs those two categories read log sums from _log_sums, not the
+    walk; on indices the walk gives these sigmas, where it measured
+    faster than the builder.  On logs the first is then a scan in C:
     its witness is the first colex k-subset whose sum is log(1/eta_r)
     mod q-1, found by compress over the colex table, so the table is
     read up to the witness only.  The twist category zips the colex
     table with the three sums and runs the tests below on each subset.
 
-    The walks and the tests run in the field's log domain (see the
-    rctrs.gf docstring and _arithmetic), where a twist-category subset
-    whose two sides are both zero (None) is a witness, as 0 == 0 is on
-    indices.  On logs the twist test first takes its corrections as g^u
-    and g^u + g^(v_x), which share u, so it takes at most three Zech
-    lookups and one difference of logs mod q-1; a zero in the table raises
-    TypeError and sends the subset through the general test, which every
-    subset takes when eta_r, b, c or lambda is zero.  On log sums a zero
-    is a sum at or above the bound of _log_sums, which the fast test
-    checks before it runs.
+    The walks, the products and the tests run in the field's log domain
+    (see the rctrs.gf docstring and _arithmetic), where a twist-category
+    subset whose two sides are both zero (None) is a witness, as 0 == 0 is
+    on indices.  On logs the twist test first takes its corrections as
+    g^u and g^u + g^(v_x), which share u, so it takes at most three Zech
+    lookups and one difference of logs mod q-1; a zero sigma or product
+    (None) raises TypeError and sends the subset through the general test,
+    which every subset takes when eta_r, b, c or lambda is zero.  On log
+    sums a zero is a sum at or above the bound of _log_sums, which the
+    fast test checks before it runs.
     """
     f = spec.field
     al = spec.alphas
@@ -437,6 +441,7 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
     npts = len(al)
     twist, coeff = npts, npts + 1
     by_sums = zech is not None and not h  # at hook 0 on logs each sigma tested is a product, a log sum
+    products = partial(_colex_products, mul=mul, one=one)  # in the domain, so a zero product is zero
 
     def coeff_corr(top, first):
         """The hook-0 coefficient-column correction from sigma_(k-1) and sigma_1."""
@@ -462,9 +467,9 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
                 return MdsVerdict(False, cols, method)
 
     if spec.extended and not h:
-        # at k = 1 the table still needs sigma_1, which is 0
-        for cols, table in _symmetric_tables(f, pts, k - 1, 1, max(k - 1, 1)):
-            if coeff_corr(table[k - 1], table[1]) == zero:
+        # sigma_(k-1) of k-1 points is their product, which is 1 at k = 1
+        for (cols, table), top in zip(_symmetric_tables(f, pts, k - 1, 1, 1), products(pts, k - 1)):
+            if coeff_corr(top, table[1]) == zero:
                 return MdsVerdict(False, cols + (coeff,), method)
 
     fast = zech is not None and None not in (lam, minus_eb, minus_ec)  # no zero eta_r, b, c or lambda
@@ -489,7 +494,8 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
                               prod_c if prod_c < bound else None):
                 return MdsVerdict(False, cols + (twist,), method)
     else:
-        for cols, table in _symmetric_tables(f, pts, k - 1, r - 1, r, diffs):
+        prods = [products(values, k - 1) for values in diffs]
+        for (cols, table), prod_b, prod_c in zip(_symmetric_tables(f, pts, k - 1, r - 1, r), *prods):
             if fast:
                 try:  # u = log(1 - eta_r sigma_r), v_x = log(-eta_r x sigma_(r-1))
                     s0, s1 = table[r - 1], table[r]
@@ -498,24 +504,26 @@ def _closed_form(spec: CodeSpec, method: str) -> MdsVerdict:
                     if s0 is not None:
                         corr_b = u + zech[(minus_eb + s0 - u) % qm1]
                         corr_c = u + zech[(minus_ec + s0 - u) % qm1]
-                    if (table[-2] + corr_b - lam - table[-1] - corr_c) % qm1:
+                    if (prod_b + corr_b - lam - prod_c - corr_c) % qm1:
                         continue
                 except TypeError:  # a zero past sigma_r
                     pass
                 else:
                     return MdsVerdict(False, cols + (twist,), method)
-            if twist_singular(table[r - 1], table[r], table[-2], table[-1]):
+            if twist_singular(table[r - 1], table[r], prod_b, prod_c):
                 return MdsVerdict(False, cols + (twist,), method)
 
     if spec.extended and k >= 2:
-        # at hook k-1 the coefficient-column correction is 1, so no sigma is needed
-        top = 0 if h else k - 1
-        for cols, table in _symmetric_tables(f, pts, k - 2, min(top, 1), top, diffs):
+        # With W the k-2 points, at hook 0 sigma_(k-1)(W + x) = x sigma_(k-2)(W), a product, and
+        # sigma_1(W + x) = sigma_1(W) + x; at hook k-1 the correction is 1, so only the colex order is read
+        walk = zip(_colex_subsets(npts, k - 2), repeat(None)) if h else _symmetric_tables(f, pts, k - 2, 1, 1)
+        tops = repeat(None) if h else products(pts, k - 2)
+        for (cols, table), top, prod_b, prod_c in zip(walk, tops, *(products(values, k - 2) for values in diffs)):
             corr_b = corr_c = one
             if not h:
-                corr_b = coeff_corr(add(table[top], mul(lb, table[top - 1])), add(table[1], lb))
-                corr_c = coeff_corr(add(table[top], mul(lc, table[top - 1])), add(table[1], lc))
-            if mul(table[-2], corr_b) == mul(lam, mul(table[-1], corr_c)):
+                corr_b = coeff_corr(mul(lb, top), add(table[1], lb))
+                corr_c = coeff_corr(mul(lc, top), add(table[1], lc))
+            if mul(prod_b, corr_b) == mul(lam, mul(prod_c, corr_c)):
                 return MdsVerdict(False, cols + (twist, coeff), method)
 
     return MdsVerdict(True, None, method)

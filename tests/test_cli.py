@@ -199,7 +199,8 @@ def test_reproduce_reports_a_wrong_point_set(capsys, monkeypatch):
     import rctrs.golden as golden
 
     example = golden.EXAMPLES["17"]
-    wrong = example._replace(alphas=frozenset({0, 3, 7}))
+    wrong = golden.Example(example.field, example.recipe, example.inputs, frozenset({0, 3, 7}),
+                           example.variants, example.unguaranteed)
     monkeypatch.setitem(golden.EXAMPLES, "17", wrong)
     assert main(["reproduce", "--example", "17"]) == 1
     captured = capsys.readouterr()

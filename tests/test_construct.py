@@ -393,6 +393,12 @@ def test_corollary_lengths_values():
         corollary_lengths(17, 5)
     with pytest.raises(ValueError):
         corollary_lengths(17, 4)
+    # each p_div is a prime dividing q - 1, but q is no prime power
+    for q, p_div in ((6, 5), (12, 11), (1, 2)):
+        with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+            corollary_lengths(q, p_div)
+    with pytest.raises(ValueError, match="^6 is not a prime power$"):
+        corollary_witness_codes(6, 5)
 
 
 def test_corollary_witnesses():

@@ -34,20 +34,24 @@ def test_package_imports_only_stdlib_or_itself():
 
 def test_package_neither_imports_dataclasses_nor_generates_code():
     """Records are plain slotted classes (rctrs.codes._Record), so a cold
-    run loads no dataclasses and compiles no generated source."""
+    run loads no dataclasses and compiles no generated source: no
+    typing.NamedTuple or collections.namedtuple either, whose __new__ is
+    compiled with eval when the class is made."""
     found = []
     for path in sorted((ROOT / "src" / "rctrs").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module]
+                names = [node.module] + [alias.name for alias in node.names]
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 names = [node.func.id]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names = [getattr(node, "id", None) or node.attr]
             else:
                 continue
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
-                      if name in ("dataclasses", "exec", "eval")]
+                      if name in ("dataclasses", "exec", "eval", "NamedTuple", "namedtuple")]
     assert found == []
 
 

@@ -32,7 +32,7 @@ from rctrs.mds import (
 )
 
 from oracles import colex_subsets as colex_oracle
-from oracles import minor_scan, pivot_columns
+from oracles import elementary_symmetric, minor_scan, pivot_columns
 
 F13 = field_create(13)
 F9 = field_create(3, 2)
@@ -174,13 +174,12 @@ def tables_one_by_one(f, points, subsets, lo, hi):
 
 
 def test_symmetric_tables_walk_matches_tables_one_by_one(monkeypatch):
-    """Every table of the walk on indices, degrees lo..hi and both carried
-    products, equals the oracle's and the products taken directly, on
-    points with zeros and repeats, over every subset size 0..6 and every
-    lo <= hi.  Over the fields with a Zech table, binary ones included,
-    where the index walk runs with _zech = None, the walk on logs runs
-    beside it, and each of its entries, read back through exp, equals the
-    index walk's."""
+    """Every table of the walk on indices, degrees lo..hi, equals the
+    oracle's, on points with zeros and repeats, over every subset size
+    0..6 and every lo <= hi.  Over the fields with a Zech table, binary
+    ones included, where the index walk runs with _zech = None, the walk
+    on logs runs beside it, and each of its entries, read back through
+    exp, equals the index walk's."""
     rng = random.Random(4096)
     seen = set()
     for f in (field_create(2, 4), field_create(3, 3), F13, field_create(1031, 2), field_create(5, 2),
@@ -190,8 +189,6 @@ def test_symmetric_tables_walk_matches_tables_one_by_one(monkeypatch):
             npts = size + rng.randrange(4)
             pool = [0, 1] + [rng.randrange(2, f.q) for _ in range(npts)]
             points = [rng.choice(pool) for _ in range(npts)]
-            b, c = rng.choice(points) if npts else 0, rng.randrange(f.q)
-            factors = ([f.sub(b, a) for a in points], [f.sub(c, a) for a in points])
             subsets = list(itertools.combinations(range(npts), size))
             subsets.sort(key=lambda cols: cols[::-1])  # colex
             for hi in range(size + 2):
@@ -199,32 +196,21 @@ def test_symmetric_tables_walk_matches_tables_one_by_one(monkeypatch):
                     with monkeypatch.context() as mp:
                         mp.setattr(f, "_zech", None)
                         # the walk reuses its yielded list, so each table is copied
-                        walk = [(cols, table[:]) for cols, table in
-                                _symmetric_tables(f, points, size, lo, hi, factors)]
+                        walk = [(cols, table[:]) for cols, table in _symmetric_tables(f, points, size, lo, hi)]
                     oracle = tables_one_by_one(f, points, subsets, lo, hi)
                     if zech:
-                        log_walk = _symmetric_tables(
-                            f, to_logs(f, points), size, lo, hi,
-                            [to_logs(f, values) for values in factors],
-                        )
+                        log_walk = _symmetric_tables(f, to_logs(f, points), size, lo, hi)
                     count = 0
                     for (cols, table), (want_cols, want) in zip(walk, oracle):
                         assert cols == want_cols
                         assert table[lo : hi + 1] == want[lo : hi + 1], (f, points, cols, lo, hi)
-                        products = [1, 1]
-                        for i in cols:
-                            products = [f.mul(x, values[i]) for x, values in zip(products, factors)]
-                        assert table[hi + 1 :] == products
-                        seen |= {"zero product"} if 0 in products else set()
                         if zech:
                             log_cols, logs = next(log_walk)
                             assert log_cols == cols
                             back = [f._exp[x] if x is not None else 0 for x in logs]
                             assert back[lo : hi + 1] == table[lo : hi + 1], (f, points, cols, lo, hi)
-                            assert back[hi + 1 :] == products
-                            seen |= {"log walk"} | ({"log walk zero product"} if 0 in products else set())
+                            seen |= {"log walk", f"log walk q={f.q}"}
                             seen |= {"log walk zero sigma"} if 0 in table[max(lo, 1) : hi + 1] else set()
-                            seen |= {f"log walk q={f.q}"}
                         count += 1
                     assert count == len(subsets)
                     assert not zech or next(log_walk, None) is None
@@ -233,9 +219,8 @@ def test_symmetric_tables_walk_matches_tables_one_by_one(monkeypatch):
             seen |= {"zero point"} if 0 in points else set()
             seen |= {"log walk zero point"} if zech and 0 in points else set()
             seen |= {"repeated point"} if len(set(points)) < npts else set()
-    wanted = {f"size={s}" for s in range(7)} | {"size=npts", "lo=0", "zero product", "zero point", "repeated point"}
-    wanted |= {"log walk", "log walk zero point", "log walk zero product", "log walk zero sigma"}
-    wanted |= {"log walk q=16", "log walk q=256"}
+    wanted = {f"size={s}" for s in range(7)} | {"size=npts", "lo=0", "zero point", "repeated point"}
+    wanted |= {"log walk", "log walk zero point", "log walk zero sigma", "log walk q=16", "log walk q=256"}
     assert wanted <= seen, wanted - seen
     assert list(_symmetric_tables(F13, [1, 2], 3, 0, 3)) == []  # two points have no 3-subset
 
@@ -736,10 +721,14 @@ def test_closed_form_on_logs_matches_index_path(monkeypatch):
     assert wanted <= seen, wanted - seen
 
 
-def test_log_sums_are_the_colex_subset_sums_under_the_zero_rule():
-    """_log_sums against the sum over each subset of the colex table, a
-    zero (None) counted as (size + 1)(q - 1); a sum reaches that bound
-    exactly when the subset holds a zero, the empty subset included."""
+def test_colex_products_are_the_products_over_the_colex_table():
+    """_colex_products, the one builder of products over colex subsets,
+    against the product over each subset of the colex table, for every
+    n <= 9 and every size 0..n+1.  On logs (_log_sums) a zero (None)
+    counts as (size + 1)(q - 1), and a sum reaches that bound exactly when
+    the subset holds a zero, the empty subset included.  On indices, over
+    GF(13) and the table-free GF(1031^2), it multiplies with the field's
+    mul, through zeros and repeated values."""
     rng = random.Random(3300)
     qm1 = 24
     for n in range(10):
@@ -752,6 +741,16 @@ def test_log_sums_are_the_colex_subset_sums_under_the_zero_rule():
             got = list(rctrs.mds._log_sums(logs, size, qm1))
             assert got == [sum(zero if logs[i] is None else logs[i] for i in cols) for cols in subsets], (logs, size)
             assert [s >= zero for s in got] == [None in (logs[i] for i in cols) for cols in subsets]
+    for f in (F13, field_create(1031, 2)):
+        assert f._zech is None
+        for n in range(10):
+            values = [rng.choice((0, 1, rng.randrange(f.q))) for _ in range(n)]
+            for size in range(n + 2):
+                got = list(rctrs.mds._colex_products(values, size, f.mul, 1))
+                # sigma_size of size values is their product
+                want = [elementary_symmetric(f, [values[i] for i in cols], size).index
+                        for cols in colex_oracle(n, size)]
+                assert got == want, (f, values, size)
 
 
 # the hook-0 sum route's fields: binary, then odd p
@@ -761,7 +760,7 @@ SUM_FIELDS = ((2, 4), (2, 8), (5, 2), (3, 3))
 def test_hook0_sum_route_matches_the_index_walk(monkeypatch):
     """At hook 0 on logs the evaluation and twist categories read log sums
     (_log_sums); on indices, forced with _zech = None, they walk
-    _symmetric_tables.  Both give the same verdict, and each pulls one
+    _symmetric_tables for their sigmas.  Both give the same verdict, and each pulls one
     colex tuple per subset decided, counted by wrapping _colex_subsets as
     perfbench does: the witness's place in the category order + 1, or
     every column set of that order."""
