@@ -137,7 +137,8 @@ def _colex_products(values, size: int, mul, one):
 
     The one place this module forms a product over colex subsets: with +
     it sums column bits (_colex_masks) and logs (_log_sums), and with the
-    field's mul it multiplies indices.  In colex order the subsets whose
+    mul of _arithmetic it multiplies field elements in their log domain,
+    as the closed form's products.  In colex order the subsets whose
     last position is c form one block, the first C(c, size-1)
     (size-1)-subsets with c added.  So the products one size down over
     all but the last value, which this builder makes first, are listed
@@ -145,8 +146,8 @@ def _colex_products(values, size: int, mul, one):
     is reached: a subset costs about one mul, and a scan that stops early
     skips the blocks after it.
     """
-    if not size:
-        return iter((one,))
+    if size < 2:  # at size 1 each block holds one product, so one map takes them all
+        return map(mul, repeat(one), values) if size else iter((one,))
     head = list(_colex_products(values[:-1], size - 1, mul, one))
     return chain.from_iterable(
         map(mul, islice(head, comb(c, size - 1)), repeat(x))
